@@ -3,7 +3,8 @@ companion for the modified equation, and a numerical ball-characterization
 test built on them.
 
 The primary objects are SolutionField (exact solutions carrying their
-wavenumber), Domain (implicit bounded regions), MeanValueEstimate
+wavenumber), Domain (implicit bounded regions, a tree of geometry's
+Ball, Box, Difference, Translate and CustomDomain nodes), MeanValueEstimate
 (quadrature / Monte Carlo volume means with error bars), and
 VerificationReport (lhs, rhs, residual, tolerance, verdict).  See the
 demos/ scripts for narrative walkthroughs and the `helmholtz-means` CLI
@@ -11,7 +12,6 @@ for reproducible runs.
 """
 
 from .geometry import (
-    DilatedCopy,
     Domain,
     EstimationError,
     ball,

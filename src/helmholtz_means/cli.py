@@ -74,15 +74,7 @@ def _emit_table(rows, header, args) -> int:
         objs = [dict(zip(header, row)) for row in rows]
         _emit(json.dumps(objs, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
-        _emit(buf.getvalue(), args.out)
+        _emit(verify.csv_table(header, rows), args.out)
     return 0
 
 

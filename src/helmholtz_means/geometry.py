@@ -1,20 +1,25 @@
-"""Implicit bounded regions of R^m: balls, boxes, differences, translates.
+"""Implicit bounded regions of R^m as a small tree of frozen nodes.
 
-A Domain is an indicator function plus a bounding box; boundaries are
-measure zero and may be classified either way.  Composite volumes are
-estimated by seeded Monte Carlo, analytic volumes are attached where
-known.  The JSON grammar mirrors the constructors:
+A Domain is one of Ball, Box, Difference, Translate or CustomDomain.
+Each node owns its indicator, bounding box, analytic volume (None when
+only sampling can give it), kind string, exact enclosing radius about a
+point (None where only sampling can answer) and its JSON description.
+Boundaries are measure zero and may be classified either way.  Composite
+volumes are estimated by seeded Monte Carlo.  The JSON grammar mirrors
+the constructors:
 
     {"kind": "ball", "center": [...], "r": ...}
     {"kind": "box", "low": [...], "high": [...]}
     {"kind": "difference", "a": {...}, "b": {...}}
     {"kind": "translate", "of": {...}, "by": [...]}
+
+Custom domains, and any tree that contains one, have no description.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -23,7 +28,11 @@ from .specfun import gamma_fn
 
 __all__ = [
     "Domain",
-    "DilatedCopy",
+    "Ball",
+    "Box",
+    "Difference",
+    "Translate",
+    "CustomDomain",
     "EstimationError",
     "ball",
     "box",
@@ -55,20 +64,37 @@ def _vec(x, m: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
 class Domain:
-    """Bounded implicit region of R^m.
+    """Bounded implicit region of R^m: one node of the domain tree.
 
     indicator maps an (n, m) array of points to an (n,) boolean array; it
-    is False everywhere outside bounding_box.
+    is False everywhere outside bounding_box = (low, high).
+    circumradius(x0) is the exact sup of |y - x0| over the closure, or
+    None where only sampling can answer; analytic_volume is None where
+    unknown.
     """
 
-    dimension: int
-    indicator: Callable[[np.ndarray], np.ndarray]
-    bounding_box: tuple[np.ndarray, np.ndarray]
-    analytic_volume: float | None
-    kind: str
-    description: dict | None = field(default=None, repr=False)
+    analytic_volume = None
+
+    @property
+    def dimension(self) -> int:
+        return self.bounding_box[0].size
+
+    @property
+    def description(self) -> dict | None:
+        """The kind plus each field, subtrees nested; None if a subtree has none."""
+        obj = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Domain):
+                v = v.description
+                if v is None:
+                    return None
+            obj[f.name] = [float(x) for x in v] if isinstance(v, np.ndarray) else v
+        return obj
+
+    def circumradius(self, x0) -> float | None:
+        return None
 
     def contains(self, points) -> np.ndarray | bool:
         pts = np.asarray(points, dtype=float)
@@ -82,6 +108,105 @@ class Domain:
         return bool(inside[0]) if single else inside
 
 
+@dataclass(frozen=True, eq=False)
+class Ball(Domain):
+    """Open ball of radius r about center."""
+
+    center: np.ndarray
+    r: float
+    kind = "ball"
+
+    def indicator(self, pts):
+        d = pts - self.center
+        return np.einsum("ij,ij->i", d, d) < self.r * self.r
+
+    @property
+    def bounding_box(self):
+        return self.center - self.r, self.center + self.r
+
+    @property
+    def analytic_volume(self) -> float:
+        return unit_ball_volume(self.center.size) * self.r**self.center.size
+
+    def circumradius(self, x0) -> float:
+        return float(np.linalg.norm(self.center - x0)) + self.r
+
+
+@dataclass(frozen=True, eq=False)
+class Box(Domain):
+    """Open axis-aligned box low < x < high."""
+
+    low: np.ndarray
+    high: np.ndarray
+    kind = "box"
+
+    def indicator(self, pts):
+        return np.all((pts > self.low) & (pts < self.high), axis=1)
+
+    @property
+    def bounding_box(self):
+        return self.low, self.high
+
+    @property
+    def analytic_volume(self) -> float:
+        return float(np.prod(self.high - self.low))
+
+    def circumradius(self, x0) -> float:
+        corners = np.maximum(np.abs(self.low - x0), np.abs(self.high - x0))
+        return float(np.linalg.norm(corners))
+
+
+@dataclass(frozen=True, eq=False)
+class Difference(Domain):
+    """Set difference a \\ b, boxed by a; its volume is sampled."""
+
+    a: Domain
+    b: Domain
+    kind = "difference"
+
+    def indicator(self, pts):
+        return self.a.indicator(pts) & ~self.b.indicator(pts)
+
+    @property
+    def bounding_box(self):
+        return self.a.bounding_box
+
+
+@dataclass(frozen=True, eq=False)
+class Translate(Domain):
+    """The domain `of` shifted by the vector `by`."""
+
+    of: Domain
+    by: np.ndarray
+    kind = "translate"
+
+    def indicator(self, pts):
+        return self.of.indicator(pts - self.by)
+
+    @property
+    def bounding_box(self):
+        lo, hi = self.of.bounding_box
+        return lo + self.by, hi + self.by
+
+    @property
+    def analytic_volume(self) -> float | None:
+        return self.of.analytic_volume
+
+    def circumradius(self, x0) -> float | None:
+        return self.of.circumradius(x0 - self.by)
+
+
+@dataclass(frozen=True, eq=False)
+class CustomDomain(Domain):
+    """A user-supplied indicator on a bounding box; not serialisable."""
+
+    indicator: Callable[[np.ndarray], np.ndarray]
+    bounding_box: tuple[np.ndarray, np.ndarray]
+    analytic_volume: float | None = None
+    kind = "custom"
+    description = None
+
+
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit ball, 2 pi^{m/2} / (m Gamma(m/2))."""
     if m < 1:
@@ -89,103 +214,58 @@ def unit_ball_volume(m: int) -> float:
     return 2.0 * math.pi ** (0.5 * m) / (m * gamma_fn(0.5 * m))
 
 
-def ball(center, r: float) -> Domain:
+def ball(center, r: float) -> Ball:
     """Open ball of radius r; analytic volume unit_ball_volume(m) * r^m."""
     c = _vec(center)
     r = float(r)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
-    m = c.size
-
-    def inside(pts):
-        d = pts - c
-        return np.einsum("ij,ij->i", d, d) < r * r
-
-    return Domain(
-        dimension=m,
-        indicator=inside,
-        bounding_box=(c - r, c + r),
-        analytic_volume=unit_ball_volume(m) * r**m,
-        kind="ball",
-        description={"kind": "ball", "center": [float(v) for v in c], "r": r},
-    )
+    return Ball(c, r)
 
 
-def box(low, high) -> Domain:
+def box(low, high) -> Box:
     """Open axis-aligned box with low < high componentwise."""
     lo = _vec(low)
     hi = _vec(high, lo.size)
     if not np.all(hi > lo):
         raise ValueError("box requires low < high componentwise")
-
-    def inside(pts):
-        return np.all((pts > lo) & (pts < hi), axis=1)
-
-    return Domain(
-        dimension=lo.size,
-        indicator=inside,
-        bounding_box=(lo.copy(), hi.copy()),
-        analytic_volume=float(np.prod(hi - lo)),
-        kind="box",
-        description={"kind": "box", "low": [float(v) for v in lo], "high": [float(v) for v in hi]},
-    )
+    return Box(lo.copy(), hi.copy())
 
 
-def difference(a: Domain, b: Domain) -> Domain:
+def difference(a: Domain, b: Domain) -> Difference:
     """Set difference a \\ b; volume is estimated on demand."""
     if a.dimension != b.dimension:
-        raise ValueError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
-        )
-
-    def inside(pts):
-        return a.indicator(pts) & ~b.indicator(pts)
-
-    desc = None
-    if a.description is not None and b.description is not None:
-        desc = {"kind": "difference", "a": a.description, "b": b.description}
-    return Domain(
-        dimension=a.dimension,
-        indicator=inside,
-        bounding_box=(a.bounding_box[0].copy(), a.bounding_box[1].copy()),
-        analytic_volume=None,
-        kind="difference",
-        description=desc,
-    )
+        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
+    return Difference(a, b)
 
 
-def translate(d: Domain, by) -> Domain:
-    shift = _vec(by, d.dimension)
-
-    def inside(pts):
-        return d.indicator(pts - shift)
-
-    desc = None
-    if d.description is not None:
-        desc = {"kind": "translate", "of": d.description, "by": [float(v) for v in shift]}
-    return Domain(
-        dimension=d.dimension,
-        indicator=inside,
-        bounding_box=(d.bounding_box[0] + shift, d.bounding_box[1] + shift),
-        analytic_volume=d.analytic_volume,
-        kind="translate",
-        description=desc,
-    )
+def translate(d: Domain, by) -> Translate:
+    return Translate(d, _vec(by, d.dimension))
 
 
-def custom_domain(dimension, indicator, bounding_box, analytic_volume=None) -> Domain:
+def custom_domain(dimension, indicator, bounding_box, analytic_volume=None) -> CustomDomain:
     lo = _vec(bounding_box[0], dimension)
     hi = _vec(bounding_box[1], dimension)
     if not np.all(hi > lo):
         raise ValueError("bounding box must be nondegenerate")
-    return Domain(
-        dimension=int(dimension),
-        indicator=indicator,
-        bounding_box=(lo, hi),
-        analytic_volume=analytic_volume,
-        kind="custom",
-        description=None,
-    )
+    return CustomDomain(indicator, (lo, hi), analytic_volume)
+
+
+def _draw(d: Domain, samples: int, seed: int):
+    """Seeded uniform points over d's bounding box and their indicator."""
+    lo, hi = d.bounding_box
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, size=(int(samples), d.dimension))
+    return pts, d.indicator(pts)
+
+
+def _hit_volume(d: Domain, hits: np.ndarray) -> tuple[float, float]:
+    """(volume, 3-sigma error bar) from the indicator of a _draw."""
+    lo, hi = d.bounding_box
+    vbox = float(np.prod(hi - lo))
+    p = float(np.mean(hits))
+    err3 = 3.0 * vbox * math.sqrt(max(p * (1.0 - p), 0.0) / hits.size)
+    return vbox * p, err3
 
 
 def volume(d: Domain, samples: int = 2_000_000, seed: int = 0) -> tuple[float, float]:
@@ -193,22 +273,19 @@ def volume(d: Domain, samples: int = 2_000_000, seed: int = 0) -> tuple[float, f
     Carlo over the bounding box with a 3-sigma error bar."""
     if d.analytic_volume is not None:
         return float(d.analytic_volume), 0.0
-    lo, hi = d.bounding_box
-    vbox = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(int(samples), d.dimension))
-    hits = d.indicator(pts)
-    p = float(np.mean(hits))
-    err3 = 3.0 * vbox * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return vbox * p, err3
+    return _hit_volume(d, _draw(d, samples, seed)[1])
+
+
+def _radius_of_volume(v: float, m: int) -> float:
+    """Radius r with |B_r| = v in R^m."""
+    if v <= 0.0:
+        raise ValueError(f"domain volume must be positive, got {v}")
+    return (v / unit_ball_volume(m)) ** (1.0 / m)
 
 
 def equivalent_radius(d: Domain, samples: int = 2_000_000, seed: int = 0) -> float:
     """Radius r with |B_r| = |D|, i.e. (|D| / omega_m)^(1/m)."""
-    v, _ = volume(d, samples=samples, seed=seed)
-    if v <= 0.0:
-        raise ValueError(f"domain volume must be positive, got {v}")
-    return (v / unit_ball_volume(d.dimension)) ** (1.0 / d.dimension)
+    return _radius_of_volume(volume(d, samples=samples, seed=seed)[0], d.dimension)
 
 
 def circumradius_about(d: Domain, x0, budget: int = 1_000_000, seed: int = 0) -> float:
@@ -241,53 +318,9 @@ def circumradius_about(d: Domain, x0, budget: int = 1_000_000, seed: int = 0) ->
 
 
 def exact_circumradius(d: Domain, x0) -> float | None:
-    """Exact sup of |y - x0| over the closure, for shapes where corner /
-    center arithmetic gives it; None when only sampling can answer."""
-    x0 = _vec(x0, d.dimension)
-    if d.kind == "ball":
-        c = np.asarray(d.description["center"], dtype=float)
-        return float(np.linalg.norm(c - x0)) + float(d.description["r"])
-    if d.kind == "box":
-        lo, hi = d.bounding_box
-        corners = np.maximum(np.abs(lo - x0), np.abs(hi - x0))
-        return float(np.linalg.norm(corners))
-    if d.kind == "translate" and d.description is not None:
-        inner = domain_from_json(d.description["of"])
-        return exact_circumradius(inner, x0 - np.asarray(d.description["by"], dtype=float))
-    return None
-
-
-@dataclass(frozen=True, eq=False)
-class DilatedCopy:
-    """The base domain together with every ball of radius r centered on
-    its boundary.  Solution generators in this package are entire, so
-    membership here is only offered for commentary / admissibility
-    reporting, decided by distance-to-base sampling."""
-
-    base: Domain
-    r: float
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"dilation radius must be > 0, got {self.r}")
-
-    @property
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.base.bounding_box
-        return lo - self.r, hi + self.r
-
-    def contains(self, point, samples: int = 20_000, seed: int = 0) -> bool:
-        p = _vec(point, self.base.dimension)
-        if self.base.contains(p):
-            return True
-        lo, hi = self.base.bounding_box
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(lo, hi, size=(samples, self.base.dimension))
-        pts = pts[self.base.indicator(pts)]
-        if pts.shape[0] == 0:
-            raise EstimationError("no inside point of the base found while sampling")
-        d2 = np.einsum("ij,ij->i", pts - p, pts - p)
-        return bool(np.min(d2) < self.r * self.r)
+    """Exact sup of |y - x0| over the closure of a ball, a box or a
+    translate of one; None when only sampling can answer."""
+    return d.circumradius(_vec(x0, d.dimension))
 
 
 def domain_to_json(d: Domain) -> dict:
@@ -296,13 +329,13 @@ def domain_to_json(d: Domain) -> dict:
     return d.description
 
 
-def _require_keys(obj: dict, keys: set[str]):
+def _require_keys(obj: dict, keys: set[str], what: str = "domain"):
     extra = set(obj) - keys
     if extra:
-        raise ValueError(f"unknown fields in domain description: {sorted(extra)}")
+        raise ValueError(f"unknown fields in {what} description: {sorted(extra)}")
     missing = keys - set(obj)
     if missing:
-        raise ValueError(f"missing fields in domain description: {sorted(missing)}")
+        raise ValueError(f"missing fields in {what} description: {sorted(missing)}")
 
 
 def domain_from_json(obj: dict) -> Domain:

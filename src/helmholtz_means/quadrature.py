@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, EstimationError, ball
+from .geometry import Domain, EstimationError, _draw, _hit_volume, ball
 
 __all__ = [
     "MeanValueEstimate",
@@ -48,32 +48,37 @@ class MeanValueEstimate:
     seed: int | None = None
 
 
+def _sphere_directions(m: int, angular: int, rule: str):
+    """Unit directions (n_dir, m) of the periodic trapezoid rule on the
+    circle (m = 2), or of the Gauss(polar) x trapezoid(azimuth) product
+    on the sphere (m = 3) together with its polar Gauss weights (None
+    for m = 2)."""
+    if m not in (2, 3):
+        raise NotImplementedError(f"{rule} supports m in {{2, 3}}, got {m}")
+    phi = 2.0 * np.pi * np.arange(angular) / angular
+    if m == 2:
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), None
+    z, wz = np.polynomial.legendre.leggauss(max(int(angular) // 2, 4))
+    sz = np.sqrt(1.0 - z * z)
+    dirs = np.stack(
+        [
+            np.outer(sz, np.cos(phi)).ravel(),
+            np.outer(sz, np.sin(phi)).ravel(),
+            np.repeat(z, angular),
+        ],
+        axis=1,
+    )
+    return dirs, wz
+
+
 def _ball_nodes_weights(center: np.ndarray, r: float, radial_nodes: int, angular: int):
     """Quadrature points (n, m) and weights (n,) for a ball rule."""
     m = center.size
+    dirs, wz = _sphere_directions(m, angular, "spectral ball rule")
     s, ws = np.polynomial.legendre.leggauss(int(radial_nodes))
     s = 0.5 * r * (s + 1.0)  # radius in (0, r)
     ws = 0.5 * r * ws * s ** (m - 1)
-    if m == 2:
-        phi = 2.0 * np.pi * np.arange(angular) / angular
-        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)  # (K, 2)
-        wa = np.full(angular, 1.0 / angular)
-    elif m == 3:
-        n_polar = max(int(angular) // 2, 4)
-        z, wz = np.polynomial.legendre.leggauss(n_polar)
-        phi = 2.0 * np.pi * np.arange(angular) / angular
-        sz = np.sqrt(1.0 - z * z)
-        dirs = np.stack(
-            [
-                np.outer(sz, np.cos(phi)).ravel(),
-                np.outer(sz, np.sin(phi)).ravel(),
-                np.repeat(z, angular),
-            ],
-            axis=1,
-        )  # (n_polar*K, 3)
-        wa = np.repeat(0.5 * wz, angular) / angular
-    else:
-        raise NotImplementedError(f"spectral ball rule supports m in {{2, 3}}, got {m}")
+    wa = np.full(angular, 1.0 / angular) if wz is None else np.repeat(0.5 * wz, angular) / angular
     pts = center + s[:, None, None] * dirs[None, :, :]  # (radial, n_dir, m)
     w = ws[:, None] * wa[None, :]
     return pts.reshape(-1, m), w.ravel()
@@ -165,10 +170,7 @@ def mc_mean(f, d: Domain, samples: int = 2_000_000, seed: int = 0) -> MeanValueE
     acceptance rate drops below 1e-4 (bounding box too loose).
     """
     samples = int(samples)
-    lo, hi = d.bounding_box
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, d.dimension))
-    keep = d.indicator(pts)
+    pts, keep = _draw(d, samples, seed)
     n_acc = int(np.count_nonzero(keep))
     if n_acc < _MIN_ACCEPTANCE * samples:
         raise EstimationError(
@@ -198,53 +200,29 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
     samples = int(samples)
     lo, hi = d.bounding_box
     vbox = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, d.dimension))
-    keep = d.indicator(pts)
+    pts, keep = _draw(d, samples, seed)
     g = np.zeros(samples)
     if np.any(keep):
         g[keep] = np.asarray(f(pts[keep]), dtype=float)
     integral = vbox * float(np.mean(g))
     ierr3 = 3.0 * vbox * float(np.std(g)) / math.sqrt(samples)
-    p = float(np.mean(keep))
-    vol = vbox * p
-    verr3 = 3.0 * vbox * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return integral, ierr3, vol, verr3
+    return (integral, ierr3) + _hit_volume(d, keep)
 
 
 def _sphere_points(center: np.ndarray, r: float, angular: int):
     """Surface nodes, unit normals, and surface weights for a circle or sphere."""
-    m = center.size
-    if m == 2:
-        phi = 2.0 * np.pi * np.arange(angular) / angular
-        normals = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    normals, wz = _sphere_directions(center.size, angular, "surface_flux")
+    if wz is None:
         w = np.full(angular, 2.0 * np.pi * r / angular)
-    elif m == 3:
-        n_polar = max(int(angular) // 2, 4)
-        z, wz = np.polynomial.legendre.leggauss(n_polar)
-        phi = 2.0 * np.pi * np.arange(angular) / angular
-        sz = np.sqrt(1.0 - z * z)
-        normals = np.stack(
-            [
-                np.outer(sz, np.cos(phi)).ravel(),
-                np.outer(sz, np.sin(phi)).ravel(),
-                np.repeat(z, angular),
-            ],
-            axis=1,
-        )
-        w = np.repeat(wz, angular) * (2.0 * np.pi * r * r / angular)
     else:
-        raise NotImplementedError(f"surface_flux supports m in {{2, 3}}, got {m}")
+        w = np.repeat(wz, angular) * (2.0 * np.pi * r * r / angular)
     return center + r * normals, normals, w
 
 
-def _flux_value(u, center, r, angular, step, one_sided=False) -> float:
+def _flux_value(u, center, r, angular, step) -> float:
     pts, normals, w = _sphere_points(center, r, angular)
     h = step * r
-    if one_sided:
-        dn = (np.asarray(u(pts)) - np.asarray(u(pts - h * normals))) / h
-    else:
-        dn = (np.asarray(u(pts + h * normals)) - np.asarray(u(pts - h * normals))) / (2.0 * h)
+    dn = (np.asarray(u(pts + h * normals)) - np.asarray(u(pts - h * normals))) / (2.0 * h)
     return float(w @ dn)
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import EstimationError
+from .geometry import EstimationError, _require_keys
 from .specfun import a_norm, b_norm, gamma_fn
 
 HELMHOLTZ = "helmholtz"
@@ -254,32 +254,23 @@ def solution_to_json(u: SolutionField) -> dict:
     return {"kind": u.kind, **u.params}
 
 
-def _require_keys(obj: dict, keys: set[str]):
-    extra = set(obj) - keys
-    if extra:
-        raise ValueError(f"unknown fields in solution description: {sorted(extra)}")
-    missing = keys - set(obj)
-    if missing:
-        raise ValueError(f"missing fields in solution description: {sorted(missing)}")
-
-
 def solution_from_json(obj: dict) -> SolutionField:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("solution description must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "plane_wave":
-        _require_keys(obj, {"kind", "lambda", "direction", "phase"})
+        _require_keys(obj, {"kind", "lambda", "direction", "phase"}, "solution")
         d = np.asarray(obj["direction"], dtype=float)
         return plane_wave(d.size, obj["lambda"], d, obj["phase"])
     if kind == "radial":
-        _require_keys(obj, {"kind", "lambda", "center"})
+        _require_keys(obj, {"kind", "lambda", "center"}, "solution")
         c = np.asarray(obj["center"], dtype=float)
         return radial_solution(c.size, obj["lambda"], c)
     if kind == "modified_radial":
-        _require_keys(obj, {"kind", "mu", "center"})
+        _require_keys(obj, {"kind", "mu", "center"}, "solution")
         c = np.asarray(obj["center"], dtype=float)
         return modified_radial_solution(c.size, obj["mu"], c)
     if kind == "membrane":
-        _require_keys(obj, {"kind", "i", "j", "a"})
+        _require_keys(obj, {"kind", "i", "j", "a"}, "solution")
         return membrane_eigenfunction(obj["i"], obj["j"], obj["a"])
     raise ValueError(f"unknown solution kind: {kind!r}")

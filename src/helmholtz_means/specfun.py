@@ -93,10 +93,10 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
-    """Ascending series of J_nu (sign=-1) or I_nu (sign=+1)."""
+def _ascending_series(term: np.ndarray, t: np.ndarray, nu: float, sign: float) -> np.ndarray:
+    """Sum of term * prod_{j<=k} sign (t/2)^2 / (j (j + nu)) over k >= 0,
+    stopped when the term ratio drops below SERIES_RTOL."""
     q = 0.25 * t * t
-    term = (0.5 * t) ** nu / gamma_fn(nu + 1.0)
     total = term.copy()
     for k in range(1, 400):
         term = term * (sign * q) / (k * (k + nu))
@@ -104,6 +104,11 @@ def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
         if np.all(np.abs(term) <= SERIES_RTOL * np.maximum(np.abs(total), 1e-4)):
             break
     return total
+
+
+def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
+    """Ascending series of J_nu (sign=-1) or I_nu (sign=+1)."""
+    return _ascending_series((0.5 * t) ** nu / gamma_fn(nu + 1.0), t, nu, sign)
 
 
 def _bessel_j_half_upward(l: int, t: np.ndarray) -> np.ndarray:
@@ -244,15 +249,7 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
         # Normalized even series: c_0 = 1, c_{k+1} = c_k * sign*(t/2)^2 / ((k+1)(k+1+m/2)).
         # Exact 1.0 at t = 0 and free of the 0/0 of the quotient form.
         ts = tt[small]
-        q = 0.25 * ts * ts
-        term = np.ones_like(ts)
-        total = term.copy()
-        for k in range(1, 400):
-            term = term * (sign * q) / (k * (k + 0.5 * m))
-            total += term
-            if np.all(np.abs(term) <= SERIES_RTOL * np.maximum(np.abs(total), 1e-4)):
-                break
-        out[small] = total
+        out[small] = _ascending_series(np.ones_like(ts), ts, 0.5 * m, sign)
     if np.any(~small):
         tl = tt[~small]
         f = bessel_j if kind == "a" else bessel_i
@@ -351,7 +348,7 @@ def bessel_zero(nu: float, n: int) -> float:
         # Zeros of J_nu are > 3 apart for nu <= 6, so a 0.25 grid cannot
         # straddle two of them within one step.
         grid = np.linspace(lo, hi, max(int((hi - lo) / 0.25) + 2, 8))
-        vals = np.array([f(g) for g in grid])
+        vals = f(grid)
         signs = np.sign(vals)
         flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
         if flips.size:

@@ -21,12 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    Ball,
+    Box,
     Domain,
+    Translate,
+    _radius_of_volume,
     ball,
     box,
     circumradius_about,
     difference,
-    equivalent_radius,
     exact_circumradius,
     volume,
 )
@@ -143,11 +146,21 @@ def report_to_dict(r: VerificationReport) -> dict:
     }
 
 
-def reports_to_csv(reports) -> str:
-    """Flatten reports to CSV; diagnostics scalars become extra columns."""
+def csv_table(header, rows) -> str:
+    """CSV text with repr() for floats and str() for everything else."""
     import csv
     import io
 
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+def reports_to_csv(reports) -> str:
+    """Flatten reports to CSV; diagnostics scalars become extra columns."""
     reports = list(reports)
     diag_keys = sorted(
         {
@@ -157,18 +170,14 @@ def reports_to_csv(reports) -> str:
             if isinstance(v, (int, float, str, bool, np.floating, np.integer))
         }
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["name", "lhs", "rhs", "residual", "tolerance", "error_bar", "verdict"] + diag_keys
+    return csv_table(
+        ["name", "lhs", "rhs", "residual", "tolerance", "error_bar", "verdict"] + diag_keys,
+        (
+            [r.name, r.lhs, r.rhs, r.residual, r.tolerance, r.error_bar, r.verdict]
+            + [_jsonable(r.diagnostics.get(k, "")) for k in diag_keys]
+            for r in reports
+        ),
     )
-    for r in reports:
-        row = [r.name, repr(r.lhs), repr(r.rhs), repr(r.residual), repr(r.tolerance), repr(r.error_bar), r.verdict]
-        for k in diag_keys:
-            v = _jsonable(r.diagnostics.get(k, ""))
-            row.append(repr(v) if isinstance(v, float) else str(v))
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -193,51 +202,42 @@ class CharacterizationProblem:
 
 
 def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000, seed: int = 0) -> CharacterizationProblem:
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    return _problems(domain, [lam], x0, samples, seed)[0]
+
+
+def _problems(domain: Domain, lambdas, x0, samples: int, seed: int) -> list[CharacterizationProblem]:
+    """One problem per wavenumber, sharing one |D| estimate and one j_{m/2,1}."""
+    lambdas = [float(lam) for lam in lambdas]
+    for lam in lambdas:
+        if lam <= 0.0:
+            raise ValueError(f"lambda must be > 0, got {lam}")
+    m = domain.dimension
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (domain.dimension,):
-        raise ValueError(f"x0 must have shape ({domain.dimension},), got {x0.shape}")
+    if x0.shape != (m,):
+        raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the domain")
     vol, verr = volume(domain, samples=samples, seed=seed)
-    r = equivalent_radius(domain, samples=samples, seed=seed)
-    r0 = bessel_zero(0.5 * domain.dimension, 1) / lam
-    return CharacterizationProblem(
-        domain=domain,
-        lam=lam,
-        x0=x0,
-        r=r,
-        r0=r0,
-        volume=vol,
-        volume_error=verr,
-        seed=seed,
-        samples=samples,
-    )
-
-
-def _unwrap_shifted(d: Domain, shift):
-    """Peel translate layers, accumulating the total shift."""
-    shift = np.asarray(shift, dtype=float)
-    while d.kind == "translate" and d.description is not None:
-        shift = shift + np.asarray(d.description["by"], dtype=float)
-        from .geometry import domain_from_json
-
-        d = domain_from_json(d.description["of"])
-    return d, shift
+    r = _radius_of_volume(vol, m)
+    j = bessel_zero(0.5 * m, 1)
+    return [
+        CharacterizationProblem(domain=domain, lam=lam, x0=x0, r=r, r0=j / lam, volume=vol,
+                                volume_error=verr, seed=seed, samples=samples)
+        for lam in lambdas
+    ]
 
 
 def _best_mean(u, d: Domain, nodes, angular, box_nodes, samples, seed):
-    """M(u, D) by the most accurate path available for the domain kind."""
-    base, shift = _unwrap_shifted(d, np.zeros(d.dimension))
-    if base.kind == "ball" and d.dimension in (2, 3):
-        c = np.asarray(base.description["center"], dtype=float) + shift
-        return ball_mean(u, c, base.description["r"], radial_nodes=nodes, angular_resolution=angular)
-    if base.kind == "box":
-        lo = np.asarray(base.description["low"], dtype=float) + shift
-        hi = np.asarray(base.description["high"], dtype=float) + shift
-        return box_mean(u, lo, hi, nodes_per_axis=box_nodes)
+    """M(u, D) by the most accurate path available for the domain's
+    structure: a ball or box, up to translation, gets its spectral rule."""
+    base, shift = d, np.zeros(d.dimension)
+    while isinstance(base, Translate):
+        shift = shift + base.by
+        base = base.of
+    if isinstance(base, Ball) and d.dimension in (2, 3):
+        return ball_mean(u, base.center + shift, base.r, radial_nodes=nodes, angular_resolution=angular)
+    if isinstance(base, Box):
+        return box_mean(u, base.low + shift, base.high + shift, nodes_per_axis=box_nodes)
     return mc_mean(u, d, samples=samples, seed=seed)
 
 
@@ -667,7 +667,8 @@ def kuran_limit_check(
     if any(l <= 0 for l in lambdas) or any(nxt >= prev for prev, nxt in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
     m = d.dimension
-    r = equivalent_radius(d, samples=samples, seed=seed)
+    problems = _problems(d, lambdas, x0, samples, seed)
+    r = problems[0].r
 
     rows = []
     for lam in lambdas:
@@ -691,9 +692,8 @@ def kuran_limit_check(
         lambda pts: pts[:, 0] - x0[0], d, nodes, angular, box_nodes, samples, seed
     )
     id_rows = []
-    for lam in lambdas:
+    for lam, prob in zip(lambdas, problems):
         u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
-        prob = make_problem(d, lam, x0, samples=samples, seed=seed)
         rep = check_identity(
             u, prob, nodes=nodes, angular=angular, box_nodes=box_nodes,
             samples=samples, seed=seed,

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from helmholtz_means.geometry import (
-    DilatedCopy,
+    Ball,
+    Box,
+    Difference,
     EstimationError,
+    Translate,
     ball,
     box,
     circumradius_about,
@@ -172,20 +175,12 @@ class TestCircumradius:
         shifted = translate(ball([0, 0], 1.0), [0.3, 0])
         assert exact_circumradius(shifted, [0, 0]) == pytest.approx(1.3, rel=1e-14)
         assert exact_circumradius(difference(ball([0, 0], 1), ball([0, 0], 0.5)), [0, 0]) is None
-
-
-class TestDilatedCopy:
-    def test_membership(self):
-        d = DilatedCopy(ball([0, 0], 1.0), r=0.5)
-        assert d.contains([0, 0])
-        assert d.contains([1.3, 0])  # within 0.5 of the boundary
-        assert not d.contains([2.0, 0])
-        lo, hi = d.bounding_box
-        assert np.allclose(lo, [-1.5, -1.5]) and np.allclose(hi, [1.5, 1.5])
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            DilatedCopy(ball([0, 0], 1.0), r=0.0)
+        twice = translate(translate(ball([0, 0], 1.0), [0.3, 0]), [0, 0.4])
+        assert exact_circumradius(twice, [0, 0]) == pytest.approx(1.5, rel=1e-14)
+        square = translate(translate(box([0, 0], [1, 1]), [0.25, 0]), [0, 0.5])
+        assert exact_circumradius(square, [0.75, 1.0]) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+        custom = custom_domain(2, ball([0, 0], 1.0).indicator, ([-1, -1], [1, 1]))
+        assert exact_circumradius(translate(custom, [0.3, 0]), [0, 0]) is None
 
 
 class TestJson:
@@ -196,11 +191,22 @@ class TestJson:
         assert d2.analytic_volume == pytest.approx(d.analytic_volume, rel=1e-15)
 
     def test_round_trip_nested(self):
-        d = translate(difference(box([0, 0], [1, 1]), ball([0.5, 0.5], 0.3)), [1.0, 2.0])
-        obj = domain_to_json(d)
-        d2 = domain_from_json(obj)
-        pts = np.random.default_rng(0).uniform([0.8, 1.8], [2.2, 3.2], size=(5000, 2))
-        assert np.array_equal(d.contains(pts), d2.contains(pts))
+        cases = [
+            (translate(difference(box([0, 0], [1, 1]), ball([0.5, 0.5], 0.3)), [1.0, 2.0]), Translate),
+            (ball([0.25, -1.5], 0.75), Ball),
+            (box([0, 0, -1], [1, 2, 0.5]), Box),
+            (difference(box([0, 0], [1, 1]), ball([0.5, 0.5], 0.3)), Difference),
+            (translate(translate(box([0, 0], [1, 1]), [1, 0]), [0, 2]), Translate),
+        ]
+        for d, node in cases:
+            obj = domain_to_json(d)
+            d2 = domain_from_json(obj)
+            assert isinstance(d2, node) and d2.kind == d.kind
+            assert domain_to_json(d2) == obj
+            lo, hi = d.bounding_box
+            assert np.array_equal(lo, d2.bounding_box[0]) and np.array_equal(hi, d2.bounding_box[1])
+            pts = np.random.default_rng(0).uniform(lo - 0.2, hi + 0.2, size=(5000, d.dimension))
+            assert np.array_equal(d.contains(pts), d2.contains(pts))
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -212,5 +218,7 @@ class TestJson:
 
     def test_custom_not_serializable(self):
         d = custom_domain(2, lambda p: p[:, 0] > 0, ([0, -1], [1, 1]))
-        with pytest.raises(ValueError):
-            domain_to_json(d)
+        for tree in (d, translate(d, [1, 0]), difference(ball([0.5, 0], 0.4), d)):
+            assert tree.description is None
+            with pytest.raises(ValueError):
+                domain_to_json(tree)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helmholtz_means.geometry import ball, box, difference, translate
+from helmholtz_means.geometry import ball, box, custom_domain, difference, translate
+from helmholtz_means.quadrature import ball_mean
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
     plane_wave,
@@ -135,11 +136,15 @@ class TestIdentity:
         # Square is not a disk: nonzero residual; its sign is +, since
         # the square mean of the decreasing field exceeds nothing --
         # lhs = a_m(lambda r) equals the ball mean, which beats the
-        # square mean by the discrepancy argument.
-        p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
-        rep = check_identity(radial_solution(2, 1.0, [0, 0]), p)
-        assert rep.verdict == FAIL
-        assert rep.residual == pytest.approx(0.0017991489101022, abs=1e-10)
+        # square mean by the discrepancy argument.  A translate of the
+        # square, about its own center, gives the same residual.
+        square = box([-0.5, -0.5], [0.5, 0.5])
+        for d, x0 in [(square, [0, 0]), (translate(square, [0.2, 0.1]), [0.2, 0.1])]:
+            p = make_problem(d, 1.0, x0)
+            rep = check_identity(radial_solution(2, 1.0, x0), p)
+            assert rep.diagnostics["method"] == "box_gauss"
+            assert rep.verdict == FAIL
+            assert rep.residual == pytest.approx(0.0017991489101022, abs=1e-10)
 
     def test_wavenumber_mismatch_rejected(self):
         p = make_problem(ball([0, 0], 1.0), 1.0, [0, 0])
@@ -147,20 +152,28 @@ class TestIdentity:
             check_identity(plane_wave(2, 2.0, [1, 0], 0.0), p)
 
     def test_translated_ball_uses_spectral_path(self):
-        d = translate(ball([0, 0], 1.0), [0.3, 0.0])
-        p = make_problem(d, 1.0, [0.3, 0.0])  # x0 at the true center
-        rep = check_identity(radial_solution(2, 1.0, [0.3, 0.0]), p)
-        assert rep.diagnostics["method"] == "ball_spectral"
-        assert rep.verdict == PASS
+        # x0 at the true center; nested shifts add up onto the base center:
+        # (0.1, -0.2) + (0.3, 0) + (-0.1, 0.5) = (0.3, 0.3)
+        nested = translate(translate(ball([0.1, -0.2], 1.0), [0.3, 0.0]), [-0.1, 0.5])
+        for d, c in [(translate(ball([0, 0], 1.0), [0.3, 0.0]), [0.3, 0.0]), (nested, [0.3, 0.3])]:
+            u = radial_solution(2, 1.0, c)
+            rep = check_identity(u, make_problem(d, 1.0, c))
+            assert rep.diagnostics["method"] == "ball_spectral"
+            assert rep.verdict == PASS
+            assert rep.rhs == pytest.approx(ball_mean(u, c, 1.0).value, abs=1e-14)
 
     def test_mc_path_for_composite_domains(self):
-        d = difference(box([-0.6, -0.6], [0.6, 0.6]), ball([0, 0], 0.25))
-        p = make_problem(d, 1.0, [0.4, 0.4])
-        rep = check_identity(
-            plane_wave(2, 1.0, [1, 0], 0.0), p, samples=300_000, seed=3
-        )
-        assert rep.diagnostics["method"] == "monte_carlo"
-        assert rep.verdict in (PASS, FAIL, INCONCLUSIVE)
+        disk = ball([0, 0], 1.0)
+        for d in [
+            difference(box([-0.6, -0.6], [0.6, 0.6]), ball([0, 0], 0.25)),
+            translate(custom_domain(2, disk.indicator, disk.bounding_box), [0.4, 0.4]),
+        ]:
+            p = make_problem(d, 1.0, [0.4, 0.4])
+            rep = check_identity(
+                plane_wave(2, 1.0, [1, 0], 0.0), p, samples=300_000, seed=3
+            )
+            assert rep.diagnostics["method"] == "monte_carlo"
+            assert rep.verdict in (PASS, FAIL, INCONCLUSIVE)
 
 
 class TestSizeCondition:
