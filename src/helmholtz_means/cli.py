@@ -3,8 +3,9 @@
 Output is JSON (default) or CSV, written to stdout or --out, with no
 timestamps, so identical flags and seeds give byte-identical output.
 Exit codes: 0 pass, 1 any theorem-check fail, 2 inconclusive, 64 usage
-or validation error.  Note `membrane` exits 1 by design: the bundle
-contains the size-condition check, and its failure is the point of the
+or validation error, or a sampled estimate that could not be formed.
+Note `membrane` exits 1 by design: the bundle contains the
+size-condition check, and its failure is the point of the
 counterexample.
 """
 
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .geometry import domain_from_json
+from .geometry import EstimationError, domain_from_json
 from .solutions import solution_from_json
 from .specfun import a_norm, b_norm, bessel_i, bessel_j, bessel_zero
 
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError, json.JSONDecodeError, NotImplementedError) as exc:
+    except (ValueError, OSError, NotImplementedError, EstimationError) as exc:
         print(f"helmholtz-means: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -3,7 +3,8 @@
 A Domain is one of Ball, Box, Difference, Translate or CustomDomain.
 Each node owns its indicator, bounding box, analytic volume (None when
 only sampling can give it), kind string, exact enclosing radius about a
-point (None where only sampling can answer) and its JSON description.
+point (None where only sampling can answer), an upper bound on that
+radius (None for custom domains) and its JSON description.
 Boundaries are measure zero and may be classified either way.  Composite
 volumes are estimated by seeded Monte Carlo.  The JSON grammar mirrors
 the constructors:
@@ -70,8 +71,8 @@ class Domain:
     indicator maps an (n, m) array of points to an (n,) boolean array; it
     is False everywhere outside bounding_box = (low, high).
     circumradius(x0) is the exact sup of |y - x0| over the closure, or
-    None where only sampling can answer; analytic_volume is None where
-    unknown.
+    None where only sampling can answer; circumradius_upper(x0) bounds
+    it from above, or is None; analytic_volume is None where unknown.
     """
 
     analytic_volume = None
@@ -95,6 +96,9 @@ class Domain:
 
     def circumradius(self, x0) -> float | None:
         return None
+
+    def circumradius_upper(self, x0) -> float | None:
+        return self.circumradius(x0)
 
     def contains(self, points) -> np.ndarray | bool:
         pts = np.asarray(points, dtype=float)
@@ -171,6 +175,9 @@ class Difference(Domain):
     def bounding_box(self):
         return self.a.bounding_box
 
+    def circumradius_upper(self, x0) -> float | None:
+        return self.a.circumradius_upper(x0)  # a \ b lies inside a
+
 
 @dataclass(frozen=True, eq=False)
 class Translate(Domain):
@@ -194,6 +201,9 @@ class Translate(Domain):
 
     def circumradius(self, x0) -> float | None:
         return self.of.circumradius(x0 - self.by)
+
+    def circumradius_upper(self, x0) -> float | None:
+        return self.of.circumradius_upper(x0 - self.by)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,11 +261,23 @@ def custom_domain(dimension, indicator, bounding_box, analytic_volume=None) -> C
     return CustomDomain(indicator, (lo, hi), analytic_volume)
 
 
+def _require_counts(**counts):
+    """ValueError unless every sample count or budget given is >= 1."""
+    for name, n in counts.items():
+        if int(n) < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
+def _uniform(d: Domain, samples: int, seed: int) -> np.ndarray:
+    """Seeded uniform points over d's bounding box."""
+    _require_counts(samples=samples)
+    lo, hi = d.bounding_box
+    return np.random.default_rng(seed).uniform(lo, hi, size=(int(samples), d.dimension))
+
+
 def _draw(d: Domain, samples: int, seed: int):
     """Seeded uniform points over d's bounding box and their indicator."""
-    lo, hi = d.bounding_box
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(int(samples), d.dimension))
+    pts = _uniform(d, samples, seed)
     return pts, d.indicator(pts)
 
 
@@ -296,6 +318,7 @@ def circumradius_about(d: Domain, x0, budget: int = 1_000_000, seed: int = 0) ->
     budget extends the same sample stream).
     """
     x0 = _vec(x0, d.dimension)
+    _require_counts(budget=budget)
     lo, hi = d.bounding_box
     rng = np.random.default_rng(seed)
     best = -1.0

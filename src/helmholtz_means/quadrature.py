@@ -1,6 +1,10 @@
 """Volume means M(f, D), ball/box product rules, seeded Monte Carlo, and
 sphere-surface flux integrals.
 
+A MeanRule is M(., D) for one domain at one resolution; mean_rule picks
+it from the domain's node type, and ball_mean, box_mean and mc_mean
+are one-call wrappers over a fresh rule.
+
 The spectral ball rule pairs Gauss-Legendre in radius (with the s^{m-1}
 Jacobian folded into the weights) with the periodic trapezoid rule on
 the circle (m = 2) or a Gauss(polar) x trapezoid(azimuth) product on the
@@ -20,10 +24,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, EstimationError, _draw, _hit_volume, ball
+from .geometry import (
+    Ball,
+    Box,
+    Domain,
+    EstimationError,
+    Translate,
+    _draw,
+    _hit_volume,
+    _uniform,
+    ball,
+)
 
 __all__ = [
     "MeanValueEstimate",
+    "MeanRule",
+    "ProductRule",
+    "SampleRule",
+    "mean_rule",
     "ball_mean",
     "box_mean",
     "mc_mean",
@@ -84,11 +102,164 @@ def _ball_nodes_weights(center: np.ndarray, r: float, radial_nodes: int, angular
     return pts.reshape(-1, m), w.ravel()
 
 
-def _ball_mean_value(f, center, r, radial_nodes, angular) -> float:
-    pts, w = _ball_nodes_weights(center, r, radial_nodes, angular)
-    vals = np.asarray(f(pts), dtype=float)
-    # identical pairwise reductions top and bottom: f = 1 gives exactly 1.0
-    return float(np.sum(w * vals) / np.sum(w))
+def _box_nodes_weights(lo: np.ndarray, hi: np.ndarray, nodes: int):
+    """Tensor Gauss-Legendre points (n, m) and weights (n,) over a box."""
+    m = lo.size
+    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    axes = [0.5 * (hi[i] - lo[i]) * (x + 1.0) + lo[i] for i in range(m)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*([w] * m), indexing="ij")
+    ww = np.ones_like(wgrids[0])
+    for g in wgrids:
+        ww = ww * g
+    return pts, ww.ravel()
+
+
+class MeanRule:
+    """The volume mean M(., D) of one domain at one resolution.
+
+    M is linear, so its nodes or samples do not depend on the integrand:
+    build the rule once and call mean(f) for every field.  Nothing is
+    drawn or built before the first call that needs it.  method is
+    BALL_SPECTRAL or BOX_GAUSS (ProductRule) or MONTE_CARLO (SampleRule);
+    resolution tells apart the rules of one domain.
+    """
+
+    method: str
+    resolution: tuple
+
+    def mean(self, f) -> MeanValueEstimate:
+        raise NotImplementedError
+
+
+class ProductRule(MeanRule):
+    """A ball or box product rule with a fine and a coarse node set.
+
+    Means are sum(w f) / sum(w), with identical pairwise reductions top
+    and bottom, so f = 1 gives exactly 1.0; the error estimate is the
+    change from the coarse to the fine set, so smooth integrands report
+    near-zero.
+    """
+
+    def __init__(self, method: str, resolution: tuple, size: int, build):
+        self.method, self.resolution, self.size = method, resolution, size
+        self._build = build  # () -> [(points, weights) fine, (points, weights) coarse]
+        self.node_sets = None
+
+    def mean(self, f) -> MeanValueEstimate:
+        if self.node_sets is None:
+            self.node_sets = self._build()
+        value, coarse = (
+            float(np.sum(w * np.asarray(f(pts), dtype=float)) / np.sum(w))
+            for pts, w in self.node_sets
+        )
+        return MeanValueEstimate(value, abs(value - coarse), self.method, self.size)
+
+
+class SampleRule(MeanRule):
+    """Rejection sampling over the bounding box from one seeded draw.
+
+    hits is the draw's indicator, which also gives |D| (volume()), and
+    accepted its inside points; both are None until first needed, and
+    the points are kept only once a mean asks for them.  A mean is the
+    sample mean over accepted points with error bar 3 sigma /
+    sqrt(n_accepted); it raises EstimationError when the acceptance rate
+    drops below 1e-4 (bounding box too loose).
+    """
+
+    method = MONTE_CARLO
+
+    def __init__(self, d: Domain, samples: int, seed: int):
+        self.domain, self.samples, self.seed = d, int(samples), seed
+        self.resolution = (MONTE_CARLO, self.samples, seed)
+        self.hits = self.accepted = None
+
+    def volume(self) -> tuple[float, float]:
+        """(|D|, 3-sigma error bar) from the draw, as geometry.volume gives it."""
+        if self.hits is None:
+            self.hits = _draw(self.domain, self.samples, self.seed)[1]
+        return _hit_volume(self.domain, self.hits)
+
+    def mean(self, f) -> MeanValueEstimate:
+        if self.accepted is None:
+            if self.hits is None:
+                pts, self.hits = _draw(self.domain, self.samples, self.seed)
+            else:  # the same stream again; the indicator is not rerun
+                pts = _uniform(self.domain, self.samples, self.seed)
+            self.accepted = np.compress(self.hits, pts, axis=0)
+        n_acc = len(self.accepted)
+        if n_acc < _MIN_ACCEPTANCE * self.samples:
+            raise EstimationError(
+                f"acceptance rate {n_acc / self.samples:.2e} below {_MIN_ACCEPTANCE}; "
+                "tighten the bounding box"
+            )
+        vals = np.asarray(f(self.accepted), dtype=float)
+        return MeanValueEstimate(
+            value=float(np.mean(vals)),
+            abs_error_estimate=3.0 * float(np.std(vals)) / math.sqrt(n_acc),
+            method=MONTE_CARLO,
+            samples_or_nodes=n_acc,
+            seed=self.seed,
+        )
+
+
+def _ball_rule(center, r, radial_nodes, angular, mc_samples, seed) -> MeanRule:
+    center = np.asarray(center, dtype=float)
+    r = float(r)
+    if r <= 0.0:
+        raise ValueError(f"ball radius must be > 0, got {r}")
+    m = center.size
+    if m not in (2, 3):
+        warnings.warn(
+            f"no spectral ball rule for m = {m}; falling back to Monte Carlo",
+            stacklevel=3,
+        )
+        return SampleRule(ball(center, r), mc_samples, seed)
+    levels = ((radial_nodes, angular), (max(radial_nodes // 2, 4), max(angular // 2, 8)))
+    n_dir = angular if m == 2 else max(angular // 2, 4) * angular
+    return ProductRule(
+        BALL_SPECTRAL,
+        (BALL_SPECTRAL, radial_nodes, angular),
+        radial_nodes * n_dir,
+        lambda: [_ball_nodes_weights(center, r, n, a) for n, a in levels],
+    )
+
+
+def _box_rule(low, high, nodes) -> MeanRule:
+    lo = np.asarray(low, dtype=float)
+    hi = np.asarray(high, dtype=float)
+    if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
+        raise ValueError("box requires low < high componentwise")
+    levels = (nodes, max(nodes // 2, 4))
+    return ProductRule(
+        BOX_GAUSS,
+        (BOX_GAUSS, nodes),
+        int(nodes) ** lo.size,
+        lambda: [_box_nodes_weights(lo, hi, n) for n in levels],
+    )
+
+
+def mean_rule(
+    d: Domain,
+    nodes: int = 64,
+    angular: int = 64,
+    box_nodes: int = 32,
+    samples: int = 2_000_000,
+    seed: int = 0,
+) -> MeanRule:
+    """The most accurate rule for d's structure: a ball (m in {2, 3}) or
+    a box, up to translation, gets its product rule; any other domain
+    Monte Carlo with (samples, seed)."""
+    base, shift = d, np.zeros(d.dimension)
+    while isinstance(base, Translate):
+        shift = shift + base.by
+        base = base.of
+    if isinstance(base, Ball) and d.dimension in (2, 3):
+        return _ball_rule(base.center + shift, base.r, nodes, angular, samples, seed)
+    if isinstance(base, Box):
+        return _box_rule(base.low + shift, base.high + shift, box_nodes)
+    return SampleRule(d, samples, seed)
 
 
 def ball_mean(
@@ -100,93 +271,19 @@ def ball_mean(
     mc_samples: int = 2_000_000,
     seed: int = 0,
 ) -> MeanValueEstimate:
-    """Volume mean of f over B_r(center).
-
-    Spectral product rule for m in {2, 3}; other dimensions fall back to
-    Monte Carlo (with a warning).  The error estimate is the change
-    under halving the resolution, so smooth integrands report near-zero.
-    """
-    center = np.asarray(center, dtype=float)
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"ball radius must be > 0, got {r}")
-    m = center.size
-    if m not in (2, 3):
-        warnings.warn(
-            f"no spectral ball rule for m = {m}; falling back to Monte Carlo",
-            stacklevel=2,
-        )
-        return mc_mean(f, ball(center, r), samples=mc_samples, seed=seed)
-    value = _ball_mean_value(f, center, r, radial_nodes, angular_resolution)
-    coarse = _ball_mean_value(
-        f, center, r, max(radial_nodes // 2, 4), max(angular_resolution // 2, 8)
-    )
-    err = abs(value - coarse)
-    n_dir = angular_resolution if m == 2 else max(angular_resolution // 2, 4) * angular_resolution
-    return MeanValueEstimate(
-        value=value,
-        abs_error_estimate=err,
-        method=BALL_SPECTRAL,
-        samples_or_nodes=radial_nodes * n_dir,
-    )
-
-
-def _box_mean_value(f, lo, hi, nodes) -> float:
-    m = lo.size
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
-    axes = [0.5 * (hi[i] - lo[i]) * (x + 1.0) + lo[i] for i in range(m)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * m), indexing="ij")
-    ww = np.ones_like(wgrids[0])
-    for g in wgrids:
-        ww = ww * g
-    ww = ww.ravel()
-    vals = np.asarray(f(pts), dtype=float)
-    return float(np.sum(ww * vals) / np.sum(ww))
+    """Volume mean of f over B_r(center): the spectral product rule for
+    m in {2, 3}, other dimensions Monte Carlo (with a warning)."""
+    return _ball_rule(center, r, radial_nodes, angular_resolution, mc_samples, seed).mean(f)
 
 
 def box_mean(f, low, high, nodes_per_axis: int = 32) -> MeanValueEstimate:
     """Tensor Gauss-Legendre mean of f over an axis-aligned box."""
-    lo = np.asarray(low, dtype=float)
-    hi = np.asarray(high, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
-        raise ValueError("box requires low < high componentwise")
-    value = _box_mean_value(f, lo, hi, nodes_per_axis)
-    coarse = _box_mean_value(f, lo, hi, max(nodes_per_axis // 2, 4))
-    return MeanValueEstimate(
-        value=value,
-        abs_error_estimate=abs(value - coarse),
-        method=BOX_GAUSS,
-        samples_or_nodes=int(nodes_per_axis) ** lo.size,
-    )
+    return _box_rule(low, high, nodes_per_axis).mean(f)
 
 
 def mc_mean(f, d: Domain, samples: int = 2_000_000, seed: int = 0) -> MeanValueEstimate:
-    """Rejection-sampled mean of f over an implicit domain.
-
-    value is the sample mean over accepted points; the error bar is
-    3 sigma / sqrt(n_accepted).  Raises EstimationError when the
-    acceptance rate drops below 1e-4 (bounding box too loose).
-    """
-    samples = int(samples)
-    pts, keep = _draw(d, samples, seed)
-    n_acc = int(np.count_nonzero(keep))
-    if n_acc < _MIN_ACCEPTANCE * samples:
-        raise EstimationError(
-            f"acceptance rate {n_acc / samples:.2e} below {_MIN_ACCEPTANCE}; "
-            "tighten the bounding box"
-        )
-    vals = np.asarray(f(pts[keep]), dtype=float)
-    value = float(np.mean(vals))
-    err3 = 3.0 * float(np.std(vals)) / math.sqrt(n_acc)
-    return MeanValueEstimate(
-        value=value,
-        abs_error_estimate=err3,
-        method=MONTE_CARLO,
-        samples_or_nodes=n_acc,
-        seed=seed,
-    )
+    """Rejection-sampled mean of f over an implicit domain (see SampleRule)."""
+    return SampleRule(d, samples, seed).mean(f)
 
 
 def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):

@@ -3,8 +3,8 @@
 Everything in this module is self-contained (numpy only).  Evaluation
 strategy for J_nu and I_nu:
 
-* ascending power series for t <= max(12, 2*nu), stopped when the term
-  ratio drops below 1e-16 relative,
+* ascending power series for t <= max(12, 2*nu), in Horner form with a
+  term count fixed from the largest t (the last term ratio <= 1e-20),
 * beyond that, Miller-style downward recurrence with a normalizing sum
   (integer orders) or exact trigonometric / hyperbolic seed values
   (half-integer orders).
@@ -30,8 +30,10 @@ import math
 
 import numpy as np
 
-# Power-series term-ratio stop and the series/recurrence switch point.
+# Power-series term-ratio stop, its term cap and the series/recurrence switch point.
 SERIES_RTOL = 1e-16
+_SERIES_MAX_TERMS = 399
+_SERIES_BLOCK = 32768
 _SERIES_CUTOFF = 12.0
 # exp(t) must stay finite with headroom for the normalizing sums.
 BESSEL_I_MAX_T = 300.0
@@ -93,22 +95,36 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _ascending_series(term: np.ndarray, t: np.ndarray, nu: float, sign: float) -> np.ndarray:
-    """Sum of term * prod_{j<=k} sign (t/2)^2 / (j (j + nu)) over k >= 0,
-    stopped when the term ratio drops below SERIES_RTOL."""
+def _ascending_series(t: np.ndarray, nu: float, sign: float) -> np.ndarray:
+    """Sum over k >= 0 of prod_{j<=k} sign (t/2)^2 / (j (j + nu)), the
+    ascending series divided by its first term.
+
+    The term count is fixed once, from the largest (t/2)^2: the first k
+    whose term ratio there is at most SERIES_RTOL * 1e-4, capped at 399.
+    The sum is then evaluated in nested Horner form,
+    1 + c_1 q (1 + c_2 q (1 + ...)), with in-place multiply-adds over
+    cache-sized blocks of points.
+    """
     q = 0.25 * t * t
-    total = term.copy()
-    for k in range(1, 400):
-        term = term * (sign * q) / (k * (k + nu))
-        total += term
-        if np.all(np.abs(term) <= SERIES_RTOL * np.maximum(np.abs(total), 1e-4)):
-            break
+    q_max = float(np.max(q))
+    n, ratio = 0, 1.0
+    while n < _SERIES_MAX_TERMS and ratio > SERIES_RTOL * 1e-4:
+        n += 1
+        ratio *= q_max / (n * (n + nu))
+    coeffs = [sign / (k * (k + nu)) for k in range(n, 0, -1)]
+    total = np.ones_like(q)
+    for i in range(0, q.size, _SERIES_BLOCK):  # blocks stay in cache across the terms
+        qb, tb = q[i : i + _SERIES_BLOCK], total[i : i + _SERIES_BLOCK]
+        for c in coeffs:
+            tb *= qb
+            tb *= c
+            tb += 1.0
     return total
 
 
 def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
     """Ascending series of J_nu (sign=-1) or I_nu (sign=+1)."""
-    return _ascending_series((0.5 * t) ** nu / gamma_fn(nu + 1.0), t, nu, sign)
+    return (0.5 * t) ** nu / gamma_fn(nu + 1.0) * _ascending_series(t, nu, sign)
 
 
 def _bessel_j_half_upward(l: int, t: np.ndarray) -> np.ndarray:
@@ -249,7 +265,7 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
         # Normalized even series: c_0 = 1, c_{k+1} = c_k * sign*(t/2)^2 / ((k+1)(k+1+m/2)).
         # Exact 1.0 at t = 0 and free of the 0/0 of the quotient form.
         ts = tt[small]
-        out[small] = _ascending_series(np.ones_like(ts), ts, 0.5 * m, sign)
+        out[small] = _ascending_series(ts, 0.5 * m, sign)
     if np.any(~small):
         tl = tt[~small]
         f = bessel_j if kind == "a" else bessel_i

@@ -21,24 +21,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    Ball,
-    Box,
     Domain,
-    Translate,
     _radius_of_volume,
+    _require_counts,
     ball,
     box,
     circumradius_about,
     difference,
     exact_circumradius,
-    volume,
 )
 from .quadrature import (
     MONTE_CARLO,
+    MeanRule,
+    SampleRule,
     ball_mean,
     box_mean,
     mc_integral,
-    mc_mean,
+    mean_rule,
     surface_flux,
     surface_flux_error,
 )
@@ -188,7 +187,12 @@ def reports_to_csv(reports) -> str:
 class CharacterizationProblem:
     """Domain, wavenumber, candidate center, the volume-equivalent radius
     r (always recomputed from |D|), and the critical radius r0 with
-    lambda * r0 = j_{m/2,1}."""
+    lambda * r0 = j_{m/2,1}.
+
+    rules memoises the domain's mean rules by resolution; on a domain
+    without an analytic volume it starts with the Monte Carlo rule whose
+    draw gave |D|.  Problems made together share it.
+    """
 
     domain: Domain
     lam: float
@@ -199,6 +203,12 @@ class CharacterizationProblem:
     volume_error: float
     seed: int = 0
     samples: int = 2_000_000
+    rules: dict = field(default_factory=dict, repr=False)
+
+    def rule(self, nodes, angular, box_nodes, samples, seed) -> MeanRule:
+        """The domain's mean rule at this resolution, built once."""
+        rule = mean_rule(self.domain, nodes, angular, box_nodes, samples, seed)
+        return self.rules.setdefault(rule.resolution, rule)
 
 
 def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000, seed: int = 0) -> CharacterizationProblem:
@@ -207,6 +217,7 @@ def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000, seed:
 
 def _problems(domain: Domain, lambdas, x0, samples: int, seed: int) -> list[CharacterizationProblem]:
     """One problem per wavenumber, sharing one |D| estimate and one j_{m/2,1}."""
+    _require_counts(samples=samples)
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
         if lam <= 0.0:
@@ -217,28 +228,20 @@ def _problems(domain: Domain, lambdas, x0, samples: int, seed: int) -> list[Char
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the domain")
-    vol, verr = volume(domain, samples=samples, seed=seed)
+    rules = {}
+    if domain.analytic_volume is None:
+        mc = SampleRule(domain, samples, seed)
+        rules[mc.resolution] = mc
+        vol, verr = mc.volume()
+    else:
+        vol, verr = float(domain.analytic_volume), 0.0
     r = _radius_of_volume(vol, m)
     j = bessel_zero(0.5 * m, 1)
     return [
         CharacterizationProblem(domain=domain, lam=lam, x0=x0, r=r, r0=j / lam, volume=vol,
-                                volume_error=verr, seed=seed, samples=samples)
+                                volume_error=verr, seed=seed, samples=samples, rules=rules)
         for lam in lambdas
     ]
-
-
-def _best_mean(u, d: Domain, nodes, angular, box_nodes, samples, seed):
-    """M(u, D) by the most accurate path available for the domain's
-    structure: a ball or box, up to translation, gets its spectral rule."""
-    base, shift = d, np.zeros(d.dimension)
-    while isinstance(base, Translate):
-        shift = shift + base.by
-        base = base.of
-    if isinstance(base, Ball) and d.dimension in (2, 3):
-        return ball_mean(u, base.center + shift, base.r, radial_nodes=nodes, angular_resolution=angular)
-    if isinstance(base, Box):
-        return box_mean(u, base.low + shift, base.high + shift, nodes_per_axis=box_nodes)
-    return mc_mean(u, d, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -287,35 +290,46 @@ def check_identity(
     seed: int = 0,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """u(x0) * a_norm(m, lambda r) against M(u, D).
+    """u(x0) * a_norm(m, lambda r) against M(u, D), on the problem's
+    shared rule for this resolution.
 
-    Spectral/Gauss paths default to tolerance 1e-8; Monte Carlo paths to
-    the 3-sigma error bar, with inconclusive rather than fail when the
-    bar dominates.
+    The error bar is the mean's (|fine - coarse|, or 3 sigma for Monte
+    Carlo) plus, linearly since |D| comes from the same draw, the shift
+    of the lhs under the |D| error bar through r = (|D| / omega_m)^(1/m):
+    |u(x0)| |t a_norm(m+2, t) / (m+2)| lambda r volume_error / (m |D|),
+    t = lambda r.  Spectral/Gauss paths default to tolerance 1e-8; Monte
+    Carlo paths to the error bar, with inconclusive rather than fail when
+    the bar dominates.
     """
+    _require_counts(samples=samples)
     if u.equation != HELMHOLTZ:
         raise ValueError("identity (volume-mean form) applies to Helmholtz fields")
     if abs(u.wavenumber - p.lam) > 1e-12 * max(1.0, p.lam):
         raise ValueError(
             f"field wavenumber {u.wavenumber} differs from the problem's lambda {p.lam}"
         )
-    est = _best_mean(u, p.domain, nodes, angular, box_nodes, samples, seed)
+    est = p.rule(nodes, angular, box_nodes, samples, seed).mean(u)
+    m, t = p.domain.dimension, p.lam * p.r
+    u0 = u(p.x0)
+    volume_term = (abs(u0) * abs(t * a_norm(m + 2, t) / (m + 2)) * p.lam * p.r
+                   * p.volume_error / (m * p.volume))
+    error_bar = est.abs_error_estimate + volume_term
     if tolerance is None:
-        tolerance = est.abs_error_estimate if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL
-    lhs = u(p.x0) * a_norm(p.domain.dimension, p.lam * p.r)
+        tolerance = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL
     return _report(
         "identity",
-        lhs,
+        u0 * a_norm(m, t),
         est.value,
         tolerance,
-        est.abs_error_estimate,
+        error_bar,
         {
-            "m": p.domain.dimension,
+            "m": m,
             "lambda": p.lam,
             "r": p.r,
             "field": u.kind,
             "method": est.method,
             "nodes_or_samples": est.samples_or_nodes,
+            "volume_error_term": volume_term,
             "seed": est.seed,
             "volume_seed": p.seed,
             "domain_kind": p.domain.kind,
@@ -330,12 +344,19 @@ def check_size_condition(
     """Containment D within B_{r0}(x0), lambda r0 = j_{m/2,1}.
 
     Uses exact corner/center arithmetic for balls, boxes and their
-    translates; otherwise the sampled sup of |y - x0|, which converges
-    from below (a fail is then certain, a pass is up to sampling slack).
+    translates.  Otherwise an upper bound on the enclosing radius (a
+    difference is bounded by its minuend) certifies a pass when it is
+    <= r0, with nothing sampled; failing that, the sampled sup of
+    |y - x0|, which converges from below (a fail is then certain, a pass
+    is up to sampling slack).
     """
+    _require_counts(budget=budget)
     circ = exact_circumradius(p.domain, p.x0)
+    upper = p.domain.circumradius_upper(p.x0)
     if circ is not None:
         method, err = "exact", 0.0
+    elif upper is not None and upper <= p.r0:
+        circ, method, err = upper, "upper_bound", 0.0
     else:
         circ = circumradius_about(p.domain, p.x0, budget=budget, seed=seed)
         method, err = "sampled_sup", 2e-3 * circ
@@ -401,7 +422,9 @@ def characterize(
     budget: int = 1_000_000,
 ) -> VerificationReport:
     """Run the identity over a family of solutions plus the radial field,
-    gate on the size condition, and summarize.
+    gate on the size condition, and summarize.  Every member is
+    evaluated on the same rule (one node set, or one seeded sample), so
+    member residuals share their quadrature or sampling error.
 
     Conclusions (in diagnostics["conclusion"], mapped onto the verdict):
     "consistent with D = B_r(x0)"  -> pass   (all identities hold, size holds)
@@ -412,6 +435,7 @@ def characterize(
     A finite family can only ever certify the negative direction; the
     "consistent" wording is deliberate.
     """
+    _require_counts(samples=samples, budget=budget)
     if family is None:
         family = default_family(p, seed=seed)
     fields = list(family)
@@ -424,9 +448,9 @@ def characterize(
     member_reports = [
         check_identity(
             f, p, nodes=nodes, angular=angular, box_nodes=box_nodes,
-            samples=samples, seed=seed + k, tolerance=tolerance,
+            samples=samples, seed=seed, tolerance=tolerance,
         )
-        for k, f in enumerate(fields)
+        for f in fields
     ]
     size_rep = check_size_condition(p, budget=budget, seed=seed)
 
@@ -503,6 +527,7 @@ def proof_discrepancy(
     noise (e.g. D = B_r(x0), where both sets are empty), fail when the
     sign contradicts the prediction.
     """
+    _require_counts(samples=samples)
     m = p.domain.dimension
     if equation == HELMHOLTZ:
         u = radial_solution(m, p.lam, p.x0)
@@ -664,6 +689,8 @@ def kuran_limit_check(
     """
     x0 = np.asarray(x0, dtype=float)
     lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ValueError("kuran_limit_check needs at least one lambda")
     if any(l <= 0 for l in lambdas) or any(nxt >= prev for prev, nxt in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
     m = d.dimension
@@ -688,8 +715,8 @@ def kuran_limit_check(
     # sin-profile plane wave: residual / lambda -> -(M(x1, D) - x0_1)
     e1 = np.zeros(m)
     e1[0] = 1.0
-    harmonic = _best_mean(
-        lambda pts: pts[:, 0] - x0[0], d, nodes, angular, box_nodes, samples, seed
+    harmonic = problems[0].rule(nodes, angular, box_nodes, samples, seed).mean(
+        lambda pts: pts[:, 0] - x0[0]
     )
     id_rows = []
     for lam, prob in zip(lambdas, problems):

@@ -241,6 +241,45 @@ class TestPlumbing:
         assert code == 64
         assert "unknown fields" in err
 
+    BOX_MINUS_DISK = (
+        '{"kind":"difference","a":{"kind":"box","low":[-1,-1],"high":[1,1]},'
+        '"b":{"kind":"ball","center":[0.5,0.1],"r":0.25}}'
+    )
+    RADIAL = '{"kind":"radial","lambda":1.5,"center":[0,0]}'
+
+    def test_characterize_mc_domain_byte_identical_reruns(self, capsys):
+        args = (
+            "characterize", "--domain", self.BOX_MINUS_DISK, "--lambda", "1.5", "--x0", "0,0",
+            "--samples", "100000", "--seed", "3",
+        )
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 1
+        assert out1 == out2
+        rep = json.loads(out1)
+        assert rep["diagnostics"]["size_condition"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("identity", "--domain", BOX_MINUS_DISK, "--solution", RADIAL, "--x0", "0,0",
+          "--samples", "0"), "samples must be >= 1"),
+        (("characterize", "--domain", BOX_MINUS_DISK, "--lambda", "1.5", "--x0", "0,0",
+          "--samples", "10000", "--budget", "0"), "budget must be >= 1"),
+        (("kuran", "--domain", BOX_MINUS_DISK, "--x0", "0,0", "--lambdas", ""), "could not convert"),
+        # |D| is positive, but 15 of 200000 points land in the four corners
+        # the disk leaves: the mean's acceptance floor is not met
+        (("identity", "--domain",
+          '{"kind":"difference","a":{"kind":"box","low":[-1,-1],"high":[1,1]},'
+          '"b":{"kind":"ball","center":[0,0],"r":1.405}}',
+          "--solution", '{"kind":"radial","lambda":1.0,"center":[0.999,0.999]}',
+          "--x0", "0.999,0.999", "--samples", "200000"), "acceptance rate"),
+    ])
+    def test_failed_estimate_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("helmholtz-means: error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -5,12 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from helmholtz_means.geometry import EstimationError, ball, box, custom_domain
+from helmholtz_means.geometry import (
+    EstimationError,
+    ball,
+    box,
+    custom_domain,
+    difference,
+    translate,
+    volume,
+)
 from helmholtz_means.quadrature import (
     ball_mean,
     box_mean,
     mc_integral,
     mc_mean,
+    mean_rule,
     surface_flux,
     surface_flux_error,
 )
@@ -199,6 +208,40 @@ class TestMonteCarlo:
         assert abs(val - math.pi) <= err
         assert abs(vol - math.pi) <= verr
         assert val == vol  # same stream, f = 1
+
+
+class TestMeanRule:
+    def test_mc_rule_matches_volume_and_mc_mean_bit_for_bit(self):
+        d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
+        u = radial_solution(2, 2.0, [0, 0])
+        ref = mc_mean(u, d, samples=100_000, seed=9)
+        # |D| first: the points are redrawn from the seed for the mean
+        rule = mean_rule(d, samples=100_000, seed=9)
+        assert rule.method == "monte_carlo"
+        assert rule.volume() == volume(d, samples=100_000, seed=9)
+        assert rule.accepted is None
+        assert rule.mean(u) == ref
+        assert rule.mean(u) == ref  # and again on the kept points
+        # a mean first: one draw gives both
+        rule = mean_rule(d, samples=100_000, seed=9)
+        assert rule.mean(u) == ref
+        assert rule.volume() == volume(d, samples=100_000, seed=9)
+
+    def test_product_rules_match_wrappers(self):
+        u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
+        rule = mean_rule(translate(ball([0.1, 0.0], 0.9), [0.2, -0.3]), nodes=32, angular=48)
+        assert rule.method == "ball_spectral"
+        assert rule.node_sets is None  # nothing built before the first mean
+        assert rule.mean(u) == ball_mean(u, [0.3, -0.3], 0.9, radial_nodes=32,
+                                         angular_resolution=48)
+        rule = mean_rule(box([0, 0], [1, 2]), box_nodes=20)
+        assert rule.method == "box_gauss"
+        assert rule.mean(u) == box_mean(u, [0, 0], [1, 2], nodes_per_axis=20)
+
+    def test_samples_must_be_positive(self):
+        d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
+        with pytest.raises(ValueError, match="samples"):
+            mc_mean(lambda p: p[:, 0], d, samples=0)
 
 
 class TestSurfaceFlux:

@@ -301,3 +301,28 @@ class TestBesselZero:
             bessel_zero(1, 0)
         with pytest.raises(ValueError):
             bessel_zero(6.5, 1)
+
+
+class TestSeriesRegionAgainstScipy:
+    """The Horner series region against scipy.special, inside the
+    documented contracts: J absolute 1e-11, I relative 1e-11; the
+    kernels, which are J and I rescaled, to the same bounds."""
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_kernels(self, m):
+        sp = pytest.importorskip("scipy.special")
+        nu = 0.5 * m
+        t = np.linspace(1e-3, max(12.0, float(m)), 2001)
+        scale = math.gamma(nu + 1.0) / (0.5 * t) ** nu
+        assert np.max(np.abs(a_norm(m, t) - scale * sp.jv(nu, t))) <= 1e-11
+        b_ref = scale * sp.iv(nu, t)
+        assert np.max(np.abs(b_norm(m, t) / b_ref - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("nu", [0.5 * k for k in range(13)])
+    def test_bessel(self, nu):
+        sp = pytest.importorskip("scipy.special")
+        t = np.linspace(0.0, max(12.0, 2.0 * nu), 2001)
+        assert np.max(np.abs(bessel_j(nu, t) - sp.jv(nu, t))) <= 1e-11
+        ts = t[1:]  # I_nu(0) = 0 for nu > 0: relative error is undefined there
+        assert np.max(np.abs(bessel_i(nu, ts) / sp.iv(nu, ts) - 1.0)) <= 1e-11
+        assert bessel_i(nu, 0.0) == sp.iv(nu, 0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helmholtz_means.geometry import ball, box, custom_domain, difference, translate
-from helmholtz_means.quadrature import ball_mean
+from helmholtz_means.quadrature import ball_mean, mc_mean
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
     plane_wave,
@@ -21,6 +21,7 @@ from helmholtz_means.verify import (
     check_identity,
     check_mean_value_formula,
     check_size_condition,
+    default_family,
     derive_verdict,
     flux_identity_check,
     kuran_limit_check,
@@ -176,6 +177,88 @@ class TestIdentity:
             assert rep.verdict in (PASS, FAIL, INCONCLUSIVE)
 
 
+class CountingIndicator:
+    """Wraps a domain's indicator and counts the points it classifies."""
+
+    def __init__(self, d):
+        self.inner, self.points = d.indicator, 0
+        object.__setattr__(d, "indicator", self)
+
+    def __call__(self, pts):
+        self.points += len(pts)
+        return self.inner(pts)
+
+
+class TestSharedRule:
+    SAMPLES = 50_000
+
+    def domain(self):
+        return difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25))
+
+    def test_one_draw_per_call(self):
+        # One seeded draw classifies `samples` points for |D| and every
+        # mean; the extra point is the x0 membership check.
+        n = self.SAMPLES
+        d = self.domain()
+        count = CountingIndicator(d)
+        p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
+        check_identity(radial_solution(2, 1.5, [0, 0]), p, samples=n, seed=4)
+        assert count.points == n + 1
+
+        d = self.domain()
+        count = CountingIndicator(d)
+        p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
+        rep = characterize(p, samples=n, seed=4)
+        assert rep.diagnostics["family_size"] == 13
+        assert count.points == n + 1
+
+        d = self.domain()
+        count = CountingIndicator(d)
+        kuran_limit_check(d, [0, 0], samples=n, seed=4)
+        assert count.points == n + 1
+
+    def test_other_resolution_gets_its_own_rule(self):
+        n = self.SAMPLES
+        d = self.domain()
+        count = CountingIndicator(d)
+        p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
+        check_identity(radial_solution(2, 1.5, [0, 0]), p, samples=n, seed=5)
+        assert count.points == 2 * n + 1
+        assert len(p.rules) == 2
+
+    def test_fresh_problem_holds_no_points(self):
+        p = make_problem(self.domain(), 1.5, [0, 0], samples=self.SAMPLES, seed=4)
+        (rule,) = p.rules.values()
+        assert rule.accepted is None
+        check_identity(radial_solution(2, 1.5, [0, 0]), p, samples=self.SAMPLES, seed=4)
+        assert len(rule.accepted) == rule.mean(lambda x: x[:, 0]).samples_or_nodes
+
+    def test_characterize_members_share_one_sample(self):
+        n = self.SAMPLES
+        p = make_problem(self.domain(), 1.5, [0, 0], samples=n, seed=4)
+        rep = characterize(p, samples=n, seed=4)
+        family = default_family(p, seed=4)
+        for f, member in zip(family, rep.diagnostics["members"], strict=True):
+            assert member["residual"] == check_identity(f, p, samples=n, seed=4).residual
+
+    def test_volume_error_widens_mc_bar(self):
+        n = self.SAMPLES
+        u = radial_solution(2, 1.5, [0, 0])
+        p = make_problem(self.domain(), 1.5, [0, 0], samples=n, seed=4)
+        rep = check_identity(u, p, samples=n, seed=4)
+        t = p.lam * p.r
+        term = abs(t * a_norm(4, t) / 4.0) * p.lam * p.r * p.volume_error / (2 * p.volume)
+        assert rep.diagnostics["volume_error_term"] == pytest.approx(term, rel=1e-12)
+        assert term > 0.0
+        mc_bar = mc_mean(u, p.domain, samples=n, seed=4).abs_error_estimate
+        assert rep.error_bar == pytest.approx(mc_bar + term, rel=1e-12)
+        assert rep.tolerance == rep.error_bar
+        # analytic volumes add nothing
+        q = make_problem(ball([0, 0], 1.0), 1.5, [0, 0])
+        rep = check_identity(radial_solution(2, 1.5, [0, 0]), q)
+        assert rep.diagnostics["volume_error_term"] == 0.0
+
+
 class TestSizeCondition:
     def test_square_fails_with_reference_numbers(self):
         lam = math.pi * math.sqrt(5.0)
@@ -199,11 +282,48 @@ class TestSizeCondition:
         assert check_size_condition(p2).verdict == FAIL
 
     def test_sampled_path_for_composite_domain(self):
-        annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
-        p = make_problem(annulus, 1.0, [0.7, 0.0])
+        # The minuend's bound about x0 is 0.7 + 1 = 1.7 > r0 = 1.65, but
+        # the bite removes the far side: the true enclosing radius is
+        # about 1.5625, at the corners where the two circles meet.
+        bitten = difference(ball([0, 0], 1.0), ball([-1.0, 0.0], 0.8))
+        p = make_problem(bitten, bessel_zero(1.0, 1) / 1.65, [0.7, 0.0])
+        assert p.r0 == pytest.approx(1.65, rel=1e-12)
         rep = check_size_condition(p, budget=200_000, seed=1)
         assert rep.diagnostics["method"] == "sampled_sup"
-        assert rep.verdict == PASS  # enclosing radius <= 1.7 < 3.83
+        assert rep.diagnostics["budget"] == 200_000
+        assert 1.55 < rep.lhs <= 1.5626
+        assert rep.verdict == PASS
+
+    def test_upper_bound_certifies_difference(self):
+        # A \ B lies in A, so A's enclosing radius 0.7 + 1 = 1.7 bounds it,
+        # and 1.7 <= r0 = 3.83 certifies the pass without sampling; a
+        # translate shifts x0 onto the untranslated tree.
+        annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
+        cases = [(annulus, [0.7, 0.0]), (translate(annulus, [0.5, -0.2]), [1.2, -0.2])]
+        for d, x0 in cases:
+            rep = check_size_condition(make_problem(d, 1.0, x0), budget=200_000, seed=1)
+            assert rep.diagnostics["method"] == "upper_bound"
+            assert rep.diagnostics["budget"] == 0 and rep.diagnostics["seed"] is None
+            assert rep.lhs == pytest.approx(1.7, abs=1e-15)
+            assert rep.error_bar == 0.0
+            assert rep.verdict == PASS
+        # a custom domain has no bound, so it is sampled
+        disk = ball([0, 0], 1.0)
+        custom = custom_domain(2, disk.indicator, disk.bounding_box)
+        rep = check_size_condition(make_problem(custom, 1.0, [0, 0]), budget=50_000, seed=1)
+        assert rep.diagnostics["method"] == "sampled_sup"
+
+    def test_counts_must_be_positive(self):
+        annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
+        with pytest.raises(ValueError, match="samples"):
+            make_problem(annulus, 1.0, [0.7, 0.0], samples=0)
+        p = make_problem(annulus, 1.0, [0.7, 0.0], samples=10_000)
+        with pytest.raises(ValueError, match="budget"):
+            check_size_condition(p, budget=0)
+        with pytest.raises(ValueError, match="budget"):
+            characterize(p, samples=10_000, budget=0)
+        with pytest.raises(ValueError, match="samples"):
+            check_identity(radial_solution(2, 1.0, [0.7, 0.0]), p, samples=0)
 
     def test_problem_invariants(self):
         p = make_problem(box([0, 0], [1, 1]), 2.0, [0.5, 0.5])
@@ -370,6 +490,8 @@ class TestKuranLimit:
     def test_lambda_sequence_validated(self):
         with pytest.raises(ValueError):
             kuran_limit_check(ball([0, 0], 1.0), [0, 0], lambdas=(0.01, 0.1))
+        with pytest.raises(ValueError, match="at least one lambda"):
+            kuran_limit_check(ball([0, 0], 1.0), [0, 0], lambdas=())
 
 
 class TestFluxIdentity:
