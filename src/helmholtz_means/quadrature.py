@@ -55,6 +55,7 @@ BOX_GAUSS = "box_gauss"
 MONTE_CARLO = "monte_carlo"
 
 _MIN_ACCEPTANCE = 1e-4
+_MEAN_BLOCK = 1 << 18  # accepted points per field evaluation in SampleRule.mean
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,10 @@ class SampleRule(MeanRule):
     accepted its inside points; both are None until first needed, and
     the points are kept only once a mean asks for them.  A mean is the
     sample mean over accepted points with error bar 3 sigma /
-    sqrt(n_accepted); it raises EstimationError when the acceptance rate
-    drops below 1e-4 (bounding box too loose).
+    sqrt(n_accepted); f is evaluated over fixed blocks of 2^18 points,
+    so it must act pointwise, and the reductions run over all values at
+    once.  It raises EstimationError when the acceptance rate drops
+    below 1e-4 (bounding box too loose).
     """
 
     method = MONTE_CARLO
@@ -188,13 +191,16 @@ class SampleRule(MeanRule):
             else:  # the same stream again; the indicator is not rerun
                 pts = _uniform(self.domain, self.samples, self.seed)
             self.accepted = np.compress(self.hits, pts, axis=0)
+            del pts
         n_acc = len(self.accepted)
         if n_acc < _MIN_ACCEPTANCE * self.samples:
             raise EstimationError(
                 f"acceptance rate {n_acc / self.samples:.2e} below {_MIN_ACCEPTANCE}; "
                 "tighten the bounding box"
             )
-        vals = np.asarray(f(self.accepted), dtype=float)
+        vals = np.empty(n_acc)
+        for i in range(0, n_acc, _MEAN_BLOCK):
+            vals[i : i + _MEAN_BLOCK] = f(self.accepted[i : i + _MEAN_BLOCK])
         return MeanValueEstimate(
             value=float(np.mean(vals)),
             abs_error_estimate=3.0 * float(np.std(vals)) / math.sqrt(n_acc),
@@ -292,7 +298,8 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
     Returns (integral, error bar, volume, volume error bar); all error
     bars are 3 standard errors.  Single-stream estimator: the integrand
     is f * indicator over the bounding box, so integral and volume come
-    from the same sample and are reproducible together.
+    from the same sample and are reproducible together.  No check uses
+    it; the tests compare proof_discrepancy against it over G_i and G_e.
     """
     samples = int(samples)
     lo, hi = d.bounding_box

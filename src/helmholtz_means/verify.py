@@ -24,11 +24,10 @@ from .geometry import (
     Domain,
     _radius_of_volume,
     _require_counts,
-    ball,
     box,
     circumradius_about,
-    difference,
     exact_circumradius,
+    unit_ball_volume,
 )
 from .quadrature import (
     MONTE_CARLO,
@@ -36,7 +35,6 @@ from .quadrature import (
     SampleRule,
     ball_mean,
     box_mean,
-    mc_integral,
     mean_rule,
     surface_flux,
     surface_flux_error,
@@ -512,52 +510,78 @@ def proof_discrepancy(
 ) -> VerificationReport:
     """The sign functional from the contradiction argument.
 
-    Splits the symmetric difference into G_i = D \\ closure(B_r(x0)) and
-    G_e = B_r(x0) \\ closure(D) and Monte Carlo integrates the radial
-    field over both.  When the size condition holds, |G_i| = |G_e| and
-    the radial field decreases with distance from x0, so
+    With G_i = D \\ closure(B_r(x0)) and G_e = B_r(x0) \\ closure(D), the
+    functional int_{G_i} U - int_{G_e} U of the radial field U equals
+    int_D U - int_{B_r} U.  The ball term is exact by the mean-value
+    formula, |B_r| K(m, lambda r) U(x0) with U(x0) = 1 and |B_r| = |D|,
+    so the functional is |D| (M(U, D) - K(m, lambda r)), evaluated on the
+    problem's shared rule (the one check_identity uses at its default
+    resolution).  When the size condition holds, |G_i| = |G_e| and U
+    decreases with distance from x0, so the functional is < 0 whenever
+    D != B_r(x0).  With equation="modified_helmholtz" the
+    monotone-increasing kernel (K = b_norm) is used instead and the
+    predicted sign flips to positive.
 
-        int_{G_i} U - int_{G_e} U < 0   whenever D != B_r(x0).
-
-    With equation="modified_helmholtz" the monotone-increasing kernel is
-    used instead and the predicted sign flips to positive.
+    Error bar: on a product rule |D| |fine - coarse|, with tolerance
+    1e-8 |D|.  On Monte Carlo, tolerance 0 and the 3-sigma bar of the
+    linearised estimator: from the draw that gave |D|, the sample error
+    of 1_D (U - U_r) |box| over all drawn points, U_r = K(m-2, lambda r)
+    being U on the sphere of radius r, which carries the |D| error
+    through r; from another draw, |D| 3 sigma / sqrt(n_accepted) plus
+    |M - U_r| volume_error.
 
     Verdict: pass when the predicted strict sign is resolved beyond the
-    combined 3-sigma bar, inconclusive when the difference is within
-    noise (e.g. D = B_r(x0), where both sets are empty), fail when the
-    sign contradicts the prediction.
+    bar plus tolerance, inconclusive when the functional is within them
+    (e.g. D = B_r(x0)), fail when the sign contradicts the prediction.
+    The G_i and G_e volumes are diagnostics from the same rule.
     """
     _require_counts(samples=samples)
     m = p.domain.dimension
     if equation == HELMHOLTZ:
         u = radial_solution(m, p.lam, p.x0)
-        expected_sign = -1.0
+        kernel, expected_sign = a_norm, -1.0
     elif equation == MODIFIED_HELMHOLTZ:
         u = modified_radial_solution(m, p.lam, p.x0)
-        expected_sign = +1.0
+        kernel, expected_sign = b_norm, +1.0
     else:
         raise ValueError(f"unknown equation: {equation!r}")
-    b = ball(p.x0, p.r)
-    g_i = difference(p.domain, b)
-    g_e = difference(b, p.domain)
-    int_i, err_i, vol_i, verr_i = mc_integral(u, g_i, samples=samples, seed=seed)
-    int_e, err_e, vol_e, verr_e = mc_integral(u, g_e, samples=samples, seed=seed + 1)
-    residual = int_i - int_e
-    error_bar = math.hypot(err_i, err_e)
-    signed = expected_sign * residual
-    if signed > error_bar:
+    rule = p.rule(64, 64, 32, samples, seed)
+    est = rule.mean(u)
+    t = p.lam * p.r
+    lhs = p.volume * est.value
+    rhs = p.volume * kernel(m, t)
+    if est.method != MONTE_CARLO:
+        error_bar = p.volume * est.abs_error_estimate
+        tolerance = IDENTITY_TOL_SPECTRAL * p.volume
+    else:
+        delta = est.value - kernel(m - 2, t)  # M - U_r
+        if p.domain.analytic_volume is None and (samples, seed) == (p.samples, p.seed):
+            # g = 1_D (U - U_r) |box| has mean hit |box| delta and second
+            # moment hit |box|^2 (sigma^2 + delta^2) over the drawn points
+            n = est.samples_or_nodes
+            sigma = est.abs_error_estimate * math.sqrt(n) / 3.0
+            lo, hi = p.domain.bounding_box
+            vbox, hit = float(np.prod(hi - lo)), n / samples
+            error_bar = 3.0 * vbox * math.sqrt(hit * (sigma**2 + (1.0 - hit) * delta**2) / samples)
+        else:
+            error_bar = p.volume * est.abs_error_estimate + abs(delta) * p.volume_error
+        tolerance = 0.0
+    residual = lhs - rhs
+    margin = error_bar + tolerance
+    if expected_sign * residual > margin:
         verdict = PASS
-    elif abs(residual) <= error_bar:
+    elif abs(residual) <= margin:
         verdict = INCONCLUSIVE
     else:
         verdict = FAIL
+    vol_i = p.volume * rule.mean(lambda pts: np.sum((pts - p.x0) ** 2, axis=1) > p.r**2).value
+    vol_e = vol_i + unit_ball_volume(m) * p.r**m - p.volume
     vol_gap = vol_i - vol_e
-    vol_bar = math.hypot(verr_i, verr_e)
     return _report(
         "proof_discrepancy",
-        int_i,
-        int_e,
-        0.0,
+        lhs,
+        rhs,
+        tolerance,
         error_bar,
         {
             "m": m,
@@ -565,14 +589,15 @@ def proof_discrepancy(
             "r": p.r,
             "equation": equation,
             "expected_sign": "negative" if expected_sign < 0 else "positive",
+            "method": est.method,
+            "nodes_or_samples": est.samples_or_nodes,
             "volume_g_i": vol_i,
             "volume_g_e": vol_e,
             "volume_gap": vol_gap,
-            "volume_gap_error_bar": vol_bar,
-            "volumes_match": bool(abs(vol_gap) <= max(vol_bar, 1e-12)),
+            "volume_gap_error_bar": p.volume_error,
+            "volumes_match": bool(abs(vol_gap) <= max(p.volume_error, 1e-12)),
             "samples": samples,
             "seed": seed,
-            "seed_g_e": seed + 1,
         },
         verdict=verdict,
     )
@@ -686,6 +711,9 @@ def kuran_limit_check(
     Two reports: the kernel a_norm(m, t) -> 1 at the quadratic rate
     -t^2 / (2(m+2)), and the plane-wave identity residual approaching
     the harmonic mean-value residual M(x1 - x0_1, D) as lambda -> 0.
+    The second report's error bar is the rule's error estimate for the
+    mean of u / lambda - (x1 - x0_1) at the smallest lambda (both sides
+    are means on one rule) plus the identity's volume_error_term / lambda.
     """
     x0 = np.asarray(x0, dtype=float)
     lambdas = [float(l) for l in lambdas]
@@ -715,9 +743,8 @@ def kuran_limit_check(
     # sin-profile plane wave: residual / lambda -> -(M(x1, D) - x0_1)
     e1 = np.zeros(m)
     e1[0] = 1.0
-    harmonic = problems[0].rule(nodes, angular, box_nodes, samples, seed).mean(
-        lambda pts: pts[:, 0] - x0[0]
-    )
+    rule = problems[0].rule(nodes, angular, box_nodes, samples, seed)
+    harmonic = rule.mean(lambda pts: pts[:, 0] - x0[0])
     id_rows = []
     for lam, prob in zip(lambdas, problems):
         u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
@@ -731,12 +758,15 @@ def kuran_limit_check(
     lam_min = lambdas[-1]
     scaled = id_rows[-1]["scaled"]
     limit_tol = max(1e-6, 10.0 * lam_min * lam_min * max(1.0, abs(harmonic.value)))
+    # Both sides are means on one rule, so the sampling error of
+    # scaled - (-harmonic) is that of the mean of u / lambda - (x1 - x0_1).
+    gap = rule.mean(lambda pts: u(pts) / lam_min - (pts[:, 0] - x0[0]))
     identity_report = _report(
         "kuran_identity_limit",
         scaled,
         -harmonic.value,
         limit_tol,
-        harmonic.abs_error_estimate / lam_min,
+        gap.abs_error_estimate + rep.diagnostics["volume_error_term"] / lam_min,
         {
             "m": m,
             "r": r,

@@ -238,6 +238,17 @@ class TestMeanRule:
         assert rule.method == "box_gauss"
         assert rule.mean(u) == box_mean(u, [0, 0], [1, 2], nodes_per_axis=20)
 
+    def test_blocked_mean_equals_unblocked_formula(self):
+        # more accepted points than one 2^18-point evaluation block
+        d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
+        u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
+        rule = mean_rule(d, samples=400_000, seed=9)
+        est = rule.mean(u)
+        assert est.samples_or_nodes == len(rule.accepted) > 2**18
+        vals = np.asarray(u(rule.accepted), dtype=float)
+        assert est.value == float(np.mean(vals))
+        assert est.abs_error_estimate == 3.0 * float(np.std(vals)) / math.sqrt(len(vals))
+
     def test_samples_must_be_positive(self):
         d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
         with pytest.raises(ValueError, match="samples"):

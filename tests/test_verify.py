@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from helmholtz_means.geometry import ball, box, custom_domain, difference, translate
-from helmholtz_means.quadrature import ball_mean, mc_mean
+from helmholtz_means.quadrature import ball_mean, box_mean, mc_integral, mc_mean
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
+    modified_radial_solution,
     plane_wave,
     radial_solution,
 )
@@ -215,6 +216,12 @@ class TestSharedRule:
         d = self.domain()
         count = CountingIndicator(d)
         kuran_limit_check(d, [0, 0], samples=n, seed=4)
+        assert count.points == n + 1
+
+        d = self.domain()
+        count = CountingIndicator(d)
+        p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
+        proof_discrepancy(p, samples=n, seed=4)
         assert count.points == n + 1
 
     def test_other_resolution_gets_its_own_rule(self):
@@ -432,6 +439,73 @@ class TestProofDiscrepancy:
         with pytest.raises(ValueError):
             proof_discrepancy(p, equation="laplace")
 
+    BOX_MINUS_DISK = difference(box([-1, -1], [1, 1]), ball([0.5, 0.2], 0.25))
+
+    @pytest.mark.parametrize("equation,field", [
+        ("helmholtz", radial_solution), ("modified_helmholtz", modified_radial_solution),
+    ])
+    @pytest.mark.parametrize("d,lam", [
+        (box([-0.5, -0.5], [0.5, 0.5]), 1.0),
+        (translate(ball([0, 0], 1.0), [0.3, 0.0]), 1.0),
+        (BOX_MINUS_DISK, 2.3),
+    ])
+    def test_identity_route_agrees_with_integrals_over_g_i_and_g_e(self, d, lam, equation, field):
+        # The oracle integrates U over G_i and G_e with two independent
+        # Monte Carlo runs; both routes estimate int_D U - int_{B_r} U.
+        n = 200_000
+        p = make_problem(d, lam, [0, 0], samples=n, seed=3)
+        rep = proof_discrepancy(p, samples=n, seed=3, equation=equation)
+        assert rep.verdict == PASS
+        u, b = field(2, lam, [0, 0]), ball([0, 0], p.r)
+        int_i, err_i, _, _ = mc_integral(u, difference(d, b), samples=n, seed=4)
+        int_e, err_e, _, _ = mc_integral(u, difference(b, d), samples=n, seed=5)
+        assert abs(rep.residual - (int_i - int_e)) <= rep.error_bar + math.hypot(err_i, err_e)
+
+    def test_mc_bar_covers_the_exact_functional(self):
+        # |D| and M(U, D) come from one draw.  The exact functional comes
+        # from product rules: int_D U = int_box U - int_disk U.
+        lam, c, rh = 2.3, [0.5, 0.2], 0.25
+        u = radial_solution(2, lam, [0, 0])
+        vol = 4.0 - math.pi * rh * rh
+        exact = (4.0 * box_mean(u, [-1, -1], [1, 1], nodes_per_axis=64).value
+                 - math.pi * rh * rh * ball_mean(u, c, rh).value
+                 - vol * a_norm(2, lam * math.sqrt(vol / math.pi)))
+        covered = 0
+        for seed in range(1000, 1040):
+            p = make_problem(self.BOX_MINUS_DISK, lam, [0, 0], samples=200_000, seed=seed)
+            rep = proof_discrepancy(p, samples=200_000, seed=seed)
+            assert rep.diagnostics["method"] == "monte_carlo"
+            assert rep.tolerance == 0.0
+            covered += abs(rep.residual - exact) <= rep.error_bar
+        assert covered >= 38
+
+    def test_separate_draw_adds_volume_error(self):
+        n = 100_000
+        p = make_problem(self.BOX_MINUS_DISK, 2.3, [0, 0], samples=n, seed=2)
+        rep = proof_discrepancy(p, samples=n, seed=3)
+        est = mc_mean(radial_solution(2, 2.3, [0, 0]), p.domain, samples=n, seed=3)
+        u_r = a_norm(0, p.lam * p.r)
+        assert rep.error_bar == pytest.approx(
+            p.volume * est.abs_error_estimate + abs(est.value - u_r) * p.volume_error, rel=1e-12
+        )
+        assert rep.lhs == pytest.approx(p.volume * est.value, rel=1e-15)
+
+    def test_product_rule_bar_and_volume_diagnostics(self):
+        p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
+        rep = proof_discrepancy(p)
+        assert rep.diagnostics["method"] == "box_gauss"
+        assert rep.diagnostics["nodes_or_samples"] == 32 * 32
+        assert rep.tolerance == pytest.approx(1e-8 * p.volume)
+        assert rep.rhs == pytest.approx(p.volume * a_norm(2, p.r), rel=1e-15)
+        # |G_e| is four circular segments beyond the sides x, y = +-1/2
+        h = 0.5
+        segments = 4.0 * (p.r**2 * math.acos(h / p.r) - h * math.sqrt(p.r**2 - h * h))
+        diag = rep.diagnostics
+        assert diag["volume_g_i"] == pytest.approx(diag["volume_g_e"], abs=1e-12)
+        assert diag["volume_g_e"] == pytest.approx(segments, abs=5e-3)
+        assert diag["volumes_match"]
+        assert "seed_g_e" not in diag
+
 
 class TestMembraneBundle:
     def test_unit_square_bundle(self):
@@ -486,6 +560,12 @@ class TestKuranLimit:
         assert ident.verdict == PASS
         assert ident.rhs == pytest.approx(-0.2, abs=1e-12)
         assert ident.lhs == pytest.approx(-0.2, abs=1e-3)
+
+    def test_mc_domain_passes_with_a_common_sample_bar(self):
+        d = difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25))
+        kernel, ident = kuran_limit_check(d, [0, 0], samples=200_000, seed=5)
+        assert (kernel.verdict, ident.verdict) == (PASS, PASS)
+        assert 0.0 < ident.error_bar < 1e-6 < ident.tolerance
 
     def test_lambda_sequence_validated(self):
         with pytest.raises(ValueError):
