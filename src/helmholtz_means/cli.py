@@ -216,35 +216,27 @@ def _run(args) -> int:
     if args.subcommand == "mean-value":
         u = solution_from_json(_load_json_arg(args.solution))
         rep = verify.check_mean_value_formula(
-            u, _parse_vector(args.x0), args.r, radial_nodes=args.nodes,
-            angular_resolution=args.nodes, tolerance=args.tol,
+            u, _parse_vector(args.x0), args.r, nodes=args.nodes, tolerance=args.tol,
         )
         return _emit_reports(rep, args)
     if args.subcommand == "identity":
         d = domain_from_json(_load_json_arg(args.domain))
         u = solution_from_json(_load_json_arg(args.solution))
         p = verify.make_problem(d, u.wavenumber, _parse_vector(args.x0),
-                                samples=args.samples, seed=args.seed)
-        rep = verify.check_identity(
-            u, p, nodes=args.nodes, angular=args.nodes,
-            samples=args.samples, seed=args.seed, tolerance=args.tol,
-        )
+                                samples=args.samples, seed=args.seed, nodes=args.nodes)
+        rep = verify.check_identity(u, p, tolerance=args.tol)
         return _emit_reports(rep, args)
     if args.subcommand == "characterize":
         d = domain_from_json(_load_json_arg(args.domain))
         p = verify.make_problem(d, args.lam, _parse_vector(args.x0),
-                                samples=args.samples, seed=args.seed)
-        rep = verify.characterize(
-            p, tolerance=args.tol, nodes=args.nodes, angular=args.nodes,
-            samples=args.samples, seed=args.seed, budget=args.budget,
-        )
+                                samples=args.samples, seed=args.seed, nodes=args.nodes)
+        rep = verify.characterize(p, tolerance=args.tol, budget=args.budget)
         return _emit_reports(rep, args)
     if args.subcommand == "discrepancy":
         d = domain_from_json(_load_json_arg(args.domain))
         p = verify.make_problem(d, args.lam, _parse_vector(args.x0),
                                 samples=args.samples, seed=args.seed)
-        rep = verify.proof_discrepancy(p, samples=args.samples, seed=args.seed,
-                                       equation=args.equation)
+        rep = verify.proof_discrepancy(p, equation=args.equation)
         return _emit_reports(rep, args)
     if args.subcommand == "membrane":
         return _emit_reports(verify.membrane_counterexample(args.a, box_nodes=args.nodes), args)

@@ -262,7 +262,7 @@ def custom_domain(dimension, indicator, bounding_box, analytic_volume=None) -> C
 
 
 def _require_counts(**counts):
-    """ValueError unless every sample count or budget given is >= 1."""
+    """ValueError unless every count given (samples, budget, nodes) is >= 1."""
     for name, n in counts.items():
         if int(n) < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")

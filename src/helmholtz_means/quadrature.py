@@ -32,6 +32,7 @@ from .geometry import (
     Translate,
     _draw,
     _hit_volume,
+    _require_counts,
     _uniform,
     ball,
 )
@@ -123,12 +124,10 @@ class MeanRule:
     M is linear, so its nodes or samples do not depend on the integrand:
     build the rule once and call mean(f) for every field.  Nothing is
     drawn or built before the first call that needs it.  method is
-    BALL_SPECTRAL or BOX_GAUSS (ProductRule) or MONTE_CARLO (SampleRule);
-    resolution tells apart the rules of one domain.
+    BALL_SPECTRAL or BOX_GAUSS (ProductRule) or MONTE_CARLO (SampleRule).
     """
 
     method: str
-    resolution: tuple
 
     def mean(self, f) -> MeanValueEstimate:
         raise NotImplementedError
@@ -143,8 +142,8 @@ class ProductRule(MeanRule):
     near-zero.
     """
 
-    def __init__(self, method: str, resolution: tuple, size: int, build):
-        self.method, self.resolution, self.size = method, resolution, size
+    def __init__(self, method: str, size: int, build):
+        self.method, self.size = method, size
         self._build = build  # () -> [(points, weights) fine, (points, weights) coarse]
         self.node_sets = None
 
@@ -175,7 +174,6 @@ class SampleRule(MeanRule):
 
     def __init__(self, d: Domain, samples: int, seed: int):
         self.domain, self.samples, self.seed = d, int(samples), seed
-        self.resolution = (MONTE_CARLO, self.samples, seed)
         self.hits = self.accepted = None
 
     def volume(self) -> tuple[float, float]:
@@ -215,6 +213,7 @@ def _ball_rule(center, r, radial_nodes, angular, mc_samples, seed) -> MeanRule:
     r = float(r)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
+    _require_counts(radial_nodes=radial_nodes, angular=angular)
     m = center.size
     if m not in (2, 3):
         warnings.warn(
@@ -226,7 +225,6 @@ def _ball_rule(center, r, radial_nodes, angular, mc_samples, seed) -> MeanRule:
     n_dir = angular if m == 2 else max(angular // 2, 4) * angular
     return ProductRule(
         BALL_SPECTRAL,
-        (BALL_SPECTRAL, radial_nodes, angular),
         radial_nodes * n_dir,
         lambda: [_ball_nodes_weights(center, r, n, a) for n, a in levels],
     )
@@ -237,10 +235,10 @@ def _box_rule(low, high, nodes) -> MeanRule:
     hi = np.asarray(high, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise ValueError("box requires low < high componentwise")
+    _require_counts(nodes=nodes)
     levels = (nodes, max(nodes // 2, 4))
     return ProductRule(
         BOX_GAUSS,
-        (BOX_GAUSS, nodes),
         int(nodes) ** lo.size,
         lambda: [_box_nodes_weights(lo, hi, n) for n in levels],
     )
@@ -324,6 +322,7 @@ def _sphere_points(center: np.ndarray, r: float, angular: int):
 
 
 def _flux_value(u, center, r, angular, step) -> float:
+    _require_counts(angular_resolution=angular)
     pts, normals, w = _sphere_points(center, r, angular)
     h = step * r
     dn = (np.asarray(u(pts + h * normals)) - np.asarray(u(pts - h * normals))) / (2.0 * h)

@@ -27,12 +27,10 @@ from .geometry import (
     box,
     circumradius_about,
     exact_circumradius,
-    unit_ball_volume,
 )
 from .quadrature import (
     MONTE_CARLO,
     MeanRule,
-    SampleRule,
     ball_mean,
     box_mean,
     mean_rule,
@@ -187,9 +185,10 @@ class CharacterizationProblem:
     r (always recomputed from |D|), and the critical radius r0 with
     lambda * r0 = j_{m/2,1}.
 
-    rules memoises the domain's mean rules by resolution; on a domain
-    without an analytic volume it starts with the Monte Carlo rule whose
-    draw gave |D|.  Problems made together share it.
+    rule is the domain's one mean rule, on which every check of the
+    problem evaluates M(., D); on a domain without an analytic volume it
+    is the Monte Carlo rule whose draw gave |D|.  Problems made together
+    share it.
     """
 
     domain: Domain
@@ -199,22 +198,23 @@ class CharacterizationProblem:
     r0: float
     volume: float
     volume_error: float
-    seed: int = 0
-    samples: int = 2_000_000
-    rules: dict = field(default_factory=dict, repr=False)
-
-    def rule(self, nodes, angular, box_nodes, samples, seed) -> MeanRule:
-        """The domain's mean rule at this resolution, built once."""
-        rule = mean_rule(self.domain, nodes, angular, box_nodes, samples, seed)
-        return self.rules.setdefault(rule.resolution, rule)
+    rule: MeanRule = field(repr=False)
+    seed: int
+    samples: int
 
 
-def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000, seed: int = 0) -> CharacterizationProblem:
-    return _problems(domain, [lam], x0, samples, seed)[0]
+def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000, seed: int = 0,
+                 nodes: int = 64, box_nodes: int = 32) -> CharacterizationProblem:
+    """The problem and its mean rule: a ball gets nodes radial and
+    angular nodes, a box box_nodes per axis, any other domain one
+    seeded draw of samples points."""
+    return _problems(domain, [lam], x0, samples, seed, nodes, box_nodes)[0]
 
 
-def _problems(domain: Domain, lambdas, x0, samples: int, seed: int) -> list[CharacterizationProblem]:
-    """One problem per wavenumber, sharing one |D| estimate and one j_{m/2,1}."""
+def _problems(domain: Domain, lambdas, x0, samples: int, seed: int, nodes: int,
+              box_nodes: int) -> list[CharacterizationProblem]:
+    """One problem per wavenumber, sharing one rule, one |D| estimate and
+    one j_{m/2,1}."""
     _require_counts(samples=samples)
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
@@ -226,18 +226,16 @@ def _problems(domain: Domain, lambdas, x0, samples: int, seed: int) -> list[Char
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the domain")
-    rules = {}
+    rule = mean_rule(domain, nodes, nodes, box_nodes, samples, seed)
     if domain.analytic_volume is None:
-        mc = SampleRule(domain, samples, seed)
-        rules[mc.resolution] = mc
-        vol, verr = mc.volume()
+        vol, verr = rule.volume()
     else:
         vol, verr = float(domain.analytic_volume), 0.0
     r = _radius_of_volume(vol, m)
     j = bessel_zero(0.5 * m, 1)
     return [
         CharacterizationProblem(domain=domain, lam=lam, x0=x0, r=r, r0=j / lam, volume=vol,
-                                volume_error=verr, seed=seed, samples=samples, rules=rules)
+                                volume_error=verr, rule=rule, seed=seed, samples=samples)
         for lam in lambdas
     ]
 
@@ -250,15 +248,15 @@ def check_mean_value_formula(
     u: SolutionField,
     x,
     r: float,
-    radial_nodes: int = 64,
-    angular_resolution: int = 64,
+    nodes: int = 64,
     tolerance: float = IDENTITY_TOL_SPECTRAL,
 ) -> VerificationReport:
-    """a_norm(m, lambda r) * u(x) against the volume mean of u over B_r(x)."""
+    """a_norm(m, lambda r) * u(x) against the volume mean of u over B_r(x),
+    on the ball rule with nodes radial and angular nodes."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the mean value formula applies to Helmholtz fields")
     x = np.asarray(x, dtype=float)
-    est = ball_mean(u, x, r, radial_nodes=radial_nodes, angular_resolution=angular_resolution)
+    est = ball_mean(u, x, r, radial_nodes=nodes, angular_resolution=nodes)
     lhs = a_norm(u.dimension, u.wavenumber * r) * u(x)
     return _report(
         "mean_value_formula",
@@ -281,15 +279,9 @@ def check_mean_value_formula(
 def check_identity(
     u: SolutionField,
     p: CharacterizationProblem,
-    nodes: int = 64,
-    angular: int = 64,
-    box_nodes: int = 32,
-    samples: int = 2_000_000,
-    seed: int = 0,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """u(x0) * a_norm(m, lambda r) against M(u, D), on the problem's
-    shared rule for this resolution.
+    """u(x0) * a_norm(m, lambda r) against M(u, D), on the problem's rule.
 
     The error bar is the mean's (|fine - coarse|, or 3 sigma for Monte
     Carlo) plus, linearly since |D| comes from the same draw, the shift
@@ -299,14 +291,13 @@ def check_identity(
     Carlo paths to the error bar, with inconclusive rather than fail when
     the bar dominates.
     """
-    _require_counts(samples=samples)
     if u.equation != HELMHOLTZ:
         raise ValueError("identity (volume-mean form) applies to Helmholtz fields")
     if abs(u.wavenumber - p.lam) > 1e-12 * max(1.0, p.lam):
         raise ValueError(
             f"field wavenumber {u.wavenumber} differs from the problem's lambda {p.lam}"
         )
-    est = p.rule(nodes, angular, box_nodes, samples, seed).mean(u)
+    est = p.rule.mean(u)
     m, t = p.domain.dimension, p.lam * p.r
     u0 = u(p.x0)
     volume_term = (abs(u0) * abs(t * a_norm(m + 2, t) / (m + 2)) * p.lam * p.r
@@ -412,17 +403,13 @@ def characterize(
     p: CharacterizationProblem,
     family=None,
     tolerance: float | None = None,
-    nodes: int = 64,
-    angular: int = 64,
-    box_nodes: int = 32,
-    samples: int = 2_000_000,
-    seed: int = 0,
     budget: int = 1_000_000,
 ) -> VerificationReport:
     """Run the identity over a family of solutions plus the radial field,
     gate on the size condition, and summarize.  Every member is
-    evaluated on the same rule (one node set, or one seeded sample), so
-    member residuals share their quadrature or sampling error.
+    evaluated on the problem's rule (one node set, or one seeded sample),
+    so member residuals share their quadrature or sampling error.  The
+    default family and a sampled size condition use the problem's seed.
 
     Conclusions (in diagnostics["conclusion"], mapped onto the verdict):
     "consistent with D = B_r(x0)"  -> pass   (all identities hold, size holds)
@@ -433,9 +420,9 @@ def characterize(
     A finite family can only ever certify the negative direction; the
     "consistent" wording is deliberate.
     """
-    _require_counts(samples=samples, budget=budget)
+    _require_counts(budget=budget)
     if family is None:
-        family = default_family(p, seed=seed)
+        family = default_family(p, seed=p.seed)
     fields = list(family)
     if not any(f.kind == "radial" for f in fields):
         fields.insert(0, radial_solution(p.domain.dimension, p.lam, p.x0))
@@ -443,14 +430,8 @@ def characterize(
         if abs(f.wavenumber - p.lam) > 1e-12 * max(1.0, p.lam):
             raise ValueError("all family members must share the problem's wavenumber")
 
-    member_reports = [
-        check_identity(
-            f, p, nodes=nodes, angular=angular, box_nodes=box_nodes,
-            samples=samples, seed=seed, tolerance=tolerance,
-        )
-        for f in fields
-    ]
-    size_rep = check_size_condition(p, budget=budget, seed=seed)
+    member_reports = [check_identity(f, p, tolerance=tolerance) for f in fields]
+    size_rep = check_size_condition(p, budget=budget, seed=p.seed)
 
     failing = [(f, r) for f, r in zip(fields, member_reports) if r.verdict == FAIL]
     inconclusive = [r for r in member_reports if r.verdict == INCONCLUSIVE]
@@ -495,19 +476,14 @@ def characterize(
             },
             "r": p.r,
             "lambda": p.lam,
-            "seed": seed,
+            "seed": p.seed,
             "hypotheses": "complement connectedness assumed, not verified",
         },
         verdict=verdict,
     )
 
 
-def proof_discrepancy(
-    p: CharacterizationProblem,
-    samples: int = 4_000_000,
-    seed: int = 0,
-    equation: str = HELMHOLTZ,
-) -> VerificationReport:
+def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> VerificationReport:
     """The sign functional from the contradiction argument.
 
     With G_i = D \\ closure(B_r(x0)) and G_e = B_r(x0) \\ closure(D), the
@@ -515,27 +491,24 @@ def proof_discrepancy(
     int_D U - int_{B_r} U.  The ball term is exact by the mean-value
     formula, |B_r| K(m, lambda r) U(x0) with U(x0) = 1 and |B_r| = |D|,
     so the functional is |D| (M(U, D) - K(m, lambda r)), evaluated on the
-    problem's shared rule (the one check_identity uses at its default
-    resolution).  When the size condition holds, |G_i| = |G_e| and U
+    problem's rule.  When the size condition holds, |G_i| = |G_e| and U
     decreases with distance from x0, so the functional is < 0 whenever
     D != B_r(x0).  With equation="modified_helmholtz" the
     monotone-increasing kernel (K = b_norm) is used instead and the
     predicted sign flips to positive.
 
     Error bar: on a product rule |D| |fine - coarse|, with tolerance
-    1e-8 |D|.  On Monte Carlo, tolerance 0 and the 3-sigma bar of the
-    linearised estimator: from the draw that gave |D|, the sample error
-    of 1_D (U - U_r) |box| over all drawn points, U_r = K(m-2, lambda r)
-    being U on the sphere of radius r, which carries the |D| error
-    through r; from another draw, |D| 3 sigma / sqrt(n_accepted) plus
-    |M - U_r| volume_error.
+    1e-8 |D|.  On Monte Carlo, tolerance 0 and a 3-sigma bar: when |D|
+    came from the rule's draw, the sample error of the linearised
+    estimator 1_D (U - U_r) |box| over all drawn points, U_r =
+    K(m-2, lambda r) being U on the sphere of radius r, which carries the
+    |D| error through r; when |D| is analytic (a ball in m >= 4),
+    |D| 3 sigma / sqrt(n_accepted).
 
     Verdict: pass when the predicted strict sign is resolved beyond the
     bar plus tolerance, inconclusive when the functional is within them
     (e.g. D = B_r(x0)), fail when the sign contradicts the prediction.
-    The G_i and G_e volumes are diagnostics from the same rule.
     """
-    _require_counts(samples=samples)
     m = p.domain.dimension
     if equation == HELMHOLTZ:
         u = radial_solution(m, p.lam, p.x0)
@@ -545,27 +518,22 @@ def proof_discrepancy(
         kernel, expected_sign = b_norm, +1.0
     else:
         raise ValueError(f"unknown equation: {equation!r}")
-    rule = p.rule(64, 64, 32, samples, seed)
-    est = rule.mean(u)
+    est = p.rule.mean(u)
     t = p.lam * p.r
     lhs = p.volume * est.value
     rhs = p.volume * kernel(m, t)
+    error_bar, tolerance = p.volume * est.abs_error_estimate, 0.0
     if est.method != MONTE_CARLO:
-        error_bar = p.volume * est.abs_error_estimate
         tolerance = IDENTITY_TOL_SPECTRAL * p.volume
-    else:
+    elif p.domain.analytic_volume is None:
+        # g = 1_D (U - U_r) |box| has mean hit |box| delta and second
+        # moment hit |box|^2 (sigma^2 + delta^2) over the drawn points
         delta = est.value - kernel(m - 2, t)  # M - U_r
-        if p.domain.analytic_volume is None and (samples, seed) == (p.samples, p.seed):
-            # g = 1_D (U - U_r) |box| has mean hit |box| delta and second
-            # moment hit |box|^2 (sigma^2 + delta^2) over the drawn points
-            n = est.samples_or_nodes
-            sigma = est.abs_error_estimate * math.sqrt(n) / 3.0
-            lo, hi = p.domain.bounding_box
-            vbox, hit = float(np.prod(hi - lo)), n / samples
-            error_bar = 3.0 * vbox * math.sqrt(hit * (sigma**2 + (1.0 - hit) * delta**2) / samples)
-        else:
-            error_bar = p.volume * est.abs_error_estimate + abs(delta) * p.volume_error
-        tolerance = 0.0
+        n = est.samples_or_nodes
+        sigma = est.abs_error_estimate * math.sqrt(n) / 3.0
+        lo, hi = p.domain.bounding_box
+        vbox, hit = float(np.prod(hi - lo)), n / p.samples
+        error_bar = 3.0 * vbox * math.sqrt(hit * (sigma**2 + (1.0 - hit) * delta**2) / p.samples)
     residual = lhs - rhs
     margin = error_bar + tolerance
     if expected_sign * residual > margin:
@@ -574,9 +542,6 @@ def proof_discrepancy(
         verdict = INCONCLUSIVE
     else:
         verdict = FAIL
-    vol_i = p.volume * rule.mean(lambda pts: np.sum((pts - p.x0) ** 2, axis=1) > p.r**2).value
-    vol_e = vol_i + unit_ball_volume(m) * p.r**m - p.volume
-    vol_gap = vol_i - vol_e
     return _report(
         "proof_discrepancy",
         lhs,
@@ -591,13 +556,8 @@ def proof_discrepancy(
             "expected_sign": "negative" if expected_sign < 0 else "positive",
             "method": est.method,
             "nodes_or_samples": est.samples_or_nodes,
-            "volume_g_i": vol_i,
-            "volume_g_e": vol_e,
-            "volume_gap": vol_gap,
-            "volume_gap_error_bar": p.volume_error,
-            "volumes_match": bool(abs(vol_gap) <= max(p.volume_error, 1e-12)),
-            "samples": samples,
-            "seed": seed,
+            "samples": p.samples,
+            "seed": p.seed,
         },
         verdict=verdict,
     )
@@ -653,8 +613,8 @@ def membrane_counterexample(a: float = 1.0, box_nodes: int = 32) -> list[Verific
         )
     )
 
-    problem = make_problem(square, lam, center)
-    identity = check_identity(u21, problem, box_nodes=box_nodes, tolerance=1e-12)
+    problem = make_problem(square, lam, center, box_nodes=box_nodes)
+    identity = check_identity(u21, problem, tolerance=1e-12)
     identity.name = "membrane_identity"
     identity.diagnostics["note"] = "0 = 0: both sides vanish at the center"
     reports.append(identity)
@@ -700,7 +660,6 @@ def kuran_limit_check(
     x0,
     lambdas=(0.3, 0.1, 0.03, 0.01),
     nodes: int = 64,
-    angular: int = 64,
     box_nodes: int = 32,
     samples: int = 2_000_000,
     seed: int = 0,
@@ -714,6 +673,7 @@ def kuran_limit_check(
     The second report's error bar is the rule's error estimate for the
     mean of u / lambda - (x1 - x0_1) at the smallest lambda (both sides
     are means on one rule) plus the identity's volume_error_term / lambda.
+    Every wavenumber's problem shares one rule, sized as by make_problem.
     """
     x0 = np.asarray(x0, dtype=float)
     lambdas = [float(l) for l in lambdas]
@@ -722,7 +682,7 @@ def kuran_limit_check(
     if any(l <= 0 for l in lambdas) or any(nxt >= prev for prev, nxt in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
     m = d.dimension
-    problems = _problems(d, lambdas, x0, samples, seed)
+    problems = _problems(d, lambdas, x0, samples, seed, nodes, box_nodes)
     r = problems[0].r
 
     rows = []
@@ -743,15 +703,12 @@ def kuran_limit_check(
     # sin-profile plane wave: residual / lambda -> -(M(x1, D) - x0_1)
     e1 = np.zeros(m)
     e1[0] = 1.0
-    rule = problems[0].rule(nodes, angular, box_nodes, samples, seed)
+    rule = problems[0].rule
     harmonic = rule.mean(lambda pts: pts[:, 0] - x0[0])
     id_rows = []
     for lam, prob in zip(lambdas, problems):
         u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
-        rep = check_identity(
-            u, prob, nodes=nodes, angular=angular, box_nodes=box_nodes,
-            samples=samples, seed=seed,
-        )
+        rep = check_identity(u, prob)
         id_rows.append(
             {"lambda": lam, "identity_residual": rep.residual, "scaled": rep.residual / lam}
         )
@@ -820,14 +777,14 @@ def theorem1_identity_check(
     x0,
     r: float,
     m: int,
-    radial_nodes: int = 64,
-    angular_resolution: int = 64,
+    nodes: int = 64,
     tolerance: float = 1e-8,
     grid_points: int = 10_000,
 ) -> VerificationReport:
     """Ball form of the modified-equation identity: b_norm(m, mu r)
     against the ball mean of the monotone radial solution, plus the
-    strict monotonicity of b_norm that the argument leans on."""
+    strict monotonicity of b_norm that the argument leans on.  The ball
+    rule has nodes radial and angular nodes."""
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -835,9 +792,7 @@ def theorem1_identity_check(
     if x0.shape != (m,):
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     u = modified_radial_solution(m, mu, x0)
-    est = ball_mean(
-        u, x0, r, radial_nodes=radial_nodes, angular_resolution=angular_resolution
-    )
+    est = ball_mean(u, x0, r, radial_nodes=nodes, angular_resolution=nodes)
     lhs = b_norm(m, mu * r)
     grid = np.linspace(0.0, 10.0, grid_points)
     monotone = bool(np.all(np.diff(b_norm(m, grid)) > 0.0))

@@ -106,6 +106,23 @@ class TestReportsCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_nodes_sizes_the_ball_rule(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "identity", "--domain", self.BALL, "--solution", self.PW, "--x0", "0,0",
+            "--nodes", "24",
+        )
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["nodes_or_samples"] == 24 * 24
+        code, out, _ = run_cli(capsys, "membrane", "--a", "1", "--nodes", "20")
+        reps = {r["name"]: r for r in json.loads(out)}
+        assert reps["membrane_identity"]["diagnostics"]["nodes_or_samples"] == 20 * 20
+        # --nodes sizes ball rules only: a box keeps its 32 x 32 nodes
+        square = '{"kind":"box","low":[-0.5,-0.5],"high":[0.5,0.5]}'
+        args = ("characterize", "--domain", square, "--lambda", "1.0", "--x0", "0,0")
+        _, default, _ = run_cli(capsys, *args)
+        _, forty, _ = run_cli(capsys, *args, "--nodes", "40")
+        assert forty == default
+
     def test_characterize_ball_consistent(self, capsys):
         code, out, _ = run_cli(
             capsys, "characterize", "--domain", self.BALL, "--lambda", "1.0", "--x0", "0,0"
@@ -142,7 +159,6 @@ class TestReportsCommands:
         assert code == 0
         rep = json.loads(out)
         assert rep["residual"] < 0
-        assert rep["diagnostics"]["volumes_match"] is True
 
     def test_membrane_bundle_and_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "membrane", "--a", "1")
@@ -246,6 +262,7 @@ class TestPlumbing:
         '"b":{"kind":"ball","center":[0.5,0.1],"r":0.25}}'
     )
     RADIAL = '{"kind":"radial","lambda":1.5,"center":[0,0]}'
+    DISK = '{"kind":"ball","center":[0,0],"r":1.0}'
 
     def test_characterize_mc_domain_byte_identical_reruns(self, capsys):
         args = (
@@ -272,6 +289,26 @@ class TestPlumbing:
           '"b":{"kind":"ball","center":[0,0],"r":1.405}}',
           "--solution", '{"kind":"radial","lambda":1.0,"center":[0.999,0.999]}',
           "--x0", "0.999,0.999", "--samples", "200000"), "acceptance rate"),
+        (("mean-value", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "0"),
+         "radial_nodes must be >= 1, got 0"),
+        (("mean-value", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "-2"),
+         "radial_nodes must be >= 1, got -2"),
+        (("identity", "--domain", DISK, "--solution", RADIAL, "--x0", "0,0", "--nodes", "0"),
+         "radial_nodes must be >= 1, got 0"),
+        (("identity", "--domain", DISK, "--solution", RADIAL, "--x0", "0,0", "--nodes", "-2"),
+         "radial_nodes must be >= 1, got -2"),
+        (("characterize", "--domain", DISK, "--lambda", "1.5", "--x0", "0,0", "--nodes", "0"),
+         "radial_nodes must be >= 1, got 0"),
+        (("characterize", "--domain", DISK, "--lambda", "1.5", "--x0", "0,0", "--nodes", "-2"),
+         "radial_nodes must be >= 1, got -2"),
+        (("membrane", "--nodes", "0"), "nodes must be >= 1, got 0"),
+        (("membrane", "--nodes", "-2"), "nodes must be >= 1, got -2"),
+        (("flux", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "0"),
+         "angular_resolution must be >= 1, got 0"),
+        (("flux", "--solution", '{"kind":"radial","lambda":1.0,"center":[0,0,0]}',
+          "--x0", "0,0,0", "--r", "1", "--nodes", "0"), "angular_resolution must be >= 1, got 0"),
+        (("flux", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "-2"),
+         "angular_resolution must be >= 1, got -2"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

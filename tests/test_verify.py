@@ -170,10 +170,8 @@ class TestIdentity:
             difference(box([-0.6, -0.6], [0.6, 0.6]), ball([0, 0], 0.25)),
             translate(custom_domain(2, disk.indicator, disk.bounding_box), [0.4, 0.4]),
         ]:
-            p = make_problem(d, 1.0, [0.4, 0.4])
-            rep = check_identity(
-                plane_wave(2, 1.0, [1, 0], 0.0), p, samples=300_000, seed=3
-            )
+            p = make_problem(d, 1.0, [0.4, 0.4], samples=300_000, seed=3)
+            rep = check_identity(plane_wave(2, 1.0, [1, 0], 0.0), p)
             assert rep.diagnostics["method"] == "monte_carlo"
             assert rep.verdict in (PASS, FAIL, INCONCLUSIVE)
 
@@ -203,13 +201,13 @@ class TestSharedRule:
         d = self.domain()
         count = CountingIndicator(d)
         p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
-        check_identity(radial_solution(2, 1.5, [0, 0]), p, samples=n, seed=4)
+        check_identity(radial_solution(2, 1.5, [0, 0]), p)
         assert count.points == n + 1
 
         d = self.domain()
         count = CountingIndicator(d)
         p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
-        rep = characterize(p, samples=n, seed=4)
+        rep = characterize(p)
         assert rep.diagnostics["family_size"] == 13
         assert count.points == n + 1
 
@@ -221,38 +219,54 @@ class TestSharedRule:
         d = self.domain()
         count = CountingIndicator(d)
         p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
-        proof_discrepancy(p, samples=n, seed=4)
+        proof_discrepancy(p)
         assert count.points == n + 1
 
-    def test_other_resolution_gets_its_own_rule(self):
-        n = self.SAMPLES
-        d = self.domain()
-        count = CountingIndicator(d)
-        p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
-        check_identity(radial_solution(2, 1.5, [0, 0]), p, samples=n, seed=5)
-        assert count.points == 2 * n + 1
-        assert len(p.rules) == 2
+    def test_make_problem_sizes_every_check(self, monkeypatch):
+        # nodes sizes ball rules (radial and angular), box_nodes box rules;
+        # every identity a check runs reports the problem's rule
+        import helmholtz_means.verify as verify
+
+        sizes = []
+
+        def spy(u, p, tolerance=None):
+            rep = check_identity(u, p, tolerance)
+            sizes.append(rep.diagnostics["nodes_or_samples"])
+            return rep
+
+        monkeypatch.setattr(verify, "check_identity", spy)
+        disk, square = ball([0, 0], 1.0), box([-0.5, -0.5], [0.5, 0.5])
+        for d, kwargs, size in [(disk, {"nodes": 24}, 24 * 24), (square, {"box_nodes": 20}, 20 * 20)]:
+            p = make_problem(d, 1.5, [0, 0], **kwargs)
+            assert spy(radial_solution(2, 1.5, [0, 0]), p).diagnostics["nodes_or_samples"] == size
+            assert proof_discrepancy(p).diagnostics["nodes_or_samples"] == size
+            sizes.clear()
+            rep = characterize(p)
+            assert sizes == [size] * rep.diagnostics["family_size"]
+            sizes.clear()
+            kuran_limit_check(d, [0, 0], **kwargs)
+            assert sizes == [size] * 4
 
     def test_fresh_problem_holds_no_points(self):
         p = make_problem(self.domain(), 1.5, [0, 0], samples=self.SAMPLES, seed=4)
-        (rule,) = p.rules.values()
+        rule = p.rule
         assert rule.accepted is None
-        check_identity(radial_solution(2, 1.5, [0, 0]), p, samples=self.SAMPLES, seed=4)
+        check_identity(radial_solution(2, 1.5, [0, 0]), p)
         assert len(rule.accepted) == rule.mean(lambda x: x[:, 0]).samples_or_nodes
 
     def test_characterize_members_share_one_sample(self):
         n = self.SAMPLES
         p = make_problem(self.domain(), 1.5, [0, 0], samples=n, seed=4)
-        rep = characterize(p, samples=n, seed=4)
+        rep = characterize(p)
         family = default_family(p, seed=4)
         for f, member in zip(family, rep.diagnostics["members"], strict=True):
-            assert member["residual"] == check_identity(f, p, samples=n, seed=4).residual
+            assert member["residual"] == check_identity(f, p).residual
 
     def test_volume_error_widens_mc_bar(self):
         n = self.SAMPLES
         u = radial_solution(2, 1.5, [0, 0])
         p = make_problem(self.domain(), 1.5, [0, 0], samples=n, seed=4)
-        rep = check_identity(u, p, samples=n, seed=4)
+        rep = check_identity(u, p)
         t = p.lam * p.r
         term = abs(t * a_norm(4, t) / 4.0) * p.lam * p.r * p.volume_error / (2 * p.volume)
         assert rep.diagnostics["volume_error_term"] == pytest.approx(term, rel=1e-12)
@@ -328,9 +342,11 @@ class TestSizeCondition:
         with pytest.raises(ValueError, match="budget"):
             check_size_condition(p, budget=0)
         with pytest.raises(ValueError, match="budget"):
-            characterize(p, samples=10_000, budget=0)
-        with pytest.raises(ValueError, match="samples"):
-            check_identity(radial_solution(2, 1.0, [0.7, 0.0]), p, samples=0)
+            characterize(p, budget=0)
+        with pytest.raises(ValueError, match="radial_nodes must be >= 1, got 0"):
+            make_problem(ball([0, 0], 1.0), 1.0, [0, 0], nodes=0)
+        with pytest.raises(ValueError, match="nodes must be >= 1, got -2"):
+            make_problem(box([0, 0], [1, 1]), 1.0, [0.5, 0.5], box_nodes=-2)
 
     def test_problem_invariants(self):
         p = make_problem(box([0, 0], [1, 1]), 2.0, [0.5, 0.5])
@@ -380,8 +396,8 @@ class TestCharacterize:
     def test_annulus_via_monte_carlo_path(self):
         # composite domain: no spectral shortcut, sampled size condition
         annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
-        p = make_problem(annulus, 1.0, [0.7, 0.0])
-        rep = characterize(p, samples=400_000, seed=2, budget=200_000)
+        p = make_problem(annulus, 1.0, [0.7, 0.0], samples=400_000, seed=2)
+        rep = characterize(p, budget=200_000)
         assert rep.verdict == FAIL
         assert rep.diagnostics["conclusion"] == "not a ball centered at x0"
         assert rep.diagnostics["size_condition"]["verdict"] == PASS
@@ -391,21 +407,20 @@ class TestCharacterize:
 class TestProofDiscrepancy:
     def test_square_negative_beyond_noise(self):
         p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
-        rep = proof_discrepancy(p, samples=1_000_000, seed=5)
+        rep = proof_discrepancy(p)
         assert rep.verdict == PASS
         assert rep.residual < -rep.error_bar
-        assert rep.diagnostics["volumes_match"]
 
     def test_offset_ball_negative_beyond_noise(self):
         d = translate(ball([0, 0], 1.0), [0.3, 0.0])
         p = make_problem(d, 1.0, [0, 0])
-        rep = proof_discrepancy(p, samples=1_000_000, seed=6)
+        rep = proof_discrepancy(p)
         assert rep.verdict == PASS
         assert rep.residual < -3.0 * rep.error_bar  # far beyond the bar
 
     def test_ball_itself_inconclusive_sign(self):
         p = make_problem(ball([0, 0], 1.0), 1.0, [0, 0])
-        rep = proof_discrepancy(p, samples=300_000, seed=7)
+        rep = proof_discrepancy(p)
         assert rep.verdict == INCONCLUSIVE
         assert abs(rep.residual) <= max(rep.error_bar, 1e-12)
 
@@ -413,7 +428,7 @@ class TestProofDiscrepancy:
         # The monotone-increasing kernel of the modified equation makes
         # the same functional strictly positive.
         p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
-        rep = proof_discrepancy(p, samples=1_000_000, seed=8, equation="modified_helmholtz")
+        rep = proof_discrepancy(p, equation="modified_helmholtz")
         assert rep.diagnostics["expected_sign"] == "positive"
         assert rep.verdict == PASS
         assert rep.residual > rep.error_bar
@@ -421,18 +436,17 @@ class TestProofDiscrepancy:
     def test_contrapositive_witness_relation(self):
         # identity residual = -(discrepancy)/|D| for the radial field
         p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
-        disc = proof_discrepancy(p, samples=2_000_000, seed=9)
+        disc = proof_discrepancy(p)
         ident = check_identity(radial_solution(2, 1.0, [0, 0]), p)
         assert ident.residual == pytest.approx(
             -disc.residual / p.volume, abs=disc.error_bar / p.volume
         )
 
     def test_reproducible_bit_identical(self):
-        p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
-        a = proof_discrepancy(p, samples=200_000, seed=11)
-        b = proof_discrepancy(p, samples=200_000, seed=11)
+        p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0], samples=200_000, seed=11)
+        a = proof_discrepancy(p)
+        b = proof_discrepancy(p)
         assert (a.lhs, a.rhs, a.residual, a.error_bar) == (b.lhs, b.rhs, b.residual, b.error_bar)
-        assert a.diagnostics["volume_g_i"] == b.diagnostics["volume_g_i"]
 
     def test_bad_equation_rejected(self):
         p = make_problem(ball([0, 0], 1.0), 1.0, [0, 0])
@@ -454,7 +468,7 @@ class TestProofDiscrepancy:
         # Monte Carlo runs; both routes estimate int_D U - int_{B_r} U.
         n = 200_000
         p = make_problem(d, lam, [0, 0], samples=n, seed=3)
-        rep = proof_discrepancy(p, samples=n, seed=3, equation=equation)
+        rep = proof_discrepancy(p, equation=equation)
         assert rep.verdict == PASS
         u, b = field(2, lam, [0, 0]), ball([0, 0], p.r)
         int_i, err_i, _, _ = mc_integral(u, difference(d, b), samples=n, seed=4)
@@ -473,22 +487,11 @@ class TestProofDiscrepancy:
         covered = 0
         for seed in range(1000, 1040):
             p = make_problem(self.BOX_MINUS_DISK, lam, [0, 0], samples=200_000, seed=seed)
-            rep = proof_discrepancy(p, samples=200_000, seed=seed)
+            rep = proof_discrepancy(p)
             assert rep.diagnostics["method"] == "monte_carlo"
             assert rep.tolerance == 0.0
             covered += abs(rep.residual - exact) <= rep.error_bar
         assert covered >= 38
-
-    def test_separate_draw_adds_volume_error(self):
-        n = 100_000
-        p = make_problem(self.BOX_MINUS_DISK, 2.3, [0, 0], samples=n, seed=2)
-        rep = proof_discrepancy(p, samples=n, seed=3)
-        est = mc_mean(radial_solution(2, 2.3, [0, 0]), p.domain, samples=n, seed=3)
-        u_r = a_norm(0, p.lam * p.r)
-        assert rep.error_bar == pytest.approx(
-            p.volume * est.abs_error_estimate + abs(est.value - u_r) * p.volume_error, rel=1e-12
-        )
-        assert rep.lhs == pytest.approx(p.volume * est.value, rel=1e-15)
 
     def test_product_rule_bar_and_volume_diagnostics(self):
         p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
@@ -497,14 +500,9 @@ class TestProofDiscrepancy:
         assert rep.diagnostics["nodes_or_samples"] == 32 * 32
         assert rep.tolerance == pytest.approx(1e-8 * p.volume)
         assert rep.rhs == pytest.approx(p.volume * a_norm(2, p.r), rel=1e-15)
-        # |G_e| is four circular segments beyond the sides x, y = +-1/2
-        h = 0.5
-        segments = 4.0 * (p.r**2 * math.acos(h / p.r) - h * math.sqrt(p.r**2 - h * h))
-        diag = rep.diagnostics
-        assert diag["volume_g_i"] == pytest.approx(diag["volume_g_e"], abs=1e-12)
-        assert diag["volume_g_e"] == pytest.approx(segments, abs=5e-3)
-        assert diag["volumes_match"]
-        assert "seed_g_e" not in diag
+        removed = {"seed_g_e", "volume_g_i", "volume_g_e", "volume_gap",
+                   "volume_gap_error_bar", "volumes_match"}
+        assert not removed & set(rep.diagnostics)
 
 
 class TestMembraneBundle:
