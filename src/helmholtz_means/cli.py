@@ -102,7 +102,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--solution", required=True, help="solution JSON (inline or file)")
     p.add_argument("--x0", required=True, help="ball center, comma-separated")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--tol", type=float, default=verify.IDENTITY_TOL_SPECTRAL)
     _add_common(p)
 
@@ -110,7 +109,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--domain", required=True, help="domain JSON (inline or file)")
     p.add_argument("--solution", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--samples", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
@@ -120,7 +118,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--domain", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--samples", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=1_000_000)
@@ -140,14 +137,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("membrane", help="square-membrane counterexample bundle")
     p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--nodes", type=int, default=32)
     _add_common(p)
 
     p = sub.add_parser("flux", help="volume integral against the boundary flux")
     p.add_argument("--solution", required=True)
     p.add_argument("--x0", required=True, help="ball center")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=256)
     _add_common(p)
 
     p = sub.add_parser("kuran", help="small-wavenumber (harmonic) limit")
@@ -193,10 +188,10 @@ def _cmd_specfun(args) -> int:
         fn = bessel_j if args.what == "j" else bessel_i
         evaluate = lambda t: fn(args.nu, t)
     if args.t is not None:
-        ts = [args.t]
+        ts = np.array([args.t])
     else:
         ts = np.linspace(args.t_min, args.t_max, args.count)
-    rows = [(float(t), float(evaluate(float(t)))) for t in ts]
+    rows = [(float(t), float(v)) for t, v in zip(ts, evaluate(ts))]
     return _emit_table(rows, ("t", "value"), args)
 
 
@@ -216,20 +211,20 @@ def _run(args) -> int:
     if args.subcommand == "mean-value":
         u = solution_from_json(_load_json_arg(args.solution))
         rep = verify.check_mean_value_formula(
-            u, _parse_vector(args.x0), args.r, nodes=args.nodes, tolerance=args.tol,
+            u, _parse_vector(args.x0), args.r, tolerance=args.tol,
         )
         return _emit_reports(rep, args)
     if args.subcommand == "identity":
         d = domain_from_json(_load_json_arg(args.domain))
         u = solution_from_json(_load_json_arg(args.solution))
         p = verify.make_problem(d, u.wavenumber, _parse_vector(args.x0),
-                                samples=args.samples, seed=args.seed, nodes=args.nodes)
+                                samples=args.samples, seed=args.seed)
         rep = verify.check_identity(u, p, tolerance=args.tol)
         return _emit_reports(rep, args)
     if args.subcommand == "characterize":
         d = domain_from_json(_load_json_arg(args.domain))
         p = verify.make_problem(d, args.lam, _parse_vector(args.x0),
-                                samples=args.samples, seed=args.seed, nodes=args.nodes)
+                                samples=args.samples, seed=args.seed)
         rep = verify.characterize(p, tolerance=args.tol, budget=args.budget)
         return _emit_reports(rep, args)
     if args.subcommand == "discrepancy":
@@ -239,11 +234,10 @@ def _run(args) -> int:
         rep = verify.proof_discrepancy(p, equation=args.equation)
         return _emit_reports(rep, args)
     if args.subcommand == "membrane":
-        return _emit_reports(verify.membrane_counterexample(args.a, box_nodes=args.nodes), args)
+        return _emit_reports(verify.membrane_counterexample(args.a), args)
     if args.subcommand == "flux":
         u = solution_from_json(_load_json_arg(args.solution))
-        rep = verify.flux_identity_check(u, _parse_vector(args.x0), args.r,
-                                         angular_resolution=args.nodes)
+        rep = verify.flux_identity_check(u, _parse_vector(args.x0), args.r)
         return _emit_reports(rep, args)
     if args.subcommand == "kuran":
         d = domain_from_json(_load_json_arg(args.domain))

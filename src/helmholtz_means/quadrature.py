@@ -2,8 +2,8 @@
 sphere-surface flux integrals.
 
 A MeanRule is M(., D) for one domain at one resolution; mean_rule picks
-it from the domain's node type, and ball_mean, box_mean and mc_mean
-are one-call wrappers over a fresh rule.
+it from the domain's node type and sizes it by resolution(lambda * size),
+and ball_mean, box_mean and mc_mean are one-call wrappers over a rule.
 
 The spectral ball rule pairs Gauss-Legendre in radius (with the s^{m-1}
 Jacobian folded into the weights) with the periodic trapezoid rule on
@@ -42,6 +42,8 @@ __all__ = [
     "MeanRule",
     "ProductRule",
     "SampleRule",
+    "RESOLUTION_CAP",
+    "resolution",
     "mean_rule",
     "ball_mean",
     "box_mean",
@@ -57,6 +59,12 @@ MONTE_CARLO = "monte_carlo"
 
 _MIN_ACCEPTANCE = 1e-4
 _MEAN_BLOCK = 1 << 18  # accepted points per field evaluation in SampleRule.mean
+_PRODUCT_BLOCK = 1 << 16  # nodes per field evaluation in ProductRule.mean
+_FLUX_STEP = 1e-5  # surface_flux's central-difference step, relative to r
+
+# Largest band lambda * size that resolution sizes a product rule for; at
+# the cap a 3-D ball rule has 84 x 141 x 282 fine nodes.
+RESOLUTION_CAP = 120.0
 
 
 @dataclass(frozen=True)
@@ -68,62 +76,57 @@ class MeanValueEstimate:
     seed: int | None = None
 
 
+def resolution(band: float) -> tuple[int, int, int]:
+    """Fine node counts (radial, angular, per box axis) of the product
+    rules for band = lambda * size: a ball's or sphere's radius, or a
+    box's longest side.  By Jacobi-Anger (DLMF 10.12) the field's angular
+    modes of order k > band die off like J_k(band), so the counts grow
+    linearly in the band; the coarse level (2/3 of each count) already
+    brings a plane wave to within 1e-13 of its exact mean, so
+    |fine - coarse| bounds the fine level's error.  ValueError above
+    RESOLUTION_CAP."""
+    t = float(band)
+    if not t <= RESOLUTION_CAP:
+        raise ValueError(
+            f"band lambda * size = {t:g} is above the resolution cap {RESOLUTION_CAP:g}"
+        )
+    return math.ceil(0.55 * t) + 18, 2 * math.ceil(1.05 * t) + 30, math.ceil(0.75 * t) + 14
+
+
 def _sphere_directions(m: int, angular: int, rule: str):
     """Unit directions (n_dir, m) of the periodic trapezoid rule on the
     circle (m = 2), or of the Gauss(polar) x trapezoid(azimuth) product
-    on the sphere (m = 3) together with its polar Gauss weights (None
-    for m = 2)."""
+    on the sphere (m = 3), and their weights, which sum to 1."""
     if m not in (2, 3):
         raise NotImplementedError(f"{rule} supports m in {{2, 3}}, got {m}")
     phi = 2.0 * np.pi * np.arange(angular) / angular
     if m == 2:
-        return np.stack([np.cos(phi), np.sin(phi)], axis=1), None
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(angular, 1.0 / angular)
     z, wz = np.polynomial.legendre.leggauss(max(int(angular) // 2, 4))
     sz = np.sqrt(1.0 - z * z)
-    dirs = np.stack(
-        [
-            np.outer(sz, np.cos(phi)).ravel(),
-            np.outer(sz, np.sin(phi)).ravel(),
-            np.repeat(z, angular),
-        ],
-        axis=1,
-    )
-    return dirs, wz
+    dirs = np.stack([np.outer(sz, np.cos(phi)), np.outer(sz, np.sin(phi)),
+                     np.outer(z, np.ones(angular))], axis=2)
+    return dirs.reshape(-1, 3), np.repeat(0.5 * wz, angular) / angular
 
 
-def _ball_nodes_weights(center: np.ndarray, r: float, radial_nodes: int, angular: int):
-    """Quadrature points (n, m) and weights (n,) for a ball rule."""
-    m = center.size
-    dirs, wz = _sphere_directions(m, angular, "spectral ball rule")
-    s, ws = np.polynomial.legendre.leggauss(int(radial_nodes))
-    s = 0.5 * r * (s + 1.0)  # radius in (0, r)
-    ws = 0.5 * r * ws * s ** (m - 1)
-    wa = np.full(angular, 1.0 / angular) if wz is None else np.repeat(0.5 * wz, angular) / angular
-    pts = center + s[:, None, None] * dirs[None, :, :]  # (radial, n_dir, m)
-    w = ws[:, None] * wa[None, :]
-    return pts.reshape(-1, m), w.ravel()
-
-
-def _box_nodes_weights(lo: np.ndarray, hi: np.ndarray, nodes: int):
-    """Tensor Gauss-Legendre points (n, m) and weights (n,) over a box."""
-    m = lo.size
+def _gauss(a: float, b: float, nodes: int):
+    """Gauss-Legendre nodes and weights on (a, b)."""
     x, w = np.polynomial.legendre.leggauss(int(nodes))
-    axes = [0.5 * (hi[i] - lo[i]) * (x + 1.0) + lo[i] for i in range(m)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * m), indexing="ij")
-    ww = np.ones_like(wgrids[0])
-    for g in wgrids:
-        ww = ww * g
-    return pts, ww.ravel()
+    return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+
+
+def _ball_factors(m: int, r: float, radial_nodes: int, angular: int):
+    """Radial Gauss rule (Jacobian s^{m-1} in its weights) and directions."""
+    s, ws = _gauss(0.0, r, radial_nodes)
+    return [(s, ws * s ** (m - 1)), _sphere_directions(m, angular, "spectral ball rule")]
 
 
 class MeanRule:
     """The volume mean M(., D) of one domain at one resolution.
 
     M is linear, so its nodes or samples do not depend on the integrand:
-    build the rule once and call mean(f) for every field.  Nothing is
-    drawn or built before the first call that needs it.  method is
+    build the rule once and call mean(f) for every field.  A SampleRule
+    draws nothing before the first call that needs it.  method is
     BALL_SPECTRAL or BOX_GAUSS (ProductRule) or MONTE_CARLO (SampleRule).
     """
 
@@ -134,27 +137,35 @@ class MeanRule:
 
 
 class ProductRule(MeanRule):
-    """A ball or box product rule with a fine and a coarse node set.
+    """A ball or box product rule with a fine and a coarse level.
 
-    Means are sum(w f) / sum(w), with identical pairwise reductions top
-    and bottom, so f = 1 gives exactly 1.0; the error estimate is the
-    change from the coarse to the fine set, so smooth integrands report
-    near-zero.
+    A level is the tensor product of its factors, (nodes, weights) pairs:
+    a ball's radial Gauss rule and sphere directions, or a box's Gauss
+    rule per axis; place(*nodes) maps factor nodes, one row per point, to
+    points.  mean forms at most 2^16 points at a time and sums w f and w
+    over the same blocks in the same order, so f = 1 gives exactly 1.0;
+    the error estimate is the change from the coarse to the fine level.
     """
 
-    def __init__(self, method: str, size: int, build):
-        self.method, self.size = method, size
-        self._build = build  # () -> [(points, weights) fine, (points, weights) coarse]
-        self.node_sets = None
+    def __init__(self, method: str, place, levels):
+        self.method, self._place, self.levels = method, place, levels  # [fine, coarse]
 
     def mean(self, f) -> MeanValueEstimate:
-        if self.node_sets is None:
-            self.node_sets = self._build()
-        value, coarse = (
-            float(np.sum(w * np.asarray(f(pts), dtype=float)) / np.sum(w))
-            for pts, w in self.node_sets
-        )
-        return MeanValueEstimate(value, abs(value - coarse), self.method, self.size)
+        value, coarse = (self._level_mean(f, factors) for factors in self.levels)
+        size = math.prod(len(w) for _, w in self.levels[0])
+        return MeanValueEstimate(value, abs(value - coarse), self.method, size)
+
+    def _level_mean(self, f, factors) -> float:
+        shape = tuple(len(w) for _, w in factors)
+        total = math.prod(shape)
+        num = den = 0.0
+        for start in range(0, total, _PRODUCT_BLOCK):
+            idx = np.unravel_index(np.arange(start, min(start + _PRODUCT_BLOCK, total)), shape)
+            w = math.prod(weights[i] for (_, weights), i in zip(factors, idx))
+            pts = self._place(*(nodes[i] for (nodes, _), i in zip(factors, idx)))
+            num += float(np.sum(w * np.asarray(f(pts), dtype=float)))
+            den += float(np.sum(w))
+        return num / den
 
 
 class SampleRule(MeanRule):
@@ -221,13 +232,9 @@ def _ball_rule(center, r, radial_nodes, angular, mc_samples, seed) -> MeanRule:
             stacklevel=3,
         )
         return SampleRule(ball(center, r), mc_samples, seed)
-    levels = ((radial_nodes, angular), (max(radial_nodes // 2, 4), max(angular // 2, 8)))
-    n_dir = angular if m == 2 else max(angular // 2, 4) * angular
-    return ProductRule(
-        BALL_SPECTRAL,
-        radial_nodes * n_dir,
-        lambda: [_ball_nodes_weights(center, r, n, a) for n, a in levels],
-    )
+    levels = ((radial_nodes, angular), (max(2 * radial_nodes // 3, 4), max(2 * angular // 3, 8)))
+    return ProductRule(BALL_SPECTRAL, lambda s, dirs: center + s[:, None] * dirs,
+                       [_ball_factors(m, r, n, a) for n, a in levels])
 
 
 def _box_rule(low, high, nodes) -> MeanRule:
@@ -236,33 +243,26 @@ def _box_rule(low, high, nodes) -> MeanRule:
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise ValueError("box requires low < high componentwise")
     _require_counts(nodes=nodes)
-    levels = (nodes, max(nodes // 2, 4))
-    return ProductRule(
-        BOX_GAUSS,
-        int(nodes) ** lo.size,
-        lambda: [_box_nodes_weights(lo, hi, n) for n in levels],
-    )
+    levels = (int(nodes), max(2 * int(nodes) // 3, 4))
+    return ProductRule(BOX_GAUSS, lambda *axes: np.stack(axes, axis=1),
+                       [[_gauss(a, b, n) for a, b in zip(lo, hi)] for n in levels])
 
 
-def mean_rule(
-    d: Domain,
-    nodes: int = 64,
-    angular: int = 64,
-    box_nodes: int = 32,
-    samples: int = 2_000_000,
-    seed: int = 0,
-) -> MeanRule:
-    """The most accurate rule for d's structure: a ball (m in {2, 3}) or
-    a box, up to translation, gets its product rule; any other domain
-    Monte Carlo with (samples, seed)."""
+def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) -> MeanRule:
+    """The most accurate rule for d's structure at wavenumber lam: a ball
+    (m in {2, 3}) or a box, up to translation, gets its product rule,
+    sized by resolution(lam * radius) or resolution(lam * longest side);
+    any other domain Monte Carlo with (samples, seed)."""
     base, shift = d, np.zeros(d.dimension)
     while isinstance(base, Translate):
         shift = shift + base.by
         base = base.of
     if isinstance(base, Ball) and d.dimension in (2, 3):
-        return _ball_rule(base.center + shift, base.r, nodes, angular, samples, seed)
+        radial, angular, _ = resolution(lam * base.r)
+        return _ball_rule(base.center + shift, base.r, radial, angular, samples, seed)
     if isinstance(base, Box):
-        return _box_rule(base.low + shift, base.high + shift, box_nodes)
+        nodes = resolution(lam * float(np.max(base.high - base.low)))[2]
+        return _box_rule(base.low + shift, base.high + shift, nodes)
     return SampleRule(d, samples, seed)
 
 
@@ -313,12 +313,9 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
 
 def _sphere_points(center: np.ndarray, r: float, angular: int):
     """Surface nodes, unit normals, and surface weights for a circle or sphere."""
-    normals, wz = _sphere_directions(center.size, angular, "surface_flux")
-    if wz is None:
-        w = np.full(angular, 2.0 * np.pi * r / angular)
-    else:
-        w = np.repeat(wz, angular) * (2.0 * np.pi * r * r / angular)
-    return center + r * normals, normals, w
+    normals, w = _sphere_directions(center.size, angular, "surface_flux")
+    area = 2.0 * np.pi * r if center.size == 2 else 4.0 * np.pi * r * r
+    return center + r * normals, normals, area * w
 
 
 def _flux_value(u, center, r, angular, step) -> float:
@@ -329,7 +326,7 @@ def _flux_value(u, center, r, angular, step) -> float:
     return float(w @ dn)
 
 
-def surface_flux(u, center, r: float, angular_resolution: int = 256, step_scale: float = 1e-5) -> float:
+def surface_flux(u, center, r: float, angular_resolution: int = 256) -> float:
     """Outward flux int_{boundary of B_r(center)} du/dn dS.
 
     The normal derivative is a central difference with step 1e-5 * r
@@ -339,12 +336,10 @@ def surface_flux(u, center, r: float, angular_resolution: int = 256, step_scale:
     r = float(r)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
-    return _flux_value(u, center, r, int(angular_resolution), step_scale)
+    return _flux_value(u, center, r, int(angular_resolution), _FLUX_STEP)
 
 
-def surface_flux_error(
-    u, center, r: float, angular_resolution: int = 256, step_scale: float = 1e-5
-) -> float:
+def surface_flux_error(u, center, r: float, angular_resolution: int = 256) -> float:
     """Truncation-error estimate for surface_flux by step halving.
 
     The central quotient has error ~ C h^2, so flux(h) - flux(h/2)
@@ -354,6 +349,6 @@ def surface_flux_error(
     """
     center = np.asarray(center, dtype=float)
     r = float(r)
-    full = _flux_value(u, center, r, int(angular_resolution), step_scale)
-    half = _flux_value(u, center, r, int(angular_resolution), 0.5 * step_scale)
+    full = _flux_value(u, center, r, int(angular_resolution), _FLUX_STEP)
+    half = _flux_value(u, center, r, int(angular_resolution), 0.5 * _FLUX_STEP)
     return 4.0 / 3.0 * abs(full - half)

@@ -34,6 +34,7 @@ from .quadrature import (
     ball_mean,
     box_mean,
     mean_rule,
+    resolution,
     surface_flux,
     surface_flux_error,
 )
@@ -76,6 +77,8 @@ INCONCLUSIVE = "inconclusive"
 
 IDENTITY_TOL_SPECTRAL = 1e-8
 FLUX_REL_TOL = 1e-5
+_RANDOM_WAVES = 8  # seeded random-direction plane waves in default_family
+_MONOTONE_GRID = 10_000  # points of the b_norm monotonicity grid on [0, 10]
 
 
 @dataclass
@@ -203,18 +206,18 @@ class CharacterizationProblem:
     samples: int
 
 
-def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000, seed: int = 0,
-                 nodes: int = 64, box_nodes: int = 32) -> CharacterizationProblem:
-    """The problem and its mean rule: a ball gets nodes radial and
-    angular nodes, a box box_nodes per axis, any other domain one
-    seeded draw of samples points."""
-    return _problems(domain, [lam], x0, samples, seed, nodes, box_nodes)[0]
+def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000,
+                 seed: int = 0) -> CharacterizationProblem:
+    """The problem and its mean rule: a ball or box gets its product rule,
+    sized from lam times its size by quadrature.resolution, any other
+    domain one seeded draw of samples points."""
+    return _problems(domain, [lam], x0, samples, seed)[0]
 
 
-def _problems(domain: Domain, lambdas, x0, samples: int, seed: int, nodes: int,
-              box_nodes: int) -> list[CharacterizationProblem]:
-    """One problem per wavenumber, sharing one rule, one |D| estimate and
-    one j_{m/2,1}."""
+def _problems(domain: Domain, lambdas, x0, samples: int,
+              seed: int) -> list[CharacterizationProblem]:
+    """One problem per wavenumber, sharing one rule (sized for the largest
+    wavenumber), one |D| estimate and one j_{m/2,1}."""
     _require_counts(samples=samples)
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
@@ -226,7 +229,7 @@ def _problems(domain: Domain, lambdas, x0, samples: int, seed: int, nodes: int,
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the domain")
-    rule = mean_rule(domain, nodes, nodes, box_nodes, samples, seed)
+    rule = mean_rule(domain, max(lambdas), samples, seed)
     if domain.analytic_volume is None:
         vol, verr = rule.volume()
     else:
@@ -248,15 +251,14 @@ def check_mean_value_formula(
     u: SolutionField,
     x,
     r: float,
-    nodes: int = 64,
     tolerance: float = IDENTITY_TOL_SPECTRAL,
 ) -> VerificationReport:
     """a_norm(m, lambda r) * u(x) against the volume mean of u over B_r(x),
-    on the ball rule with nodes radial and angular nodes."""
+    on the ball rule sized by resolution(lambda r)."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the mean value formula applies to Helmholtz fields")
     x = np.asarray(x, dtype=float)
-    est = ball_mean(u, x, r, radial_nodes=nodes, angular_resolution=nodes)
+    est = ball_mean(u, x, r, *resolution(u.wavenumber * r)[:2])
     lhs = a_norm(u.dimension, u.wavenumber * r) * u(x)
     return _report(
         "mean_value_formula",
@@ -380,7 +382,7 @@ def check_size_condition(
 # the characterization battery
 
 
-def default_family(p: CharacterizationProblem, seed: int = 0, n_random: int = 8):
+def default_family(p: CharacterizationProblem, seed: int = 0):
     """Radial field at x0, two phases of each axis-aligned plane wave,
     and seeded random-direction plane waves, all at the problem's
     wavenumber."""
@@ -392,7 +394,7 @@ def default_family(p: CharacterizationProblem, seed: int = 0, n_random: int = 8)
         fields.append(plane_wave(m, p.lam, e, 0.0))
         fields.append(plane_wave(m, p.lam, e, 0.5 * math.pi))
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(_RANDOM_WAVES):
         v = rng.normal(size=m)
         v /= np.linalg.norm(v)
         fields.append(plane_wave(m, p.lam, v, float(rng.uniform(0.0, 2.0 * math.pi))))
@@ -567,7 +569,7 @@ def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> 
 # composite bundles
 
 
-def membrane_counterexample(a: float = 1.0, box_nodes: int = 32) -> list[VerificationReport]:
+def membrane_counterexample(a: float = 1.0) -> list[VerificationReport]:
     """The square-membrane bundle showing the size condition is essential.
 
     For the (2,1)/(1,2) eigenfunctions of the square of side a at their
@@ -599,6 +601,7 @@ def membrane_counterexample(a: float = 1.0, box_nodes: int = 32) -> list[Verific
         )
     )
 
+    box_nodes = resolution(lam * a)[2]
     m21 = box_mean(u21, [0.0, 0.0], [a, a], nodes_per_axis=box_nodes)
     m12 = box_mean(u12, [0.0, 0.0], [a, a], nodes_per_axis=box_nodes)
     reports.append(
@@ -613,7 +616,7 @@ def membrane_counterexample(a: float = 1.0, box_nodes: int = 32) -> list[Verific
         )
     )
 
-    problem = make_problem(square, lam, center, box_nodes=box_nodes)
+    problem = make_problem(square, lam, center)
     identity = check_identity(u21, problem, tolerance=1e-12)
     identity.name = "membrane_identity"
     identity.diagnostics["note"] = "0 = 0: both sides vanish at the center"
@@ -659,8 +662,6 @@ def kuran_limit_check(
     d: Domain,
     x0,
     lambdas=(0.3, 0.1, 0.03, 0.01),
-    nodes: int = 64,
-    box_nodes: int = 32,
     samples: int = 2_000_000,
     seed: int = 0,
 ) -> list[VerificationReport]:
@@ -673,7 +674,8 @@ def kuran_limit_check(
     The second report's error bar is the rule's error estimate for the
     mean of u / lambda - (x1 - x0_1) at the smallest lambda (both sides
     are means on one rule) plus the identity's volume_error_term / lambda.
-    Every wavenumber's problem shares one rule, sized as by make_problem.
+    Every wavenumber's problem shares one rule, sized as by make_problem
+    for the largest wavenumber.
     """
     x0 = np.asarray(x0, dtype=float)
     lambdas = [float(l) for l in lambdas]
@@ -682,7 +684,7 @@ def kuran_limit_check(
     if any(l <= 0 for l in lambdas) or any(nxt >= prev for prev, nxt in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
     m = d.dimension
-    problems = _problems(d, lambdas, x0, samples, seed, nodes, box_nodes)
+    problems = _problems(d, lambdas, x0, samples, seed)
     r = problems[0].r
 
     rows = []
@@ -736,23 +738,23 @@ def kuran_limit_check(
     return [kernel_report, identity_report]
 
 
-def flux_identity_check(
-    u: SolutionField, center, r: float, angular_resolution: int = 256
-) -> VerificationReport:
+def flux_identity_check(u: SolutionField, center, r: float) -> VerificationReport:
     """Volume integral of u over a ball against -lambda^{-2} times the
-    boundary flux of du/dn; relative residual tolerance 1e-5."""
+    boundary flux of du/dn; relative residual tolerance 1e-5.  The ball
+    rule and the sphere rule are sized by resolution(lambda r)."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the flux identity applies to Helmholtz fields")
     center = np.asarray(center, dtype=float)
     m = u.dimension
     lam = u.wavenumber
-    est = ball_mean(u, center, r)
+    radial, angular, _ = resolution(lam * r)
+    est = ball_mean(u, center, r, radial, angular)
     vol = math.pi * r * r if m == 2 else 4.0 * math.pi * r**3 / 3.0
     lhs = vol * est.value
-    flux = surface_flux(u, center, r, angular_resolution=angular_resolution)
+    flux = surface_flux(u, center, r, angular_resolution=angular)
     rhs = -flux / lam**2
     scale = max(abs(lhs), abs(rhs), 1e-12)
-    err = surface_flux_error(u, center, r, angular_resolution=angular_resolution) / lam**2
+    err = surface_flux_error(u, center, r, angular_resolution=angular) / lam**2
     err += vol * est.abs_error_estimate
     return _report(
         "flux_identity",
@@ -767,7 +769,7 @@ def flux_identity_check(
             "field": u.kind,
             "flux": flux,
             "relative_residual": (lhs - rhs) / scale,
-            "angular_resolution": angular_resolution,
+            "angular_resolution": angular,
         },
     )
 
@@ -777,14 +779,12 @@ def theorem1_identity_check(
     x0,
     r: float,
     m: int,
-    nodes: int = 64,
     tolerance: float = 1e-8,
-    grid_points: int = 10_000,
 ) -> VerificationReport:
     """Ball form of the modified-equation identity: b_norm(m, mu r)
     against the ball mean of the monotone radial solution, plus the
     strict monotonicity of b_norm that the argument leans on.  The ball
-    rule has nodes radial and angular nodes."""
+    rule is sized by resolution(mu r)."""
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -792,9 +792,9 @@ def theorem1_identity_check(
     if x0.shape != (m,):
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     u = modified_radial_solution(m, mu, x0)
-    est = ball_mean(u, x0, r, radial_nodes=nodes, angular_resolution=nodes)
+    est = ball_mean(u, x0, r, *resolution(mu * r)[:2])
     lhs = b_norm(m, mu * r)
-    grid = np.linspace(0.0, 10.0, grid_points)
+    grid = np.linspace(0.0, 10.0, _MONOTONE_GRID)
     monotone = bool(np.all(np.diff(b_norm(m, grid)) > 0.0))
     rep = _report(
         "theorem1_ball_identity",
@@ -809,7 +809,7 @@ def theorem1_identity_check(
             "mu_r": mu * r,
             "method": est.method,
             "kernel_strictly_increasing": monotone,
-            "grid_points": grid_points,
+            "grid_points": _MONOTONE_GRID,
         },
     )
     if not monotone:

@@ -47,6 +47,16 @@ class TestSpecfun:
         assert code == 64
         assert "error" in err
 
+    def test_kernel_table_matches_sweep(self, capsys):
+        grid = ("--m", "3", "--t-min", "0.5", "--t-max", "50", "--count", "201", "--format", "csv")
+        code, out, _ = run_cli(capsys, "specfun", "a", *grid)
+        assert code == 0
+        table = list(csv.reader(io.StringIO(out)))[1:]
+        code, out, _ = run_cli(capsys, "sweep", *grid)
+        assert code == 0
+        sweep = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[:2] for row in sweep] == table
+
 
 class TestSweep:
     def test_columns_and_endpoints(self, capsys):
@@ -106,22 +116,15 @@ class TestReportsCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
-    def test_nodes_sizes_the_ball_rule(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "identity", "--domain", self.BALL, "--solution", self.PW, "--x0", "0,0",
-            "--nodes", "24",
-        )
-        assert code == 0
-        assert json.loads(out)["diagnostics"]["nodes_or_samples"] == 24 * 24
-        code, out, _ = run_cli(capsys, "membrane", "--a", "1", "--nodes", "20")
-        reps = {r["name"]: r for r in json.loads(out)}
-        assert reps["membrane_identity"]["diagnostics"]["nodes_or_samples"] == 20 * 20
-        # --nodes sizes ball rules only: a box keeps its 32 x 32 nodes
-        square = '{"kind":"box","low":[-0.5,-0.5],"high":[0.5,0.5]}'
-        args = ("characterize", "--domain", square, "--lambda", "1.0", "--x0", "0,0")
-        _, default, _ = run_cli(capsys, *args)
-        _, forty, _ = run_cli(capsys, *args, "--nodes", "40")
-        assert forty == default
+    def test_large_lambda_r_mean_value_passes(self, capsys):
+        # lambda r = 60 in 3-D: the resolution grows with lambda r, so the
+        # theorem holds at a tolerance of 2e-4 and at the default
+        sol = '{"kind":"plane_wave","lambda":60.0,"direction":[0,0.6,0.8],"phase":0.3}'
+        args = ("mean-value", "--solution", sol, "--x0", "0,0,0", "--r", "1")
+        for tol in (("--tol", "2e-4"), ()):
+            code, out, _ = run_cli(capsys, *args, *tol)
+            assert code == 0
+            assert json.loads(out)["verdict"] == "pass"
 
     def test_characterize_ball_consistent(self, capsys):
         code, out, _ = run_cli(
@@ -262,7 +265,6 @@ class TestPlumbing:
         '"b":{"kind":"ball","center":[0.5,0.1],"r":0.25}}'
     )
     RADIAL = '{"kind":"radial","lambda":1.5,"center":[0,0]}'
-    DISK = '{"kind":"ball","center":[0,0],"r":1.0}'
 
     def test_characterize_mc_domain_byte_identical_reruns(self, capsys):
         args = (
@@ -289,26 +291,13 @@ class TestPlumbing:
           '"b":{"kind":"ball","center":[0,0],"r":1.405}}',
           "--solution", '{"kind":"radial","lambda":1.0,"center":[0.999,0.999]}',
           "--x0", "0.999,0.999", "--samples", "200000"), "acceptance rate"),
-        (("mean-value", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "0"),
-         "radial_nodes must be >= 1, got 0"),
-        (("mean-value", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "-2"),
-         "radial_nodes must be >= 1, got -2"),
-        (("identity", "--domain", DISK, "--solution", RADIAL, "--x0", "0,0", "--nodes", "0"),
-         "radial_nodes must be >= 1, got 0"),
-        (("identity", "--domain", DISK, "--solution", RADIAL, "--x0", "0,0", "--nodes", "-2"),
-         "radial_nodes must be >= 1, got -2"),
-        (("characterize", "--domain", DISK, "--lambda", "1.5", "--x0", "0,0", "--nodes", "0"),
-         "radial_nodes must be >= 1, got 0"),
-        (("characterize", "--domain", DISK, "--lambda", "1.5", "--x0", "0,0", "--nodes", "-2"),
-         "radial_nodes must be >= 1, got -2"),
-        (("membrane", "--nodes", "0"), "nodes must be >= 1, got 0"),
-        (("membrane", "--nodes", "-2"), "nodes must be >= 1, got -2"),
-        (("flux", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "0"),
-         "angular_resolution must be >= 1, got 0"),
-        (("flux", "--solution", '{"kind":"radial","lambda":1.0,"center":[0,0,0]}',
-          "--x0", "0,0,0", "--r", "1", "--nodes", "0"), "angular_resolution must be >= 1, got 0"),
-        (("flux", "--solution", RADIAL, "--x0", "0,0", "--r", "1", "--nodes", "-2"),
-         "angular_resolution must be >= 1, got -2"),
+        # a band lambda * size above the resolution cap: ball radius, box side, sphere radius
+        (("mean-value", "--solution", '{"kind":"radial","lambda":200.0,"center":[0,0]}',
+          "--x0", "0,0", "--r", "1"), "band lambda * size = 200 is above the resolution cap 120"),
+        (("characterize", "--domain", '{"kind":"box","low":[0,0],"high":[1,3]}', "--lambda", "41",
+          "--x0", "0.5,0.5"), "band lambda * size = 123 is above the resolution cap 120"),
+        (("flux", "--solution", '{"kind":"radial","lambda":50.0,"center":[0,0,0]}',
+          "--x0", "0,0,0", "--r", "2.5"), "band lambda * size = 125 is above the resolution cap 120"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -316,6 +305,16 @@ class TestPlumbing:
         assert out == ""
         assert err.startswith("helmholtz-means: error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_nodes_flag_is_usage_error(self, capsys):
+        # node counts follow from lambda * size; no subcommand takes --nodes
+        with pytest.raises(SystemExit) as exc:
+            main(["mean-value", "--solution", self.RADIAL, "--x0", "0,0", "--r", "1",
+                  "--nodes", "24"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --nodes 24" in captured.err
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from helmholtz_means.quadrature import (
     mc_integral,
     mc_mean,
     mean_rule,
+    resolution,
     surface_flux,
     surface_flux_error,
 )
@@ -216,33 +217,39 @@ class TestMeanRule:
         u = radial_solution(2, 2.0, [0, 0])
         ref = mc_mean(u, d, samples=100_000, seed=9)
         # |D| first: the points are redrawn from the seed for the mean
-        rule = mean_rule(d, samples=100_000, seed=9)
+        rule = mean_rule(d, 2.0, samples=100_000, seed=9)
         assert rule.method == "monte_carlo"
         assert rule.volume() == volume(d, samples=100_000, seed=9)
         assert rule.accepted is None
         assert rule.mean(u) == ref
         assert rule.mean(u) == ref  # and again on the kept points
         # a mean first: one draw gives both
-        rule = mean_rule(d, samples=100_000, seed=9)
+        rule = mean_rule(d, 2.0, samples=100_000, seed=9)
         assert rule.mean(u) == ref
         assert rule.volume() == volume(d, samples=100_000, seed=9)
 
     def test_product_rules_match_wrappers(self):
+        # the counts follow from lambda times the radius, or the longest side
         u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
-        rule = mean_rule(translate(ball([0.1, 0.0], 0.9), [0.2, -0.3]), nodes=32, angular=48)
+        radial, angular, _ = resolution(3.0 * 0.9)
+        rule = mean_rule(translate(ball([0.1, 0.0], 0.9), [0.2, -0.3]), 3.0)
         assert rule.method == "ball_spectral"
-        assert rule.node_sets is None  # nothing built before the first mean
-        assert rule.mean(u) == ball_mean(u, [0.3, -0.3], 0.9, radial_nodes=32,
-                                         angular_resolution=48)
-        rule = mean_rule(box([0, 0], [1, 2]), box_nodes=20)
+        est = rule.mean(u)
+        assert est == ball_mean(u, [0.3, -0.3], 0.9, radial_nodes=radial,
+                                angular_resolution=angular)
+        assert est.samples_or_nodes == radial * angular
+        nodes = resolution(3.0 * 2.0)[2]
+        rule = mean_rule(box([0, 0], [1, 2]), 3.0)
         assert rule.method == "box_gauss"
-        assert rule.mean(u) == box_mean(u, [0, 0], [1, 2], nodes_per_axis=20)
+        est = rule.mean(u)
+        assert est == box_mean(u, [0, 0], [1, 2], nodes_per_axis=nodes)
+        assert est.samples_or_nodes == nodes * nodes
 
     def test_blocked_mean_equals_unblocked_formula(self):
         # more accepted points than one 2^18-point evaluation block
         d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
         u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
-        rule = mean_rule(d, samples=400_000, seed=9)
+        rule = mean_rule(d, 3.0, samples=400_000, seed=9)
         est = rule.mean(u)
         assert est.samples_or_nodes == len(rule.accepted) > 2**18
         vals = np.asarray(u(rule.accepted), dtype=float)
@@ -253,6 +260,44 @@ class TestMeanRule:
         d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
         with pytest.raises(ValueError, match="samples"):
             mc_mean(lambda p: p[:, 0], d, samples=0)
+
+    def test_product_rule_evaluates_in_blocks(self):
+        # lambda r = 60 on a 3-D ball: about 7e5 fine and coarse nodes,
+        # formed and evaluated at most 2^16 at a time
+        u = plane_wave(3, 60.0, [0.0, 0.6, 0.8], 0.3)
+        calls = []
+
+        def spy(pts):
+            calls.append(len(pts))
+            return u(pts)
+
+        radial, angular, _ = resolution(60.0)
+        est = mean_rule(ball([0.1, 0.2, -0.3], 1.0), 60.0).mean(spy)
+        fine = radial * angular * (angular // 2)
+        assert est.samples_or_nodes == fine
+        coarse_radial, coarse_angular = 2 * radial // 3, 2 * angular // 3
+        assert sum(calls) == fine + coarse_radial * coarse_angular * (coarse_angular // 2)
+        assert len(calls) > 2 and max(calls) <= 2**16
+        assert abs(est.value - a_norm(3, 60.0) * u([0.1, 0.2, -0.3])) <= 1e-14
+        assert est.abs_error_estimate <= 1e-14
+
+
+class TestResolution:
+    def test_counts_grow_with_the_band(self):
+        counts = [resolution(t) for t in (0.0, 1.0, 20.0, 60.0, 120.0)]
+        for lower, higher in zip(counts, counts[1:]):
+            assert all(a <= b for a, b in zip(lower, higher))
+        assert all(isinstance(n, int) and n >= 1 for c in counts for n in c)
+
+    @pytest.mark.parametrize("band", [120.5, 1e6, float("inf"), float("nan")])
+    def test_cap_names_the_band(self, band):
+        with pytest.raises(ValueError, match="above the resolution cap 120"):
+            resolution(band)
+
+    def test_box_band_uses_the_longest_side(self):
+        mean_rule(box([0, 0], [1, 3]), 40.0)
+        with pytest.raises(ValueError, match="band lambda \\* size = 123 "):
+            mean_rule(box([0, 0], [1, 3]), 41.0)
 
 
 class TestSurfaceFlux:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helmholtz_means.geometry import ball, box, custom_domain, difference, translate
-from helmholtz_means.quadrature import ball_mean, box_mean, mc_integral, mc_mean
+from helmholtz_means.quadrature import ball_mean, box_mean, mc_integral, mc_mean, resolution
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
     modified_radial_solution,
@@ -188,6 +188,60 @@ class CountingIndicator:
         return self.inner(pts)
 
 
+PLANE_WAVE_LAMBDA_R = [1.0, 20.0, 40.0, 60.0, 100.0]
+TOLERANCES = [None, 1e-6, 2e-4]
+
+
+def seeded_plane_wave(m, lam, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=m)
+    return plane_wave(m, lam, v / np.linalg.norm(v), float(rng.uniform(0.0, 2.0 * math.pi)))
+
+
+class TestResolutionFromLambdaR:
+    """Plane waves at large lambda r: the theorem never comes out as fail."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("lam_r", PLANE_WAVE_LAMBDA_R)
+    def test_mean_value_formula_passes(self, m, lam_r):
+        r = 0.8
+        u = seeded_plane_wave(m, lam_r / r, seed=int(lam_r) + m)
+        x = np.linspace(-0.3, 0.4, m)
+        for tol in TOLERANCES:
+            kwargs = {} if tol is None else {"tolerance": tol}
+            rep = check_mean_value_formula(u, x, r, **kwargs)
+            assert rep.verdict == PASS, (tol, rep.residual, rep.error_bar)
+            assert abs(rep.residual) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("lam_r", PLANE_WAVE_LAMBDA_R)
+    def test_identity_on_a_ball_passes(self, m, lam_r):
+        c = np.linspace(0.2, -0.1, m)
+        d = translate(ball(np.zeros(m), 1.25), c)
+        u = seeded_plane_wave(m, lam_r / 1.25, seed=10 * int(lam_r) + m)
+        p = make_problem(d, u.wavenumber, c)
+        for tol in TOLERANCES:
+            rep = check_identity(u, p, tolerance=tol)
+            assert rep.verdict == PASS, (tol, rep.residual, rep.error_bar)
+            assert rep.diagnostics["method"] == "ball_spectral"
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("lam_side", PLANE_WAVE_LAMBDA_R)
+    def test_box_mean_matches_sinc_product(self, m, lam_side):
+        # M(cos(lam d.x + phi), box) = Re e^{i(lam d.c + phi)} prod sinc(lam d_k h_k)
+        low, high = -np.linspace(0.5, 0.3, m), np.linspace(0.2, 0.5, m)
+        lam = lam_side / float(np.max(high - low))
+        u = seeded_plane_wave(m, lam, seed=100 * int(lam_side) + m)
+        k, half = lam * np.asarray(u.params["direction"]), 0.5 * (high - low)
+        exact = (np.exp(1j * (k @ (0.5 * (high + low)) + u.params["phase"]))
+                 * np.prod(np.sinc(k * half / math.pi))).real
+        p = make_problem(box(low, high), lam, np.zeros(m))
+        rep = check_identity(u, p)
+        assert rep.diagnostics["method"] == "box_gauss"
+        assert abs(rep.rhs - exact) <= rep.error_bar + 1e-14
+        assert rep.error_bar <= 1e-13
+
+
 class TestSharedRule:
     SAMPLES = 50_000
 
@@ -223,8 +277,9 @@ class TestSharedRule:
         assert count.points == n + 1
 
     def test_make_problem_sizes_every_check(self, monkeypatch):
-        # nodes sizes ball rules (radial and angular), box_nodes box rules;
-        # every identity a check runs reports the problem's rule
+        # resolution(lambda * size) sizes ball rules (radial and angular)
+        # and box rules (per axis), kuran's from its largest lambda; every
+        # identity a check runs reports the problem's rule
         import helmholtz_means.verify as verify
 
         sizes = []
@@ -236,16 +291,19 @@ class TestSharedRule:
 
         monkeypatch.setattr(verify, "check_identity", spy)
         disk, square = ball([0, 0], 1.0), box([-0.5, -0.5], [0.5, 0.5])
-        for d, kwargs, size in [(disk, {"nodes": 24}, 24 * 24), (square, {"box_nodes": 20}, 20 * 20)]:
-            p = make_problem(d, 1.5, [0, 0], **kwargs)
+        disk_size = lambda lam: math.prod(resolution(lam)[:2])
+        square_size = lambda lam: resolution(lam)[2] ** 2
+        for d, count in [(disk, disk_size), (square, square_size)]:
+            size = count(1.5)
+            p = make_problem(d, 1.5, [0, 0])
             assert spy(radial_solution(2, 1.5, [0, 0]), p).diagnostics["nodes_or_samples"] == size
             assert proof_discrepancy(p).diagnostics["nodes_or_samples"] == size
             sizes.clear()
             rep = characterize(p)
             assert sizes == [size] * rep.diagnostics["family_size"]
             sizes.clear()
-            kuran_limit_check(d, [0, 0], **kwargs)
-            assert sizes == [size] * 4
+            kuran_limit_check(d, [0, 0])
+            assert sizes == [count(0.3)] * 4
 
     def test_fresh_problem_holds_no_points(self):
         p = make_problem(self.domain(), 1.5, [0, 0], samples=self.SAMPLES, seed=4)
@@ -343,10 +401,6 @@ class TestSizeCondition:
             check_size_condition(p, budget=0)
         with pytest.raises(ValueError, match="budget"):
             characterize(p, budget=0)
-        with pytest.raises(ValueError, match="radial_nodes must be >= 1, got 0"):
-            make_problem(ball([0, 0], 1.0), 1.0, [0, 0], nodes=0)
-        with pytest.raises(ValueError, match="nodes must be >= 1, got -2"):
-            make_problem(box([0, 0], [1, 1]), 1.0, [0.5, 0.5], box_nodes=-2)
 
     def test_problem_invariants(self):
         p = make_problem(box([0, 0], [1, 1]), 2.0, [0.5, 0.5])
@@ -497,7 +551,7 @@ class TestProofDiscrepancy:
         p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
         rep = proof_discrepancy(p)
         assert rep.diagnostics["method"] == "box_gauss"
-        assert rep.diagnostics["nodes_or_samples"] == 32 * 32
+        assert rep.diagnostics["nodes_or_samples"] == resolution(1.0)[2] ** 2
         assert rep.tolerance == pytest.approx(1e-8 * p.volume)
         assert rep.rhs == pytest.approx(p.volume * a_norm(2, p.r), rel=1e-15)
         removed = {"seed_g_e", "volume_g_i", "volume_g_e", "volume_gap",
@@ -580,6 +634,12 @@ class TestFluxIdentity:
         (plane_wave(3, 1.5, [0, 0, 1], 0.3), [0, 0, 0], 0.8),
         (radial_solution(3, 1.0, [0, 0, 0]), [0, 0, 0], math.pi),
         (plane_wave(2, 0.5, [0, 1], 0.0), [0.2, -0.1], 2.0),
+        # lambda r from 17 to 30: the volume term needs a rule sized from lambda r
+        (plane_wave(2, 17.7657, [-0.22511304302116736, 0.974332652568798], 2.8582),
+         [-0.701, 0.04], 1.17718),
+        (plane_wave(2, 14.6602, [0.9786642875979429, -0.20546584188232117], 3.3003),
+         [-0.46, -0.668], 1.39714),
+        (plane_wave(3, 30.0, [0, 0.6, 0.8], 0.3), [0, 0, 0], 1.0),
     ]
 
     @pytest.mark.parametrize("u,c,r", CASES)
