@@ -5,9 +5,11 @@ Each node owns its indicator, bounding box, analytic volume (None when
 only sampling can give it), kind string, exact enclosing radius about a
 point (None where only sampling can answer), an upper bound on that
 radius (None for custom domains) and its JSON description.
-Boundaries are measure zero and may be classified either way.  Composite
-volumes are estimated by seeded Monte Carlo.  The JSON grammar mirrors
-the constructors:
+Boundaries are measure zero and may be classified either way.  A
+difference whose subtrahend is certified to lie inside its minuend or
+to miss it (certified_relation) has the exact volume |a| - |b| or |a|;
+any other composite volume is estimated by seeded Monte Carlo.  The JSON
+grammar mirrors the constructors:
 
     {"kind": "ball", "center": [...], "r": ...}
     {"kind": "box", "low": [...], "high": [...]}
@@ -35,6 +37,9 @@ __all__ = [
     "Translate",
     "CustomDomain",
     "EstimationError",
+    "DISJOINT",
+    "INSIDE",
+    "certified_relation",
     "ball",
     "box",
     "difference",
@@ -52,6 +57,10 @@ __all__ = [
 
 class EstimationError(RuntimeError):
     """A sampling-based estimate could not be formed."""
+
+
+DISJOINT = "disjoint"  # b misses a
+INSIDE = "inside"  # b lies in a
 
 
 def _vec(x, m: int | None = None) -> np.ndarray:
@@ -162,7 +171,9 @@ class Box(Domain):
 
 @dataclass(frozen=True, eq=False)
 class Difference(Domain):
-    """Set difference a \\ b, boxed by a; its volume is sampled."""
+    """Set difference a \\ b, boxed by a.  Its volume is |a| when b
+    misses a, |a| - |b| when b lies inside a (both as certified_relation
+    certifies them, both volumes analytic), and unknown otherwise."""
 
     a: Domain
     b: Domain
@@ -174,6 +185,23 @@ class Difference(Domain):
     @property
     def bounding_box(self):
         return self.a.bounding_box
+
+    @property
+    def analytic_volume(self) -> float | None:
+        relation = certified_relation(self.a, self.b)
+        va, vb = self.a.analytic_volume, self.b.analytic_volume
+        if relation == DISJOINT:
+            return va
+        if relation == INSIDE and va is not None and vb is not None:
+            return va - vb
+        return None
+
+    def circumradius(self, x0) -> float | None:
+        # closure(a \ b) = closure(a) when b misses a or closure(b) lies
+        # in the open a; a shared face can take a's farthest points away
+        if certified_relation(self.a, self.b, strict=True) is None:
+            return None
+        return self.a.circumradius(x0)
 
     def circumradius_upper(self, x0) -> float | None:
         return self.a.circumradius_upper(x0)  # a \ b lies inside a
@@ -217,6 +245,43 @@ class CustomDomain(Domain):
     description = None
 
 
+def _unwrap(d: Domain) -> tuple[Domain, np.ndarray]:
+    """The node under d's Translate layers and their summed shift."""
+    shift = np.zeros(d.dimension)
+    while isinstance(d, Translate):
+        shift = shift + d.by
+        d = d.of
+    return d, shift
+
+
+def certified_relation(a: Domain, b: Domain, strict: bool = False) -> str | None:
+    """How b lies relative to a, when the nodes' bounds certify it.
+
+    DISJOINT: the bounding boxes do not overlap, or a and b are balls
+    (up to translation) with |c_a - c_b| >= r_a + r_b.  INSIDE: a is a
+    box (up to translation) that contains b's bounding box, or a ball
+    with b.circumradius_upper(c_a) <= r_a; with strict=True these
+    comparisons are strict, so the closure of b lies in the open a.
+    None when neither is certified.
+    """
+    (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box, b.bounding_box
+    if np.any(hi_a <= lo_b) or np.any(hi_b <= lo_a):
+        return DISJOINT
+    within = np.less if strict else np.less_equal
+    base, shift = _unwrap(a)
+    if isinstance(base, Box):
+        return INSIDE if np.all(within(lo_a, lo_b)) and np.all(within(hi_b, hi_a)) else None
+    if isinstance(base, Ball):
+        center = base.center + shift
+        b_base, b_shift = _unwrap(b)
+        if (isinstance(b_base, Ball)
+                and np.linalg.norm(b_base.center + b_shift - center) >= base.r + b_base.r):
+            return DISJOINT
+        upper = b.circumradius_upper(center)
+        return INSIDE if upper is not None and within(upper, base.r) else None
+    return None
+
+
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit ball, 2 pi^{m/2} / (m Gamma(m/2))."""
     if m < 1:
@@ -243,7 +308,8 @@ def box(low, high) -> Box:
 
 
 def difference(a: Domain, b: Domain) -> Difference:
-    """Set difference a \\ b; volume is estimated on demand."""
+    """Set difference a \\ b; its volume is exact where certified_relation
+    certifies how b lies, else estimated on demand."""
     if a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
     return Difference(a, b)
@@ -341,8 +407,9 @@ def circumradius_about(d: Domain, x0, budget: int = 1_000_000, seed: int = 0) ->
 
 
 def exact_circumradius(d: Domain, x0) -> float | None:
-    """Exact sup of |y - x0| over the closure of a ball, a box or a
-    translate of one; None when only sampling can answer."""
+    """Exact sup of |y - x0| over the closure of a ball, a box, a
+    difference whose subtrahend misses its minuend or lies strictly
+    inside it, or a translate of one; None when only sampling can answer."""
     return d.circumradius(_vec(x0, d.dimension))
 
 

@@ -4,6 +4,10 @@ sphere-surface flux integrals.
 A MeanRule is M(., D) for one domain at one resolution; mean_rule picks
 it from the domain's node type and sizes it by resolution(lambda * size),
 and ball_mean, box_mean and mc_mean are one-call wrappers over a rule.
+A difference a \\ b whose subtrahend is certified to lie inside its
+minuend gets the signed sum of the two terms' rules,
+(|a| M(f, a) - |b| M(f, b)) / |a \\ b|, and one whose subtrahend misses
+its minuend gets the minuend's rule.
 
 The spectral ball rule pairs Gauss-Legendre in radius (with the s^{m-1}
 Jacobian folded into the weights) with the periodic trapezoid rule on
@@ -25,16 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    DISJOINT,
     Ball,
     Box,
+    Difference,
     Domain,
     EstimationError,
-    Translate,
     _draw,
     _hit_volume,
     _require_counts,
     _uniform,
+    _unwrap,
     ball,
+    certified_relation,
 )
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "MeanRule",
     "ProductRule",
     "SampleRule",
+    "DifferenceRule",
     "RESOLUTION_CAP",
     "resolution",
     "mean_rule",
@@ -55,6 +63,7 @@ __all__ = [
 
 BALL_SPECTRAL = "ball_spectral"
 BOX_GAUSS = "box_gauss"
+PRODUCT_DIFFERENCE = "product_difference"
 MONTE_CARLO = "monte_carlo"
 
 _MIN_ACCEPTANCE = 1e-4
@@ -127,7 +136,8 @@ class MeanRule:
     M is linear, so its nodes or samples do not depend on the integrand:
     build the rule once and call mean(f) for every field.  A SampleRule
     draws nothing before the first call that needs it.  method is
-    BALL_SPECTRAL or BOX_GAUSS (ProductRule) or MONTE_CARLO (SampleRule).
+    BALL_SPECTRAL or BOX_GAUSS (ProductRule), PRODUCT_DIFFERENCE
+    (DifferenceRule) or MONTE_CARLO (SampleRule).
     """
 
     method: str
@@ -219,22 +229,38 @@ class SampleRule(MeanRule):
         )
 
 
-def _ball_rule(center, r, radial_nodes, angular, mc_samples, seed) -> MeanRule:
-    center = np.asarray(center, dtype=float)
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"ball radius must be > 0, got {r}")
-    _require_counts(radial_nodes=radial_nodes, angular=angular)
-    m = center.size
-    if m not in (2, 3):
-        warnings.warn(
-            f"no spectral ball rule for m = {m}; falling back to Monte Carlo",
-            stacklevel=3,
+class DifferenceRule(MeanRule):
+    """The mean over a \\ b, b inside a, from the terms' rules.
+
+    mean is (|a| M(f, a) - |b| M(f, b)) / |a \\ b| with |a \\ b| = |a| - |b|,
+    so f = 1 gives exactly 1.0, and its error estimate is
+    (|a| err_a + |b| err_b) / |a \\ b|; samples_or_nodes counts the terms'
+    fine nodes.
+    """
+
+    method = PRODUCT_DIFFERENCE
+
+    def __init__(self, volume_a: float, rule_a: MeanRule, volume_b: float, rule_b: MeanRule):
+        self.volume = volume_a - volume_b
+        if not self.volume > 0.0:
+            raise ValueError(f"domain volume must be positive, got {self.volume}")
+        self.volume_a, self.rule_a, self.volume_b, self.rule_b = volume_a, rule_a, volume_b, rule_b
+
+    def mean(self, f) -> MeanValueEstimate:
+        va, vb = self.volume_a, self.volume_b
+        ea, eb = self.rule_a.mean(f), self.rule_b.mean(f)
+        return MeanValueEstimate(
+            (va * ea.value - vb * eb.value) / self.volume,
+            (va * ea.abs_error_estimate + vb * eb.abs_error_estimate) / self.volume,
+            PRODUCT_DIFFERENCE,
+            ea.samples_or_nodes + eb.samples_or_nodes,
         )
-        return SampleRule(ball(center, r), mc_samples, seed)
+
+
+def _ball_rule(center, r, radial_nodes, angular) -> ProductRule:
     levels = ((radial_nodes, angular), (max(2 * radial_nodes // 3, 4), max(2 * angular // 3, 8)))
     return ProductRule(BALL_SPECTRAL, lambda s, dirs: center + s[:, None] * dirs,
-                       [_ball_factors(m, r, n, a) for n, a in levels])
+                       [_ball_factors(center.size, r, n, a) for n, a in levels])
 
 
 def _box_rule(low, high, nodes) -> MeanRule:
@@ -252,18 +278,39 @@ def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) ->
     """The most accurate rule for d's structure at wavenumber lam: a ball
     (m in {2, 3}) or a box, up to translation, gets its product rule,
     sized by resolution(lam * radius) or resolution(lam * longest side);
-    any other domain Monte Carlo with (samples, seed)."""
-    base, shift = d, np.zeros(d.dimension)
-    while isinstance(base, Translate):
-        shift = shift + base.by
-        base = base.of
+    a difference certified by geometry.certified_relation gets its
+    terms' product rules, each sized from its own size, when both terms
+    have one within RESOLUTION_CAP; any other domain Monte Carlo with
+    (samples, seed)."""
+    rule = _product_rule(d, lam)
+    return SampleRule(d, samples, seed) if rule is None else rule
+
+
+def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
+    """The product rule, or signed sum of them, of d shifted by shift;
+    None where only sampling serves.  ValueError for a ball or box above
+    RESOLUTION_CAP."""
+    base, inner = _unwrap(d)
+    shift = shift + inner
     if isinstance(base, Ball) and d.dimension in (2, 3):
         radial, angular, _ = resolution(lam * base.r)
-        return _ball_rule(base.center + shift, base.r, radial, angular, samples, seed)
+        return _ball_rule(base.center + shift, base.r, radial, angular)
     if isinstance(base, Box):
         nodes = resolution(lam * float(np.max(base.high - base.low)))[2]
         return _box_rule(base.low + shift, base.high + shift, nodes)
-    return SampleRule(d, samples, seed)
+    relation = certified_relation(base.a, base.b) if isinstance(base, Difference) else None
+    if relation is None:
+        return None
+    try:
+        rule_a = _product_rule(base.a, lam, shift)
+        if relation == DISJOINT:
+            return rule_a
+        rule_b = _product_rule(base.b, lam, shift)
+    except ValueError:  # a term's band is above RESOLUTION_CAP: sample d instead
+        return None
+    if rule_a is None or rule_b is None:
+        return None
+    return DifferenceRule(base.a.analytic_volume, rule_a, base.b.analytic_volume, rule_b)
 
 
 def ball_mean(
@@ -277,7 +324,18 @@ def ball_mean(
 ) -> MeanValueEstimate:
     """Volume mean of f over B_r(center): the spectral product rule for
     m in {2, 3}, other dimensions Monte Carlo (with a warning)."""
-    return _ball_rule(center, r, radial_nodes, angular_resolution, mc_samples, seed).mean(f)
+    center = np.asarray(center, dtype=float)
+    r = float(r)
+    if r <= 0.0:
+        raise ValueError(f"ball radius must be > 0, got {r}")
+    _require_counts(radial_nodes=radial_nodes, angular=angular_resolution)
+    if center.size not in (2, 3):
+        warnings.warn(
+            f"no spectral ball rule for m = {center.size}; falling back to Monte Carlo",
+            stacklevel=2,
+        )
+        return SampleRule(ball(center, r), mc_samples, seed).mean(f)
+    return _ball_rule(center, r, radial_nodes, angular_resolution).mean(f)
 
 
 def box_mean(f, low, high, nodes_per_axis: int = 32) -> MeanValueEstimate:

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    Difference,
     Domain,
     _radius_of_volume,
     _require_counts,
+    _unwrap,
     box,
     circumradius_about,
     exact_circumradius,
@@ -209,8 +211,9 @@ class CharacterizationProblem:
 def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000,
                  seed: int = 0) -> CharacterizationProblem:
     """The problem and its mean rule: a ball or box gets its product rule,
-    sized from lam times its size by quadrature.resolution, any other
-    domain one seeded draw of samples points."""
+    sized from lam times its size by quadrature.resolution, a certified
+    difference the signed sum of its terms' product rules and its exact
+    |D|, any other domain one seeded draw of samples points."""
     return _problems(domain, [lam], x0, samples, seed)[0]
 
 
@@ -289,9 +292,10 @@ def check_identity(
     Carlo) plus, linearly since |D| comes from the same draw, the shift
     of the lhs under the |D| error bar through r = (|D| / omega_m)^(1/m):
     |u(x0)| |t a_norm(m+2, t) / (m+2)| lambda r volume_error / (m |D|),
-    t = lambda r.  Spectral/Gauss paths default to tolerance 1e-8; Monte
-    Carlo paths to the error bar, with inconclusive rather than fail when
-    the bar dominates.
+    t = lambda r.  Spectral, Gauss and certified-difference paths default
+    to tolerance 1e-8; Monte Carlo paths to the error bar, with
+    inconclusive rather than fail when the bar dominates.  volume_seed is
+    None on a difference whose |D| is exact, as no draw gave it.
     """
     if u.equation != HELMHOLTZ:
         raise ValueError("identity (volume-mean form) applies to Helmholtz fields")
@@ -305,6 +309,8 @@ def check_identity(
     volume_term = (abs(u0) * abs(t * a_norm(m + 2, t) / (m + 2)) * p.lam * p.r
                    * p.volume_error / (m * p.volume))
     error_bar = est.abs_error_estimate + volume_term
+    exact_difference = (isinstance(_unwrap(p.domain)[0], Difference)
+                        and p.domain.analytic_volume is not None)
     if tolerance is None:
         tolerance = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL
     return _report(
@@ -322,7 +328,7 @@ def check_identity(
             "nodes_or_samples": est.samples_or_nodes,
             "volume_error_term": volume_term,
             "seed": est.seed,
-            "volume_seed": p.seed,
+            "volume_seed": None if exact_difference else p.seed,
             "domain_kind": p.domain.kind,
             "hypotheses": "complement connectedness assumed, not verified",
         },
@@ -334,8 +340,9 @@ def check_size_condition(
 ) -> VerificationReport:
     """Containment D within B_{r0}(x0), lambda r0 = j_{m/2,1}.
 
-    Uses exact corner/center arithmetic for balls, boxes and their
-    translates.  Otherwise an upper bound on the enclosing radius (a
+    Uses exact corner/center arithmetic for balls, boxes, differences
+    whose subtrahend misses the minuend or lies strictly inside it, and
+    their translates.  Otherwise an upper bound on the enclosing radius (a
     difference is bounded by its minuend) certifies a pass when it is
     <= r0, with nothing sampled; failing that, the sampled sup of
     |y - x0|, which converges from below (a fail is then certain, a pass
@@ -499,13 +506,14 @@ def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> 
     monotone-increasing kernel (K = b_norm) is used instead and the
     predicted sign flips to positive.
 
-    Error bar: on a product rule |D| |fine - coarse|, with tolerance
-    1e-8 |D|.  On Monte Carlo, tolerance 0 and a 3-sigma bar: when |D|
+    Error bar: on a product rule (or a certified difference's signed sum
+    of them) |D| times the rule's error estimate, with tolerance 1e-8 |D|.
+    On Monte Carlo, tolerance 0 and a 3-sigma bar: when |D|
     came from the rule's draw, the sample error of the linearised
     estimator 1_D (U - U_r) |box| over all drawn points, U_r =
     K(m-2, lambda r) being U on the sphere of radius r, which carries the
-    |D| error through r; when |D| is analytic (a ball in m >= 4),
-    |D| 3 sigma / sqrt(n_accepted).
+    |D| error through r; when |D| is analytic (a ball in m >= 4, or a
+    certified difference that is sampled), |D| 3 sigma / sqrt(n_accepted).
 
     Verdict: pass when the predicted strict sign is resolved beyond the
     bar plus tolerance, inconclusive when the functional is within them

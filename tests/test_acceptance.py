@@ -187,8 +187,9 @@ def test_criterion_9_radial_field_monotone_positive():
 
 def test_criterion_10_monte_carlo_determinism():
     t0 = time.perf_counter()
-    # a box minus a disk has no product rule, so the sign functional is sampled
-    d = difference(box([-0.5, -0.5], [0.5, 0.5]), ball([0.25, 0.1], 0.1))
+    # a box minus a disk that crosses its edge has no product rule, so the
+    # sign functional is sampled
+    d = difference(box([-0.5, -0.5], [0.5, 0.5]), ball([0.5, 0.1], 0.2))
     a, b = (proof_discrepancy(make_problem(d, 1.0, [0.0, 0.0], samples=4_000_000, seed=202))
             for _ in range(2))
     assert a.diagnostics["method"] == "monte_carlo"

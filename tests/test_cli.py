@@ -291,6 +291,11 @@ class TestPlumbing:
           '"b":{"kind":"ball","center":[0,0],"r":1.405}}',
           "--solution", '{"kind":"radial","lambda":1.0,"center":[0.999,0.999]}',
           "--x0", "0.999,0.999", "--samples", "200000"), "acceptance rate"),
+        # a disk minus itself is empty, so no x0 lies in it
+        (("identity", "--domain",
+          '{"kind":"difference","a":{"kind":"ball","center":[0,0],"r":1.0},'
+          '"b":{"kind":"ball","center":[0,0],"r":1.0}}',
+          "--solution", RADIAL, "--x0", "0,0"), "x0 must lie inside the domain"),
         # a band lambda * size above the resolution cap: ball radius, box side, sphere radius
         (("mean-value", "--solution", '{"kind":"radial","lambda":200.0,"center":[0,0]}',
           "--x0", "0,0", "--r", "1"), "band lambda * size = 200 is above the resolution cap 120"),

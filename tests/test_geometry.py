@@ -174,7 +174,14 @@ class TestCircumradius:
         )
         shifted = translate(ball([0, 0], 1.0), [0.3, 0])
         assert exact_circumradius(shifted, [0, 0]) == pytest.approx(1.3, rel=1e-14)
-        assert exact_circumradius(difference(ball([0, 0], 1), ball([0, 0], 0.5)), [0, 0]) is None
+        # closure(B) strictly inside A: A's radius; a shared face or a
+        # tangent B can take A's farthest points away, so only sampling answers
+        assert exact_circumradius(difference(ball([0, 0], 1), ball([0, 0], 0.5)), [0, 0]) == 1.0
+        shared_faces = difference(box([0, 0], [2, 1]), box([1, 0], [2, 1]))
+        assert exact_circumradius(shared_faces, [0.5, 0.5]) is None
+        assert shared_faces.circumradius_upper([0.5, 0.5]) == pytest.approx(math.hypot(1.5, 0.5))
+        tangent = difference(ball([0, 0], 1), ball([0.5, 0], 0.5))
+        assert exact_circumradius(tangent, [-0.5, 0]) is None
         twice = translate(translate(ball([0, 0], 1.0), [0.3, 0]), [0, 0.4])
         assert exact_circumradius(twice, [0, 0]) == pytest.approx(1.5, rel=1e-14)
         square = translate(translate(box([0, 0], [1, 1]), [0.25, 0]), [0, 0.5])

@@ -213,7 +213,7 @@ class TestMonteCarlo:
 
 class TestMeanRule:
     def test_mc_rule_matches_volume_and_mc_mean_bit_for_bit(self):
-        d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
+        d = difference(box([-1, -1], [1, 1]), ball([0.9, 0.2], 0.3))  # crosses x = 1
         u = radial_solution(2, 2.0, [0, 0])
         ref = mc_mean(u, d, samples=100_000, seed=9)
         # |D| first: the points are redrawn from the seed for the mean
@@ -247,7 +247,7 @@ class TestMeanRule:
 
     def test_blocked_mean_equals_unblocked_formula(self):
         # more accepted points than one 2^18-point evaluation block
-        d = difference(box([-1, -1], [1, 1]), ball([0.4, 0.2], 0.3))
+        d = difference(box([-1, -1], [1, 1]), ball([0.9, 0.2], 0.3))  # crosses x = 1
         u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
         rule = mean_rule(d, 3.0, samples=400_000, seed=9)
         est = rule.mean(u)

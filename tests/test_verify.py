@@ -5,8 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from helmholtz_means.geometry import ball, box, custom_domain, difference, translate
-from helmholtz_means.quadrature import ball_mean, box_mean, mc_integral, mc_mean, resolution
+from helmholtz_means.geometry import (
+    DISJOINT,
+    INSIDE,
+    ball,
+    box,
+    certified_relation,
+    custom_domain,
+    difference,
+    equivalent_radius,
+    translate,
+    volume,
+)
+from helmholtz_means.quadrature import (
+    ball_mean,
+    box_mean,
+    mc_integral,
+    mc_mean,
+    mean_rule,
+    resolution,
+)
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
     modified_radial_solution,
@@ -167,7 +185,7 @@ class TestIdentity:
     def test_mc_path_for_composite_domains(self):
         disk = ball([0, 0], 1.0)
         for d in [
-            difference(box([-0.6, -0.6], [0.6, 0.6]), ball([0, 0], 0.25)),
+            difference(box([-0.6, -0.6], [0.6, 0.6]), ball([0.6, 0], 0.25)),  # crosses x = 0.6
             translate(custom_domain(2, disk.indicator, disk.bounding_box), [0.4, 0.4]),
         ]:
             p = make_problem(d, 1.0, [0.4, 0.4], samples=300_000, seed=3)
@@ -196,6 +214,14 @@ def seeded_plane_wave(m, lam, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=m)
     return plane_wave(m, lam, v / np.linalg.norm(v), float(rng.uniform(0.0, 2.0 * math.pi)))
+
+
+def box_plane_wave_mean(u, low, high):
+    """M(cos(lam d.x + phi), box) = Re e^{i(lam d.c + phi)} prod sinc(lam d_k h_k)."""
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    k, half = u.wavenumber * np.asarray(u.params["direction"]), 0.5 * (high - low)
+    return (np.exp(1j * (k @ (0.5 * (high + low)) + u.params["phase"]))
+            * np.prod(np.sinc(k * half / math.pi))).real
 
 
 class TestResolutionFromLambdaR:
@@ -228,13 +254,10 @@ class TestResolutionFromLambdaR:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("lam_side", PLANE_WAVE_LAMBDA_R)
     def test_box_mean_matches_sinc_product(self, m, lam_side):
-        # M(cos(lam d.x + phi), box) = Re e^{i(lam d.c + phi)} prod sinc(lam d_k h_k)
         low, high = -np.linspace(0.5, 0.3, m), np.linspace(0.2, 0.5, m)
         lam = lam_side / float(np.max(high - low))
         u = seeded_plane_wave(m, lam, seed=100 * int(lam_side) + m)
-        k, half = lam * np.asarray(u.params["direction"]), 0.5 * (high - low)
-        exact = (np.exp(1j * (k @ (0.5 * (high + low)) + u.params["phase"]))
-                 * np.prod(np.sinc(k * half / math.pi))).real
+        exact = box_plane_wave_mean(u, low, high)
         p = make_problem(box(low, high), lam, np.zeros(m))
         rep = check_identity(u, p)
         assert rep.diagnostics["method"] == "box_gauss"
@@ -246,7 +269,8 @@ class TestSharedRule:
     SAMPLES = 50_000
 
     def domain(self):
-        return difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25))
+        # the disk crosses the edge x = 1, so the domain is sampled
+        return difference(box([-1, -1], [1, 1]), ball([1.0, 0.1], 0.25))
 
     def test_one_draw_per_call(self):
         # One seeded draw classifies `samples` points for |D| and every
@@ -338,6 +362,131 @@ class TestSharedRule:
         assert rep.diagnostics["volume_error_term"] == 0.0
 
 
+class TestCertifiedDifference:
+    """A \\ B with B certified inside A or clear of it: exact |D| and the
+    signed sum of the terms' product rules."""
+
+    BOX_MINUS_DISK = difference(box([-1, -1], [1, 1]), ball([0.5, 0.2], 0.25))
+    CUBE_LOW, CUBE_SIDE = np.array([0.2, -0.1, 0.1]), 0.4
+    BALL_MINUS_CUBE = difference(ball([0, 0, 0], 1.0), box(CUBE_LOW, CUBE_LOW + CUBE_SIDE))
+
+    def test_certification_table(self):
+        disk = ball([0, 0], 1.0)
+        custom = custom_domain(2, ball([0.2, 0], 0.1).indicator, ([0.1, -0.1], [0.3, 0.1]))
+        square = box([-1, -1], [1, 1])
+        cases = [
+            # (a, b, relation, strictly inside or disjoint)
+            (square, ball([0.5, 0.2], 0.25), INSIDE, True),
+            (ball([0, 0, 0], 1.0), box([0.2, -0.1, 0.1], [0.6, 0.3, 0.5]), INSIDE, True),
+            (box([0, 0], [1, 1]), ball([3, 0], 0.5), DISJOINT, True),
+            (disk, ball([1.3, 1.3], 0.5), DISJOINT, True),  # bounding boxes overlap
+            (square, ball([0.9, 0.2], 0.3), None, False),  # crosses x = 1
+            (square, custom, INSIDE, True),  # its bounding box is inside
+            (disk, custom, None, False),  # no enclosing-radius bound
+            (box([0, 0], [2, 1]), box([1, 0], [2, 1]), INSIDE, False),  # shares three faces
+            (disk, ball([0.5, 0], 0.5), INSIDE, False),  # tangent from inside
+            (ball([0, 0, 0, 0], 1.0), ball([0.1, 0, 0, 0], 0.5), INSIDE, True),
+            (translate(square, [3, 0]), translate(ball([0.5, 0.2], 0.25), [3, 0]), INSIDE, True),
+            (translate(square, [3, 0]), ball([0.5, 0.2], 0.25), DISJOINT, True),
+            (translate(disk, [0.5, 0]), ball([1.2, 0], 0.2), INSIDE, True),
+            (square, difference(ball([0, 0], 0.5), ball([0, 0], 0.2)), INSIDE, True),
+            (difference(square, ball([0, 0], 0.5)), ball([4, 0], 0.5), DISJOINT, True),
+            (difference(square, ball([0, 0], 0.5)), ball([0.7, 0.7], 0.2), None, False),
+        ]
+        for a, b, relation, strict in cases:
+            assert certified_relation(a, b) == relation, (a, b)
+            assert (certified_relation(a, b, strict=True) is not None) == strict, (a, b)
+
+    def test_exact_volume_against_closed_form(self):
+        assert self.BOX_MINUS_DISK.analytic_volume == pytest.approx(4.0 - math.pi / 16, rel=1e-15)
+        assert self.BALL_MINUS_CUBE.analytic_volume == pytest.approx(
+            4.0 * math.pi / 3.0 - 0.4**3, rel=1e-15)
+        disjoint = difference(ball([0, 0], 1.0), ball([1.3, 1.3], 0.5))
+        assert disjoint.analytic_volume == math.pi
+        nested = difference(box([-1, -1], [1, 1]), difference(ball([0, 0], 0.5), ball([0, 0], 0.2)))
+        assert nested.analytic_volume == pytest.approx(4.0 - math.pi * 0.21, rel=1e-15)
+        shifted = translate(self.BOX_MINUS_DISK, [2.0, -1.0])
+        assert volume(shifted) == (self.BOX_MINUS_DISK.analytic_volume, 0.0)
+        for uncertified in (
+            difference(box([-1, -1], [1, 1]), ball([0.9, 0.2], 0.3)),
+            difference(box([-1, -1], [1, 1]),
+                       custom_domain(2, ball([0, 0], 0.2).indicator, ([-0.2, -0.2], [0.2, 0.2]))),
+        ):
+            assert uncertified.analytic_volume is None
+
+    def test_plane_wave_on_box_minus_disk(self):
+        u = plane_wave(2, 7.3, [0.6, 0.8], 0.4)
+        c, rho = np.array([0.5, 0.2]), 0.25
+        v_disk = math.pi * rho * rho
+        exact = ((4.0 * box_plane_wave_mean(u, [-1, -1], [1, 1])
+                  - v_disk * a_norm(2, 7.3 * rho) * u(c)) / (4.0 - v_disk))
+        rule = mean_rule(self.BOX_MINUS_DISK, 7.3)
+        assert rule.method == "product_difference"
+        est = rule.mean(u)
+        assert abs(est.value - exact) <= 1e-12
+        assert est.abs_error_estimate <= 1e-12
+        assert est.seed is None
+        box_nodes = resolution(7.3 * 2.0)[2] ** 2
+        disk_nodes = math.prod(resolution(7.3 * rho)[:2])
+        assert est.samples_or_nodes == box_nodes + disk_nodes
+        assert rule.mean(lambda p: np.ones(len(p))).value == 1.0
+        # a translate of the difference integrates the translated field
+        shifted = mean_rule(translate(self.BOX_MINUS_DISK, [0.3, -0.7]), 7.3)
+        back = shifted.mean(lambda p: u(p - np.array([0.3, -0.7])))
+        assert abs(back.value - exact) <= 1e-12
+
+    def test_plane_wave_on_ball_minus_cube(self):
+        u = plane_wave(3, 5.1, [0.48, 0.6, 0.64], 1.1)
+        v_ball, v_cube = 4.0 * math.pi / 3.0, self.CUBE_SIDE**3
+        m_cube = box_plane_wave_mean(u, self.CUBE_LOW, self.CUBE_LOW + self.CUBE_SIDE)
+        exact = (v_ball * a_norm(3, 5.1) * u(np.zeros(3)) - v_cube * m_cube) / (v_ball - v_cube)
+        est = mean_rule(self.BALL_MINUS_CUBE, 5.1).mean(u)
+        assert est.method == "product_difference"
+        assert abs(est.value - exact) <= 1e-12
+
+    def test_identity_report_is_exact(self):
+        u = radial_solution(2, 1.5, [0, 0])
+        p = make_problem(self.BOX_MINUS_DISK, 1.5, [0, 0], seed=4)
+        assert p.volume == self.BOX_MINUS_DISK.analytic_volume and p.volume_error == 0.0
+        rep = check_identity(u, p)
+        assert rep.diagnostics["method"] == "product_difference"
+        assert rep.diagnostics["volume_error_term"] == 0.0
+        assert rep.diagnostics["seed"] is None and rep.diagnostics["volume_seed"] is None
+        assert rep.tolerance == 1e-8 and rep.error_bar <= 1e-13
+        assert rep.verdict == FAIL  # a square with a bite is not B_r(0)
+        disc = proof_discrepancy(p)
+        assert disc.verdict == PASS and disc.tolerance == pytest.approx(1e-8 * p.volume)
+
+    def test_disjoint_subtrahend_gives_the_ball_report(self):
+        disk = ball([0.1, -0.2], 0.9)
+        far = difference(disk, ball([1.2, 0.9], 0.5))
+        u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
+        assert mean_rule(far, 3.0).mean(u) == mean_rule(disk, 3.0).mean(u)
+        reps = [check_identity(u, make_problem(d, 3.0, [0.1, -0.2])) for d in (disk, far)]
+        numbers = [(r.lhs, r.rhs, r.residual, r.tolerance, r.error_bar, r.verdict) for r in reps]
+        assert numbers[0] == numbers[1]
+
+    def test_empty_difference_has_no_volume(self):
+        disk = ball([0, 0], 1.0)
+        same = difference(disk, ball([0, 0], 1.0))
+        assert same.analytic_volume == 0.0
+        with pytest.raises(ValueError, match="volume must be positive"):
+            mean_rule(same, 1.0)
+        with pytest.raises(ValueError, match="volume must be positive"):
+            equivalent_radius(same)
+
+    def test_term_above_the_cap_is_sampled(self):
+        # lambda * 2 = 140 is above the box's cap, though the disk's band is 17.5
+        rule = mean_rule(self.BOX_MINUS_DISK, 70.0, samples=10_000, seed=1)
+        assert rule.method == "monte_carlo"
+        with pytest.raises(ValueError, match="resolution cap"):
+            mean_rule(box([-1, -1], [1, 1]), 70.0)
+        # a 4-D ball has no product rule, so neither has a difference of two
+        four = difference(ball([0, 0, 0, 0], 1.0), ball([0.1, 0, 0, 0], 0.5))
+        assert four.analytic_volume == pytest.approx(15.0 / 16.0 * math.pi**2 / 2.0, rel=1e-14)
+        assert mean_rule(four, 1.0, samples=10_000, seed=1).method == "monte_carlo"
+
+
 class TestSizeCondition:
     def test_square_fails_with_reference_numbers(self):
         lam = math.pi * math.sqrt(5.0)
@@ -375,13 +524,21 @@ class TestSizeCondition:
 
     def test_upper_bound_certifies_difference(self):
         # A \ B lies in A, so A's enclosing radius 0.7 + 1 = 1.7 bounds it,
-        # and 1.7 <= r0 = 3.83 certifies the pass without sampling; a
-        # translate shifts x0 onto the untranslated tree.
+        # and 1.7 <= r0 = 3.83 certifies the pass without sampling.  It is
+        # exact when closure(B) lies in the open A (the annulus), only a
+        # bound when B touches A's boundary from inside (the tangent disk).
+        # A translate shifts x0 onto the untranslated tree.
         annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
-        cases = [(annulus, [0.7, 0.0]), (translate(annulus, [0.5, -0.2]), [1.2, -0.2])]
-        for d, x0 in cases:
+        tangent = difference(ball([0, 0], 1.0), ball([0.6, 0], 0.4))
+        cases = [
+            (annulus, [0.7, 0.0], "exact"),
+            (translate(annulus, [0.5, -0.2]), [1.2, -0.2], "exact"),
+            (tangent, [-0.7, 0.0], "upper_bound"),
+            (translate(tangent, [0.5, -0.2]), [-0.2, -0.2], "upper_bound"),
+        ]
+        for d, x0, method in cases:
             rep = check_size_condition(make_problem(d, 1.0, x0), budget=200_000, seed=1)
-            assert rep.diagnostics["method"] == "upper_bound"
+            assert rep.diagnostics["method"] == method
             assert rep.diagnostics["budget"] == 0 and rep.diagnostics["seed"] is None
             assert rep.lhs == pytest.approx(1.7, abs=1e-15)
             assert rep.error_bar == 0.0
@@ -508,6 +665,9 @@ class TestProofDiscrepancy:
             proof_discrepancy(p, equation="laplace")
 
     BOX_MINUS_DISK = difference(box([-1, -1], [1, 1]), ball([0.5, 0.2], 0.25))
+    # the same set behind a custom indicator, which only sampling integrates
+    SAMPLED_BOX_MINUS_DISK = custom_domain(2, BOX_MINUS_DISK.indicator,
+                                           BOX_MINUS_DISK.bounding_box)
 
     @pytest.mark.parametrize("equation,field", [
         ("helmholtz", radial_solution), ("modified_helmholtz", modified_radial_solution),
@@ -540,7 +700,8 @@ class TestProofDiscrepancy:
                  - vol * a_norm(2, lam * math.sqrt(vol / math.pi)))
         covered = 0
         for seed in range(1000, 1040):
-            p = make_problem(self.BOX_MINUS_DISK, lam, [0, 0], samples=200_000, seed=seed)
+            p = make_problem(self.SAMPLED_BOX_MINUS_DISK, lam, [0, 0], samples=200_000,
+                             seed=seed)
             rep = proof_discrepancy(p)
             assert rep.diagnostics["method"] == "monte_carlo"
             assert rep.tolerance == 0.0
