@@ -291,11 +291,6 @@ class TestPlumbing:
           '"b":{"kind":"ball","center":[0,0],"r":1.405}}',
           "--solution", '{"kind":"radial","lambda":1.0,"center":[0.999,0.999]}',
           "--x0", "0.999,0.999", "--samples", "200000"), "acceptance rate"),
-        # a disk minus itself is empty, so no x0 lies in it
-        (("identity", "--domain",
-          '{"kind":"difference","a":{"kind":"ball","center":[0,0],"r":1.0},'
-          '"b":{"kind":"ball","center":[0,0],"r":1.0}}',
-          "--solution", RADIAL, "--x0", "0,0"), "x0 must lie inside the domain"),
         # a band lambda * size above the resolution cap: ball radius, box side, sphere radius
         (("mean-value", "--solution", '{"kind":"radial","lambda":200.0,"center":[0,0]}',
           "--x0", "0,0", "--r", "1"), "band lambda * size = 200 is above the resolution cap 120"),
@@ -303,6 +298,11 @@ class TestPlumbing:
           "--x0", "0.5,0.5"), "band lambda * size = 123 is above the resolution cap 120"),
         (("flux", "--solution", '{"kind":"radial","lambda":50.0,"center":[0,0,0]}',
           "--x0", "0,0,0", "--r", "2.5"), "band lambda * size = 125 is above the resolution cap 120"),
+        # a disk minus itself is empty, so no x0 lies in it
+        (("identity", "--domain",
+          '{"kind":"difference","a":{"kind":"ball","center":[0,0],"r":1.0},'
+          '"b":{"kind":"ball","center":[0,0],"r":1.0}}',
+          "--solution", RADIAL, "--x0", "0,0"), "x0 must lie inside the domain"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
