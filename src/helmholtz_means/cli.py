@@ -7,11 +7,15 @@ or validation error, or a sampled estimate that could not be formed.
 Note `membrane` exits 1 by design: the bundle contains the
 size-condition check, and its failure is the point of the
 counterexample.
+
+The parser is built once per process and reused by every main() call;
+each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -84,6 +88,7 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="helmholtz-means", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

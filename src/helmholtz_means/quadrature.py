@@ -22,6 +22,7 @@ fixed (samples, seed) pair reproduces results bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -102,6 +103,16 @@ def resolution(band: float) -> tuple[int, int, int]:
     return math.ceil(0.55 * t) + 18, 2 * math.ceil(1.05 * t) + 30, math.ceil(0.75 * t) + 14
 
 
+@functools.lru_cache(maxsize=256)
+def _leggauss(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per count
+    (Golub-Welsch) and kept read-only; 256 counts hold every count that
+    resolution sizes up to RESOLUTION_CAP, at both levels."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _sphere_directions(m: int, angular: int, rule: str):
     """Unit directions (n_dir, m) of the periodic trapezoid rule on the
     circle (m = 2), or of the Gauss(polar) x trapezoid(azimuth) product
@@ -111,7 +122,7 @@ def _sphere_directions(m: int, angular: int, rule: str):
     phi = 2.0 * np.pi * np.arange(angular) / angular
     if m == 2:
         return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(angular, 1.0 / angular)
-    z, wz = np.polynomial.legendre.leggauss(max(int(angular) // 2, 4))
+    z, wz = _leggauss(max(int(angular) // 2, 4))
     sz = np.sqrt(1.0 - z * z)
     dirs = np.stack([np.outer(sz, np.cos(phi)), np.outer(sz, np.sin(phi)),
                      np.outer(z, np.ones(angular))], axis=2)
@@ -119,8 +130,8 @@ def _sphere_directions(m: int, angular: int, rule: str):
 
 
 def _gauss(a: float, b: float, nodes: int):
-    """Gauss-Legendre nodes and weights on (a, b)."""
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    """Gauss-Legendre nodes and weights on (a, b), as fresh arrays."""
+    x, w = _leggauss(int(nodes))
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
@@ -151,10 +162,17 @@ class ProductRule(MeanRule):
 
     A level is the tensor product of its factors, (nodes, weights) pairs:
     a ball's radial Gauss rule and sphere directions, or a box's Gauss
-    rule per axis; place(*nodes) maps factor nodes, one row per point, to
-    points.  mean forms at most 2^16 points at a time and sums w f and w
-    over the same blocks in the same order, so f = 1 gives exactly 1.0;
-    the error estimate is the change from the coarse to the fine level.
+    rule per axis.  place(*nodes) maps factor nodes that broadcast
+    against each other to an array of points (..., m).  mean takes the
+    level's points in row-major order, at most 2^16 at a time: each
+    block is formed from the rows of the first factor (radial or x
+    nodes) it spans, broadcast against the other factors and sliced to
+    the block, with weights w_0 w_1 ... multiplied left to right.  Where
+    the other factors hold more than 2^16 points, a row is indexed by
+    the first two factors (and so on), so a block never forms more than
+    three blocks' worth of points.  It sums w f and w over the same
+    blocks in the same order, so f = 1 gives exactly 1.0; the error
+    estimate is the change from the coarse to the fine level.
     """
 
     def __init__(self, method: str, place, levels):
@@ -166,13 +184,27 @@ class ProductRule(MeanRule):
         return MeanValueEstimate(value, abs(value - coarse), self.method, size)
 
     def _level_mean(self, f, factors) -> float:
-        shape = tuple(len(w) for _, w in factors)
-        total = math.prod(shape)
+        sizes = [len(w) for _, w in factors]
+        # rows run over the fewest leading factors that leave a row (the
+        # product of the others) within one block; they share axis 0
+        lead = next(j for j in range(1, len(sizes) + 1)
+                    if math.prod(sizes[j:]) <= _PRODUCT_BLOCK)
+        rest = len(sizes) - lead
+        axes = [(-1,) + (1,) * rest] * lead + [
+            (1,) * (1 + i) + (-1,) + (1,) * (rest - 1 - i) for i in range(rest)]
+        nodes = [x.reshape(ax + x.shape[1:]) for (x, _), ax in zip(factors, axes)]
+        weights = [w.reshape(ax) for (_, w), ax in zip(factors, axes)]
+        row, total = math.prod(sizes[lead:]), math.prod(sizes)
         num = den = 0.0
         for start in range(0, total, _PRODUCT_BLOCK):
-            idx = np.unravel_index(np.arange(start, min(start + _PRODUCT_BLOCK, total)), shape)
-            w = math.prod(weights[i] for (_, weights), i in zip(factors, idx))
-            pts = self._place(*(nodes[i] for (nodes, _), i in zip(factors, idx)))
+            stop = min(start + _PRODUCT_BLOCK, total)
+            first = start // row
+            idx = np.unravel_index(np.arange(first, -(-stop // row)), sizes[:lead])
+            cut = slice(start - first * row, stop - first * row)
+            w = math.prod([x[i] for x, i in zip(weights, idx)] + weights[lead:])
+            w = w.reshape(-1)[cut]
+            pts = self._place(*(x[i] for x, i in zip(nodes, idx)), *nodes[lead:])
+            pts = pts.reshape(-1, pts.shape[-1])[cut]
             num += float(np.sum(w * np.asarray(f(pts), dtype=float)))
             den += float(np.sum(w))
         return num / den
@@ -259,7 +291,7 @@ class DifferenceRule(MeanRule):
 
 def _ball_rule(center, r, radial_nodes, angular) -> ProductRule:
     levels = ((radial_nodes, angular), (max(2 * radial_nodes // 3, 4), max(2 * angular // 3, 8)))
-    return ProductRule(BALL_SPECTRAL, lambda s, dirs: center + s[:, None] * dirs,
+    return ProductRule(BALL_SPECTRAL, lambda s, dirs: center + s[..., None] * dirs,
                        [_ball_factors(center.size, r, n, a) for n, a in levels])
 
 
@@ -270,7 +302,7 @@ def _box_rule(low, high, nodes) -> MeanRule:
         raise ValueError("box requires low < high componentwise")
     _require_counts(nodes=nodes)
     levels = (int(nodes), max(2 * int(nodes) // 3, 4))
-    return ProductRule(BOX_GAUSS, lambda *axes: np.stack(axes, axis=1),
+    return ProductRule(BOX_GAUSS, lambda *axes: np.stack(np.broadcast_arrays(*axes), axis=-1),
                        [[_gauss(a, b, n) for a, b in zip(lo, hi)] for n in levels])
 
 

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import EstimationError, _require_keys
+from .quadrature import _leggauss
 from .specfun import a_norm, b_norm, gamma_fn
 
 HELMHOLTZ = "helmholtz"
@@ -176,11 +177,6 @@ def membrane_eigenfunction(i: int, j: int, a: float = 1.0) -> SolutionField:
     )
 
 
-_PEVAL_NODES, _PEVAL_WEIGHTS = np.polynomial.legendre.leggauss(160)
-_PEVAL_THETA = 0.25 * np.pi * (_PEVAL_NODES + 1.0)
-_PEVAL_W = 0.25 * np.pi * _PEVAL_WEIGHTS
-
-
 def poisson_eval(m: int, lam: float, rho, nodes: int = 160):
     """Radial field value at radius rho via the Poisson-type integral
 
@@ -206,12 +202,9 @@ def poisson_eval(m: int, lam: float, rho, nodes: int = 160):
     def rule(n):
         # int_0^1 (1-s^2)^{(m-3)/2} f(s) ds
         #   = int_0^{pi/2} cos(theta)^{m-2} f(sin theta) d(theta)
-        if n == 160:
-            theta, w = _PEVAL_THETA, _PEVAL_W
-        else:
-            x, wx = np.polynomial.legendre.leggauss(int(n))
-            theta = 0.25 * np.pi * (x + 1.0)
-            w = 0.25 * np.pi * wx
+        x, wx = _leggauss(int(n))
+        theta = 0.25 * np.pi * (x + 1.0)
+        w = 0.25 * np.pi * wx
         ct = np.cos(theta) ** (m - 2)
         st = np.sin(theta)
         return c_m * ((w * ct) @ np.cos(lam * np.outer(st, rho_arr)))

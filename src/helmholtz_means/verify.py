@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    Difference,
     Domain,
     _radius_of_volume,
     _require_counts,
-    _unwrap,
     box,
     circumradius_about,
     exact_circumradius,
@@ -295,7 +293,7 @@ def check_identity(
     t = lambda r.  Spectral, Gauss and certified-difference paths default
     to tolerance 1e-8; Monte Carlo paths to the error bar, with
     inconclusive rather than fail when the bar dominates.  volume_seed is
-    None on a difference whose |D| is exact, as no draw gave it.
+    the seed only where |D| came from a draw, None where |D| is exact.
     """
     if u.equation != HELMHOLTZ:
         raise ValueError("identity (volume-mean form) applies to Helmholtz fields")
@@ -309,8 +307,6 @@ def check_identity(
     volume_term = (abs(u0) * abs(t * a_norm(m + 2, t) / (m + 2)) * p.lam * p.r
                    * p.volume_error / (m * p.volume))
     error_bar = est.abs_error_estimate + volume_term
-    exact_difference = (isinstance(_unwrap(p.domain)[0], Difference)
-                        and p.domain.analytic_volume is not None)
     if tolerance is None:
         tolerance = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL
     return _report(
@@ -328,7 +324,7 @@ def check_identity(
             "nodes_or_samples": est.samples_or_nodes,
             "volume_error_term": volume_term,
             "seed": est.seed,
-            "volume_seed": None if exact_difference else p.seed,
+            "volume_seed": p.seed if p.domain.analytic_volume is None else None,
             "domain_kind": p.domain.kind,
             "hypotheses": "complement connectedness assumed, not verified",
         },
@@ -514,6 +510,7 @@ def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> 
     K(m-2, lambda r) being U on the sphere of radius r, which carries the
     |D| error through r; when |D| is analytic (a ball in m >= 4, or a
     certified difference that is sampled), |D| 3 sigma / sqrt(n_accepted).
+    samples and seed are reported on Monte Carlo only, None elsewhere.
 
     Verdict: pass when the predicted strict sign is resolved beyond the
     bar plus tolerance, inconclusive when the functional is within them
@@ -566,8 +563,8 @@ def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> 
             "expected_sign": "negative" if expected_sign < 0 else "positive",
             "method": est.method,
             "nodes_or_samples": est.samples_or_nodes,
-            "samples": p.samples,
-            "seed": p.seed,
+            "samples": p.samples if est.method == MONTE_CARLO else None,
+            "seed": p.seed if est.method == MONTE_CARLO else None,
         },
         verdict=verdict,
     )

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from helmholtz_means import cli
 from helmholtz_means.cli import main
 
 
@@ -320,6 +321,35 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --nodes 24" in captured.err
+
+    def test_parser_built_once_keeps_calls_apart(self, capsys):
+        # one parser serves every call in the process; no call sees
+        # another's flags, and a usage error or --help leaves it intact
+        assert cli._build_parser() is cli._build_parser()
+        sampled = ('{"kind":"difference","a":{"kind":"box","low":[-1,-1],"high":[1,1]},'
+                   '"b":{"kind":"ball","center":[0.9,0.1],"r":0.25}}')  # crosses x = 1
+        plain = ("identity", "--domain", sampled, "--solution", self.RADIAL, "--x0", "0,0",
+                 "--samples", "20000")
+        flagged = plain + ("--tol", "0.5", "--seed", "9")
+        calls = [plain, ("identity", "--tol", "0.5"), ("--help",), flagged]
+
+        def run(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [run(argv) for argv in calls]
+        assert [code for code, _, _ in first[1:3]] == [64, 0]
+        assert first[1][1] == "" and "required" in first[1][2]
+        assert first[2][1].startswith("usage: helmholtz-means") and first[2][2] == ""
+        plain_rep, flagged_rep = json.loads(first[0][1]), json.loads(first[3][1])
+        assert plain_rep["diagnostics"]["method"] == "monte_carlo"
+        assert plain_rep["tolerance"] != 0.5 and plain_rep["diagnostics"]["seed"] == 0
+        assert flagged_rep["tolerance"] == 0.5 and flagged_rep["diagnostics"]["seed"] == 9
+        assert [run(argv) for argv in calls] == first
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,10 @@ from helmholtz_means.geometry import (
     volume,
 )
 from helmholtz_means.quadrature import (
+    _ball_rule,
+    _box_rule,
+    _gauss,
+    _leggauss,
     ball_mean,
     box_mean,
     mc_integral,
@@ -280,6 +284,55 @@ class TestMeanRule:
         assert len(calls) > 2 and max(calls) <= 2**16
         assert abs(est.value - a_norm(3, 60.0) * u([0.1, 0.2, -0.3])) <= 1e-14
         assert est.abs_error_estimate <= 1e-14
+
+    @pytest.mark.parametrize("m, build", [
+        # rows of 500, 12168 and 4900 points cross the 2^16-point block
+        # edges, and no level's size is a multiple of 2^16; 520 angular
+        # nodes give 135200 directions, more than a block, on the fine level
+        (2, lambda: _ball_rule(np.array([0.1, -0.2]), 0.8, 300, 500)),
+        (3, lambda: mean_rule(ball([0.1, 0.2, -0.3], 1.0), 60.0)),
+        (3, lambda: _box_rule([0, -1, 0.5], [1, 1, 2], 70)),
+        (3, lambda: _ball_rule(np.array([0.1, 0.2, -0.3]), 1.0, 6, 520)),
+    ], ids=["ball_2d", "ball_3d_lambda_r_60", "box_3d", "ball_3d_directions_above_a_block"])
+    def test_level_mean_matches_gathered_blocks(self, m, build):
+        # reference: each block gathered point by point from unravelled
+        # flat indices, weights multiplied left to right
+        rule = build()
+        u = plane_wave(m, 7.0, np.full(m, 1.0 / math.sqrt(m)), 0.3)
+        for factors in rule.levels:
+            shape = tuple(len(w) for _, w in factors)
+            total = math.prod(shape)
+            assert total > 2**16 and total % 2**16
+            blocks, ref_blocks, num, den = [], [], 0.0, 0.0
+            for start in range(0, total, 2**16):
+                idx = np.unravel_index(np.arange(start, min(start + 2**16, total)), shape)
+                w = math.prod(weights[i] for (_, weights), i in zip(factors, idx))
+                pts = rule._place(*(nodes[i] for (nodes, _), i in zip(factors, idx)))
+                ref_blocks.append(pts)
+                num += float(np.sum(w * np.asarray(u(pts), dtype=float)))
+                den += float(np.sum(w))
+
+            def spy(pts):
+                blocks.append(pts.copy())
+                return u(pts)
+
+            assert rule._level_mean(spy, factors) == num / den
+            assert len(blocks) == len(ref_blocks)
+            assert all(np.array_equal(a, b) for a, b in zip(blocks, ref_blocks))
+
+    def test_gauss_nodes_are_memoised_read_only(self):
+        x, w = _leggauss(24)
+        assert _leggauss(24)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # _gauss maps the table into fresh arrays; writing them leaves it intact
+        s, ws = _gauss(-1.0, 1.0, 24)
+        assert s is not x and ws is not w and s.flags.writeable
+        s[0] = ws[0] = 5.0
+        assert np.array_equal(_leggauss(24)[0], ref_x) and np.array_equal(_leggauss(24)[1], ref_w)
 
 
 class TestResolution:

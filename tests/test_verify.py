@@ -160,9 +160,10 @@ class TestIdentity:
         # square, about its own center, gives the same residual.
         square = box([-0.5, -0.5], [0.5, 0.5])
         for d, x0 in [(square, [0, 0]), (translate(square, [0.2, 0.1]), [0.2, 0.1])]:
-            p = make_problem(d, 1.0, x0)
+            p = make_problem(d, 1.0, x0, seed=5)
             rep = check_identity(radial_solution(2, 1.0, x0), p)
             assert rep.diagnostics["method"] == "box_gauss"
+            assert rep.diagnostics["seed"] is None and rep.diagnostics["volume_seed"] is None
             assert rep.verdict == FAIL
             assert rep.residual == pytest.approx(0.0017991489101022, abs=1e-10)
 
@@ -177,8 +178,10 @@ class TestIdentity:
         nested = translate(translate(ball([0.1, -0.2], 1.0), [0.3, 0.0]), [-0.1, 0.5])
         for d, c in [(translate(ball([0, 0], 1.0), [0.3, 0.0]), [0.3, 0.0]), (nested, [0.3, 0.3])]:
             u = radial_solution(2, 1.0, c)
-            rep = check_identity(u, make_problem(d, 1.0, c))
+            rep = check_identity(u, make_problem(d, 1.0, c, seed=5))
             assert rep.diagnostics["method"] == "ball_spectral"
+            # nothing is drawn on a ball: no seed is printed
+            assert rep.diagnostics["seed"] is None and rep.diagnostics["volume_seed"] is None
             assert rep.verdict == PASS
             assert rep.rhs == pytest.approx(ball_mean(u, c, 1.0).value, abs=1e-14)
 
@@ -191,6 +194,7 @@ class TestIdentity:
             p = make_problem(d, 1.0, [0.4, 0.4], samples=300_000, seed=3)
             rep = check_identity(plane_wave(2, 1.0, [1, 0], 0.0), p)
             assert rep.diagnostics["method"] == "monte_carlo"
+            assert rep.diagnostics["seed"] == rep.diagnostics["volume_seed"] == 3
             assert rep.verdict in (PASS, FAIL, INCONCLUSIVE)
 
 
@@ -704,14 +708,16 @@ class TestProofDiscrepancy:
                              seed=seed)
             rep = proof_discrepancy(p)
             assert rep.diagnostics["method"] == "monte_carlo"
+            assert rep.diagnostics["samples"] == 200_000 and rep.diagnostics["seed"] == seed
             assert rep.tolerance == 0.0
             covered += abs(rep.residual - exact) <= rep.error_bar
         assert covered >= 38
 
     def test_product_rule_bar_and_volume_diagnostics(self):
-        p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0])
+        p = make_problem(box([-0.5, -0.5], [0.5, 0.5]), 1.0, [0, 0], seed=5)
         rep = proof_discrepancy(p)
         assert rep.diagnostics["method"] == "box_gauss"
+        assert rep.diagnostics["samples"] is None and rep.diagnostics["seed"] is None
         assert rep.diagnostics["nodes_or_samples"] == resolution(1.0)[2] ** 2
         assert rep.tolerance == pytest.approx(1e-8 * p.volume)
         assert rep.rhs == pytest.approx(p.volume * a_norm(2, p.r), rel=1e-15)
