@@ -1,5 +1,5 @@
 """Volume means M(f, D), ball/box product rules, seeded Monte Carlo, and
-sphere-surface flux integrals.
+sphere-surface flux integrals of closed-form gradients.
 
 A MeanRule is M(., D) for one domain at one resolution; mean_rule picks
 it from the domain's node type and sizes it by resolution(lambda * size),
@@ -70,7 +70,6 @@ MONTE_CARLO = "monte_carlo"
 _MIN_ACCEPTANCE = 1e-4
 _MEAN_BLOCK = 1 << 18  # accepted points per field evaluation in SampleRule.mean
 _PRODUCT_BLOCK = 1 << 16  # nodes per field evaluation in ProductRule.mean
-_FLUX_STEP = 1e-5  # surface_flux's central-difference step, relative to r
 
 # Largest band lambda * size that resolution sizes a product rule for; at
 # the cap a 3-D ball rule has 84 x 141 x 282 fine nodes.
@@ -401,44 +400,29 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
     return (integral, ierr3) + _hit_volume(d, keep)
 
 
-def _sphere_points(center: np.ndarray, r: float, angular: int):
-    """Surface nodes, unit normals, and surface weights for a circle or sphere."""
-    normals, w = _sphere_directions(center.size, angular, "surface_flux")
-    area = 2.0 * np.pi * r if center.size == 2 else 4.0 * np.pi * r * r
-    return center + r * normals, normals, area * w
-
-
-def _flux_value(u, center, r, angular, step) -> float:
-    _require_counts(angular_resolution=angular)
-    pts, normals, w = _sphere_points(center, r, angular)
-    h = step * r
-    dn = (np.asarray(u(pts + h * normals)) - np.asarray(u(pts - h * normals))) / (2.0 * h)
-    return float(w @ dn)
-
-
-def surface_flux(u, center, r: float, angular_resolution: int = 256) -> float:
-    """Outward flux int_{boundary of B_r(center)} du/dn dS.
-
-    The normal derivative is a central difference with step 1e-5 * r
-    along the radial direction.  Circles and spheres only.
-    """
-    center = np.asarray(center, dtype=float)
-    r = float(r)
+def _flux(grad, center, r: float, angular: int) -> float:
+    """int grad . n dS over the sphere |x - center| = r on the sphere rule."""
+    center, r = np.asarray(center, dtype=float), float(r)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
-    return _flux_value(u, center, r, int(angular_resolution), _FLUX_STEP)
+    _require_counts(angular_resolution=angular)
+    normals, w = _sphere_directions(center.size, angular, "surface_flux")
+    area = 2.0 * np.pi * r if center.size == 2 else 4.0 * np.pi * r * r
+    dn = np.einsum("ij,ij->i", np.asarray(grad(center + r * normals)), normals)
+    return area * float(w @ dn)
 
 
-def surface_flux_error(u, center, r: float, angular_resolution: int = 256) -> float:
-    """Truncation-error estimate for surface_flux by step halving.
-
-    The central quotient has error ~ C h^2, so flux(h) - flux(h/2)
-    amounts to 3/4 of the error at h; 4/3 of the gap bounds it.  (A
-    one-sided-vs-central gap would instead track the O(h) one-sided
-    error, about 1/h too pessimistic for this bar.)
+def surface_flux(grad, center, r: float, angular_resolution: int = 256) -> float:
+    """Outward flux int_{boundary of B_r(center)} grad . n dS of a vector
+    field grad, (n, m) points to (n, m) values (a field's closed-form
+    gradient gives the flux of du/dn), on the sphere-direction rule.
+    Circles and spheres only.
     """
-    center = np.asarray(center, dtype=float)
-    r = float(r)
-    full = _flux_value(u, center, r, int(angular_resolution), _FLUX_STEP)
-    half = _flux_value(u, center, r, int(angular_resolution), 0.5 * _FLUX_STEP)
-    return 4.0 / 3.0 * abs(full - half)
+    return _flux(grad, center, r, int(angular_resolution))
+
+
+def surface_flux_error(grad, center, r: float, angular_resolution: int = 256) -> float:
+    """|fine - coarse| of surface_flux's rule, the coarse level having
+    max(2 angular_resolution // 3, 8) directions as in the ball rule."""
+    angular = int(angular_resolution)
+    return abs(_flux(grad, center, r, angular) - _flux(grad, center, r, max(2 * angular // 3, 8)))

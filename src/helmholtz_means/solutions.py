@@ -7,7 +7,8 @@ b_norm(m-2, mu|x - c|).
 
 Every generator returns a SolutionField that evaluates on single points
 or (n, m) batches and is an entire function of R^m, so it satisfies its
-equation on any dilated copy of a bounded domain without clipping.
+equation on any dilated copy of a bounded domain without clipping; its
+gradient maps (n, m) points to (n, m) values in closed form.
 helmholtz_residual provides the finite-difference self-check.
 """
 
@@ -46,6 +47,7 @@ class SolutionField:
     wavenumber: float
     equation: str  # HELMHOLTZ or MODIFIED_HELMHOLTZ
     evaluate: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]  # (n, m) points -> (n, m)
     kind: str
     params: dict = field(default_factory=dict)
 
@@ -81,11 +83,15 @@ def plane_wave(m: int, lam: float, direction, phase: float = 0.0) -> SolutionFie
     def evaluate(pts):
         return np.cos(lam * (pts @ d) + phase)
 
+    def gradient(pts):
+        return -lam * np.sin(lam * (pts @ d) + phase)[:, None] * d
+
     return SolutionField(
         dimension=m,
         wavenumber=lam,
         equation=HELMHOLTZ,
         evaluate=evaluate,
+        gradient=gradient,
         kind="plane_wave",
         params={"lambda": lam, "direction": [float(v) for v in d], "phase": phase},
     )
@@ -95,52 +101,50 @@ def radial_solution(m: int, lam: float, center) -> SolutionField:
     """U(x) = a_norm(m-2, lam |x - center|); U(center) = 1.
 
     Solves the Helmholtz equation on all of R^m; decreasing while
-    lam |x - center| stays below the first zero of J_{m/2}.
+    lam |x - center| stays below the first zero of J_{m/2}.  Its gradient
+    is -(lam^2 / m) a_norm(m, lam rho) (x - center), since
+    d/dt a_norm(m-2, t) = -(t / m) a_norm(m, t) (DLMF 10.6).
     """
     lam = _check_wavenumber(lam, "lambda")
-    c = np.asarray(center, dtype=float)
-    if c.shape != (m,):
-        raise ValueError(f"center must have shape ({m},), got {c.shape}")
-    if m < 2:
-        raise ValueError(f"dimension must be >= 2, got {m}")
-
-    def evaluate(pts):
-        d = pts - c
-        rho = np.sqrt(np.einsum("ij,ij->i", d, d))
-        return a_norm(m - 2, lam * rho)
-
-    return SolutionField(
-        dimension=m,
-        wavenumber=lam,
-        equation=HELMHOLTZ,
-        evaluate=evaluate,
-        kind="radial",
-        params={"lambda": lam, "center": [float(v) for v in c]},
-    )
+    return _radial_field(m, lam, center, a_norm, -1.0, HELMHOLTZ, "radial", "lambda")
 
 
 def modified_radial_solution(m: int, mu: float, center) -> SolutionField:
     """u(x) = b_norm(m-2, mu |x - center|): positive, radially increasing,
-    solves the modified equation on all of R^m."""
+    solves the modified equation on all of R^m.  Its gradient is
+    +(mu^2 / m) b_norm(m, mu rho) (x - center)."""
     mu = _check_wavenumber(mu, "mu")
+    return _radial_field(m, mu, center, b_norm, 1.0, MODIFIED_HELMHOLTZ, "modified_radial", "mu")
+
+
+def _radial_field(m, k, center, kernel, sign, equation, kind, name) -> SolutionField:
+    """kernel(m-2, k rho), rho = |x - center|, with gradient
+    sign (k^2 / m) kernel(m, k rho) (x - center)."""
     c = np.asarray(center, dtype=float)
     if c.shape != (m,):
         raise ValueError(f"center must have shape ({m},), got {c.shape}")
     if m < 2:
         raise ValueError(f"dimension must be >= 2, got {m}")
 
-    def evaluate(pts):
+    def offsets(pts):
         d = pts - c
-        rho = np.sqrt(np.einsum("ij,ij->i", d, d))
-        return b_norm(m - 2, mu * rho)
+        return d, np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    def evaluate(pts):
+        return kernel(m - 2, k * offsets(pts)[1])
+
+    def gradient(pts):
+        d, rho = offsets(pts)
+        return (sign * k * k / m) * kernel(m, k * rho)[:, None] * d
 
     return SolutionField(
         dimension=m,
-        wavenumber=mu,
-        equation=MODIFIED_HELMHOLTZ,
+        wavenumber=k,
+        equation=equation,
         evaluate=evaluate,
-        kind="modified_radial",
-        params={"mu": mu, "center": [float(v) for v in c]},
+        gradient=gradient,
+        kind=kind,
+        params={name: k, "center": [float(v) for v in c]},
     )
 
 
@@ -167,11 +171,17 @@ def membrane_eigenfunction(i: int, j: int, a: float = 1.0) -> SolutionField:
     def evaluate(pts):
         return _sinpi(i * pts[:, 0] / a) * _sinpi(j * pts[:, 1] / a)
 
+    def gradient(pts):
+        x, y = i * pts[:, 0] / a, j * pts[:, 1] / a
+        return (np.pi / a) * np.stack([i * np.cos(np.pi * x) * _sinpi(y),
+                                       j * _sinpi(x) * np.cos(np.pi * y)], axis=1)
+
     return SolutionField(
         dimension=2,
         wavenumber=float(lam),
         equation=HELMHOLTZ,
         evaluate=evaluate,
+        gradient=gradient,
         kind="membrane",
         params={"i": i, "j": j, "a": a},
     )

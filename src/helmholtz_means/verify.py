@@ -24,6 +24,7 @@ from .geometry import (
     Domain,
     _radius_of_volume,
     _require_counts,
+    ball,
     box,
     circumradius_about,
     exact_circumradius,
@@ -31,8 +32,6 @@ from .geometry import (
 from .quadrature import (
     MONTE_CARLO,
     MeanRule,
-    ball_mean,
-    box_mean,
     mean_rule,
     resolution,
     surface_flux,
@@ -255,11 +254,10 @@ def check_mean_value_formula(
     tolerance: float = IDENTITY_TOL_SPECTRAL,
 ) -> VerificationReport:
     """a_norm(m, lambda r) * u(x) against the volume mean of u over B_r(x),
-    on the ball rule sized by resolution(lambda r)."""
+    on mean_rule(B_r(x), lambda)."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the mean value formula applies to Helmholtz fields")
-    x = np.asarray(x, dtype=float)
-    est = ball_mean(u, x, r, *resolution(u.wavenumber * r)[:2])
+    est = mean_rule(ball(x, r), u.wavenumber).mean(u)
     lhs = a_norm(u.dimension, u.wavenumber * r) * u(x)
     return _report(
         "mean_value_formula",
@@ -606,9 +604,8 @@ def membrane_counterexample(a: float = 1.0) -> list[VerificationReport]:
         )
     )
 
-    box_nodes = resolution(lam * a)[2]
-    m21 = box_mean(u21, [0.0, 0.0], [a, a], nodes_per_axis=box_nodes)
-    m12 = box_mean(u12, [0.0, 0.0], [a, a], nodes_per_axis=box_nodes)
+    problem = make_problem(square, lam, center)
+    m21, m12 = problem.rule.mean(u21), problem.rule.mean(u12)
     reports.append(
         _report(
             "membrane_zero_mean",
@@ -621,7 +618,6 @@ def membrane_counterexample(a: float = 1.0) -> list[VerificationReport]:
         )
     )
 
-    problem = make_problem(square, lam, center)
     identity = check_identity(u21, problem, tolerance=1e-12)
     identity.name = "membrane_identity"
     identity.diagnostics["note"] = "0 = 0: both sides vanish at the center"
@@ -737,7 +733,7 @@ def kuran_limit_check(
             "harmonic_residual": harmonic.value,
             "harmonic_note": "M(x1 - x0_1, D); zero for any x0-centered-symmetric domain",
             "table": id_rows,
-            "seed": seed,
+            "seed": seed if rule.method == MONTE_CARLO else None,
         },
     )
     return [kernel_report, identity_report]
@@ -745,22 +741,22 @@ def kuran_limit_check(
 
 def flux_identity_check(u: SolutionField, center, r: float) -> VerificationReport:
     """Volume integral of u over a ball against -lambda^{-2} times the
-    boundary flux of du/dn; relative residual tolerance 1e-5.  The ball
-    rule and the sphere rule are sized by resolution(lambda r)."""
+    boundary flux of u's closed-form gradient; relative residual
+    tolerance 1e-5.  The volume mean is mean_rule(B_r(center), lambda)'s,
+    and the sphere rule has resolution(lambda r)'s angular count; the
+    error bar adds the two rules' |fine - coarse|."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the flux identity applies to Helmholtz fields")
-    center = np.asarray(center, dtype=float)
-    m = u.dimension
+    d = ball(center, r)
     lam = u.wavenumber
-    radial, angular, _ = resolution(lam * r)
-    est = ball_mean(u, center, r, radial, angular)
-    vol = math.pi * r * r if m == 2 else 4.0 * math.pi * r**3 / 3.0
-    lhs = vol * est.value
-    flux = surface_flux(u, center, r, angular_resolution=angular)
+    angular = resolution(lam * r)[1]
+    est = mean_rule(d, lam).mean(u)
+    lhs = d.analytic_volume * est.value
+    flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular)
     rhs = -flux / lam**2
     scale = max(abs(lhs), abs(rhs), 1e-12)
-    err = surface_flux_error(u, center, r, angular_resolution=angular) / lam**2
-    err += vol * est.abs_error_estimate
+    err = surface_flux_error(u.gradient, d.center, r, angular_resolution=angular) / lam**2
+    err += d.analytic_volume * est.abs_error_estimate
     return _report(
         "flux_identity",
         lhs,
@@ -768,7 +764,7 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
         FLUX_REL_TOL * scale,
         err,
         {
-            "m": m,
+            "m": u.dimension,
             "lambda": lam,
             "r": r,
             "field": u.kind,
@@ -787,9 +783,9 @@ def theorem1_identity_check(
     tolerance: float = 1e-8,
 ) -> VerificationReport:
     """Ball form of the modified-equation identity: b_norm(m, mu r)
-    against the ball mean of the monotone radial solution, plus the
-    strict monotonicity of b_norm that the argument leans on.  The ball
-    rule is sized by resolution(mu r)."""
+    against the ball mean of the monotone radial solution on
+    mean_rule(B_r(x0), mu), plus the strict monotonicity of b_norm that
+    the argument leans on."""
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -797,7 +793,7 @@ def theorem1_identity_check(
     if x0.shape != (m,):
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     u = modified_radial_solution(m, mu, x0)
-    est = ball_mean(u, x0, r, *resolution(mu * r)[:2])
+    est = mean_rule(ball(x0, r), mu).mean(u)
     lhs = b_norm(m, mu * r)
     grid = np.linspace(0.0, 10.0, _MONOTONE_GRID)
     monotone = bool(np.all(np.diff(b_norm(m, grid)) > 0.0))

@@ -126,6 +126,16 @@ class TestReportsCommands:
             code, out, _ = run_cli(capsys, *args, *tol)
             assert code == 0
             assert json.loads(out)["verdict"] == "pass"
+        # a 4-D ball has no product rule, so the resolution cap does not
+        # apply at lambda r = 130: it is sampled, and its bar covers the
+        # residual instead of a usage error
+        sol = '{"kind":"plane_wave","lambda":130.0,"direction":[0,0,0.6,0.8],"phase":0.3}'
+        code, out, _ = run_cli(capsys, "mean-value", "--solution", sol, "--x0", "0,0,0,0",
+                               "--r", "1")
+        rep = json.loads(out)
+        assert code == 2 and rep["verdict"] == "inconclusive"
+        assert rep["diagnostics"]["method"] == "monte_carlo"
+        assert abs(rep["residual"]) <= rep["error_bar"]
 
     def test_characterize_ball_consistent(self, capsys):
         code, out, _ = run_cli(

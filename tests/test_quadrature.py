@@ -355,27 +355,21 @@ class TestResolution:
 
 class TestSurfaceFlux:
     def test_constant_field_zero_flux(self):
-        class Const:
-            dimension = 2
-
-            def __call__(self, p):
-                return np.ones(len(np.atleast_2d(p)))
-
-        assert surface_flux(Const(), [0, 0], 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert surface_flux(np.zeros_like, [0, 0], 1.0) == 0.0
 
     def test_radial_m3_analytic_derivative(self):
         # U = sin(s)/s, U'(r) = (r cos r - sin r)/r^2; flux = 4 pi r^2 U'(r)
         u = radial_solution(3, 1.0, [0, 0, 0])
         for r in [1.0, math.pi]:
             expect = 4.0 * math.pi * r * r * ((r * math.cos(r) - math.sin(r)) / r**2)
-            got = surface_flux(u, [0, 0, 0], r)
-            assert got == pytest.approx(expect, rel=1e-8)
+            got = surface_flux(u.gradient, [0, 0, 0], r)
+            assert got == pytest.approx(expect, rel=1e-12)
 
     def test_plane_wave_m2_divergence_theorem(self):
         # flux = -lambda^2 |B_1| M(u, B_1) = -pi a_norm(2,1)
         u = plane_wave(2, 1.0, [1, 0], 0.0)
-        got = surface_flux(u, [0, 0], 1.0)
-        assert got == pytest.approx(-math.pi * a_norm(2, 1.0), rel=1e-8)
+        got = surface_flux(u.gradient, [0, 0], 1.0)
+        assert got == pytest.approx(-math.pi * a_norm(2, 1.0), rel=1e-12)
         assert got == pytest.approx(-2.7649, abs=2e-4)
 
     def test_divergence_theorem_cases(self):
@@ -389,21 +383,26 @@ class TestSurfaceFlux:
             m = u.dimension
             vol = math.pi * r * r if m == 2 else 4.0 * math.pi * r**3 / 3.0
             lhs = vol * ball_mean(u, c, r).value
-            rhs = -surface_flux(u, c, r) / u.wavenumber**2
+            rhs = -surface_flux(u.gradient, c, r) / u.wavenumber**2
             scale = max(abs(lhs), abs(rhs))
-            assert abs(lhs - rhs) <= 1e-5 * scale
+            assert abs(lhs - rhs) <= 1e-10 * scale
+        # F(x) = x - c has divergence m, so its flux is m |B_r|
+        for c, r in [([0.3, -0.2], 0.7), ([0.1, 0.2, -0.4], 1.3)]:
+            m = len(c)
+            vol = math.pi * r * r if m == 2 else 4.0 * math.pi * r**3 / 3.0
+            got = surface_flux(lambda p, c=np.array(c): p - c, c, r)
+            assert got == pytest.approx(m * vol, rel=1e-13)
 
     def test_error_estimate_positive_and_small(self):
+        # |fine - coarse| covers an under-resolved rule's error and is at
+        # rounding level at the default count
         u = plane_wave(2, 1.0, [1, 0], 0.0)
-        err = surface_flux_error(u, [0, 0], 1.0)
+        exact = -math.pi * a_norm(2, 1.0)
+        err = surface_flux_error(u.gradient, [0, 0], 1.0, angular_resolution=12)
         assert 0 < err < 1e-3
+        assert abs(surface_flux(u.gradient, [0, 0], 1.0, angular_resolution=12) - exact) <= err
+        assert surface_flux_error(u.gradient, [0, 0], 1.0) <= 1e-12 * abs(exact)
 
     def test_unsupported_dimension(self):
-        class Zero:
-            dimension = 4
-
-            def __call__(self, p):
-                return np.zeros(len(np.atleast_2d(p)))
-
         with pytest.raises(NotImplementedError):
-            surface_flux(Zero(), [0, 0, 0, 0], 1.0)
+            surface_flux(np.zeros_like, [0, 0, 0, 0], 1.0)

@@ -18,6 +18,16 @@ from helmholtz_means.solutions import (
 from helmholtz_means.specfun import a_norm, bessel_zero
 
 
+def assert_gradient_matches_central_difference(u, pts, h=1e-6, rel=1e-8):
+    """u.gradient against the central difference at step h, within rel
+    times the largest gradient component over pts."""
+    grad = u.gradient(pts)
+    assert grad.shape == pts.shape
+    fd = np.stack([(u(pts + h * e) - u(pts - h * e)) / (2.0 * h)
+                   for e in np.eye(u.dimension)], axis=1)
+    assert np.max(np.abs(grad - fd)) <= rel * np.max(np.abs(grad))
+
+
 class TestPlaneWave:
     def test_point_values(self):
         u = plane_wave(2, 1.0, [1, 0], 0.0)
@@ -27,6 +37,13 @@ class TestPlaneWave:
     def test_residual(self):
         u = plane_wave(2, 1.0, [1, 0], 0.0)
         assert abs(helmholtz_residual(u, np.array([0.3, -0.7]), h=1e-4)) <= 1e-6
+
+    def test_gradient_matches_central_difference(self):
+        rng = np.random.default_rng(3)
+        for u in (plane_wave(2, 1.5, [0.6, -0.8], 0.4),
+                  plane_wave(3, 2.0, np.array([1.0, 2.0, 2.0]) / 3.0, -0.1)):
+            assert_gradient_matches_central_difference(
+                u, rng.uniform(-2.0, 2.0, size=(50, u.dimension)))
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -46,6 +63,18 @@ class TestRadial:
         assert abs(u([math.pi, 0.0, 0.0])) < 1e-12
         for rho in [0.5, 1.0, 2.0, 4.0]:
             assert u([rho, 0.0, 0.0]) == pytest.approx(math.sin(rho) / rho, abs=1e-12)
+
+    def test_gradient_matches_central_difference(self):
+        # the center itself is among the points: the gradient is 0 there.
+        # lambda rho stays below 7: further out the kernel's rounding over
+        # h, not the gradient, would set the difference
+        rng = np.random.default_rng(4)
+        for m, lam, c in ((2, 1.5, [0.1, 0.2]), (3, 0.7, [0.0, 0.0, 0.0]),
+                          (3, 1.5, [0.3, -0.2, 0.1])):
+            pts = np.vstack([c, rng.uniform(-3.0, 3.0, size=(50, m))])
+            u = radial_solution(m, lam, c)
+            assert np.array_equal(u.gradient(pts[:1]), np.zeros((1, m)))
+            assert_gradient_matches_central_difference(u, pts)
 
     def test_m2_vanishes_at_j01(self):
         u = radial_solution(2, 1.0, [0, 0])
@@ -77,6 +106,14 @@ class TestModifiedRadial:
         order = np.argsort(rho)
         assert np.all(np.diff(vals[order]) > 0.0)
 
+    def test_gradient_matches_central_difference(self):
+        rng = np.random.default_rng(5)
+        for m, mu, c in ((2, 1.1, [0.0, 0.0]), (3, 2.0, [0.5, 0.0, 0.0])):
+            pts = np.vstack([c, rng.uniform(-2.0, 2.0, size=(50, m))])
+            u = modified_radial_solution(m, mu, c)
+            assert np.array_equal(u.gradient(pts[:1]), np.zeros((1, m)))
+            assert_gradient_matches_central_difference(u, pts)
+
     def test_residual_modified_equation(self):
         u = modified_radial_solution(3, 1.3, [0, 0, 0])
         assert abs(helmholtz_residual(u, np.array([0.4, 0.2, -0.1]), h=1e-4)) <= 1e-5
@@ -100,6 +137,12 @@ class TestMembrane:
     def test_residual(self):
         u = membrane_eigenfunction(2, 1, 1.0)
         assert abs(helmholtz_residual(u, np.array([0.3, 0.6]), h=1e-4)) <= 1e-5
+
+    def test_gradient_matches_central_difference(self):
+        rng = np.random.default_rng(6)
+        for i, j, a in ((2, 1, 1.0), (1, 3, 2.0)):
+            pts = rng.uniform(0.0, a, size=(50, 2))
+            assert_gradient_matches_central_difference(membrane_eigenfunction(i, j, a), pts)
 
     def test_scale(self):
         u = membrane_eigenfunction(2, 1, 2.0)
@@ -176,6 +219,7 @@ class TestResidualOracle:
             wavenumber=1.0,
             equation="helmholtz",
             evaluate=lambda p: p[:, 0] ** 2,
+            gradient=lambda p: np.stack([2.0 * p[:, 0], np.zeros(len(p))], axis=1),
             kind="plane_wave",
         )
         x = np.array([0.7, 0.1])
@@ -198,6 +242,7 @@ class TestJson:
             assert v.wavenumber == u.wavenumber
             pts = pts2 if u.dimension == 2 else pts3
             assert np.array_equal(u(pts), v(pts))
+            assert np.array_equal(u.gradient(pts), v.gradient(pts))
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):

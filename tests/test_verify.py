@@ -775,8 +775,10 @@ class TestKuranLimit:
     def test_box_identity_limit_matches_harmonic_residual(self):
         # For the box about x0 = (0.3, 1.0), M(x1 - x0_1) = 0.2; the
         # sin-profile residual / lambda approaches -0.2.
-        _, ident = kuran_limit_check(box([0, 0], [1, 2]), [0.3, 1.0], lambdas=(0.1, 0.03, 0.01))
+        _, ident = kuran_limit_check(box([0, 0], [1, 2]), [0.3, 1.0], lambdas=(0.1, 0.03, 0.01),
+                                     seed=890)
         assert ident.verdict == PASS
+        assert ident.diagnostics["seed"] is None  # a product rule draws nothing
         assert ident.rhs == pytest.approx(-0.2, abs=1e-12)
         assert ident.lhs == pytest.approx(-0.2, abs=1e-3)
 
@@ -785,6 +787,10 @@ class TestKuranLimit:
         kernel, ident = kuran_limit_check(d, [0, 0], samples=200_000, seed=5)
         assert (kernel.verdict, ident.verdict) == (PASS, PASS)
         assert 0.0 < ident.error_bar < 1e-6 < ident.tolerance
+        # a disk crossing the box's edge leaves only sampling, which reports its seed
+        crossing = difference(box([-1, -1], [1, 1]), ball([0.9, 0.1], 0.25))
+        _, ident = kuran_limit_check(crossing, [0, 0], samples=200_000, seed=5)
+        assert ident.diagnostics["seed"] == 5
 
     def test_lambda_sequence_validated(self):
         with pytest.raises(ValueError):
@@ -814,6 +820,7 @@ class TestFluxIdentity:
         rep = flux_identity_check(u, c, r)
         assert rep.verdict == PASS
         assert abs(rep.diagnostics["relative_residual"]) <= 1e-5
+        assert rep.error_bar <= 1e-10 * abs(rep.lhs)
 
     def test_plane_wave_value(self):
         u = plane_wave(2, 1.0, [1, 0], 0.0)
@@ -829,6 +836,7 @@ class TestFluxIdentity:
             wavenumber=1.0,
             equation="helmholtz",
             evaluate=lambda p: np.zeros(len(p)),
+            gradient=np.zeros_like,
             kind="plane_wave",
         )
         rep = flux_identity_check(zero, [0, 0], 1.0)
