@@ -20,12 +20,16 @@ ratio between a Helmholtz solution's value at a ball's center and its
 volume mean over that ball; b_norm is the analogous monotone kernel for
 the modified equation.
 
-All functions accept scalar or ndarray arguments for t and are pure;
-there is no shared mutable state.
+All functions accept scalar or ndarray arguments for t.  The one piece
+of state is a per-process cache of zeros: bessel_zero computes each
+j_{nu,n} once and then returns the cached float.  a_norm and b_norm at
+one float point in the series region run the array path's Horner steps
+on Python floats, so they return the same bits without array overhead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -95,23 +99,29 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _ascending_series(t: np.ndarray, nu: float, sign: float) -> np.ndarray:
-    """Sum over k >= 0 of prod_{j<=k} sign (t/2)^2 / (j (j + nu)), the
-    ascending series divided by its first term.
+def _series_coeffs(q_max: float, nu: float, sign: float) -> list[float]:
+    """Horner coefficients of the ascending series, innermost first.
 
-    The term count is fixed once, from the largest (t/2)^2: the first k
+    The term count is fixed from the largest q = (t/2)^2: the first k
     whose term ratio there is at most SERIES_RTOL * 1e-4, capped at 399.
-    The sum is then evaluated in nested Horner form,
-    1 + c_1 q (1 + c_2 q (1 + ...)), with in-place multiply-adds over
-    cache-sized blocks of points.
     """
-    q = 0.25 * t * t
-    q_max = float(np.max(q))
     n, ratio = 0, 1.0
     while n < _SERIES_MAX_TERMS and ratio > SERIES_RTOL * 1e-4:
         n += 1
         ratio *= q_max / (n * (n + nu))
-    coeffs = [sign / (k * (k + nu)) for k in range(n, 0, -1)]
+    return [sign / (k * (k + nu)) for k in range(n, 0, -1)]
+
+
+def _ascending_series(t: np.ndarray, nu: float, sign: float) -> np.ndarray:
+    """Sum over k >= 0 of prod_{j<=k} sign (t/2)^2 / (j (j + nu)), the
+    ascending series divided by its first term.
+
+    The sum is evaluated in nested Horner form,
+    1 + c_1 q (1 + c_2 q (1 + ...)), with in-place multiply-adds over
+    cache-sized blocks of points.
+    """
+    q = 0.25 * t * t
+    coeffs = _series_coeffs(float(np.max(q)), nu, sign)
     total = np.ones_like(q)
     for i in range(0, q.size, _SERIES_BLOCK):  # blocks stay in cache across the terms
         qb, tb = q[i : i + _SERIES_BLOCK], total[i : i + _SERIES_BLOCK]
@@ -255,10 +265,20 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
     if m != int(m) or m < 0:
         raise ValueError(f"{kind}_norm requires integer m >= 0, got {m}")
     m = int(m)
+    cutoff = max(_SERIES_CUTOFF, float(m))  # 2*nu = m
+    if isinstance(t, float) and 0.0 <= t <= cutoff:
+        # One point in the series region: the array path's Horner steps,
+        # in the same order, on Python floats.  NaN, inf and t < 0 fail
+        # the test and raise on the array path.
+        t = float(t)
+        q = 0.25 * t * t
+        total = 1.0
+        for c in _series_coeffs(q, 0.5 * m, sign):
+            total = total * q * c + 1.0
+        return total
     tt = _as_t_array(t, f"{kind}_norm")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt).astype(float)
-    cutoff = max(_SERIES_CUTOFF, float(m))  # 2*nu = m
     out = np.empty_like(tt)
     small = tt <= cutoff
     if np.any(small):
@@ -342,7 +362,10 @@ def bessel_zero(nu: float, n: int) -> float:
 
     Starts from the McMahon asymptotic guess (with its first 1/t
     correction), scans a +-1.5 window on a fine grid for the sign
-    change, and refines with Brent.  Absolute error <= 1e-9.
+    change, and refines with Brent.  Absolute error <= 1e-9.  Each zero
+    is computed once per process and then served from a cache; the
+    arguments are checked on every call.  The order limit bounds the
+    size condition lambda r0 = j_{m/2,1} to dimensions m <= 12.
     """
     nu = _check_order(nu)
     if nu > 6.0:
@@ -350,6 +373,11 @@ def bessel_zero(nu: float, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"bessel_zero requires n >= 1, got {n}")
+    return _bessel_zero(nu, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _bessel_zero(nu: float, n: int) -> float:
     guess = (n + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     guess -= (mu - 1.0) / (8.0 * guess)

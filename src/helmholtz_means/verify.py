@@ -78,6 +78,7 @@ IDENTITY_TOL_SPECTRAL = 1e-8
 FLUX_REL_TOL = 1e-5
 _RANDOM_WAVES = 8  # seeded random-direction plane waves in default_family
 _MONOTONE_GRID = 10_000  # points of the b_norm monotonicity grid on [0, 10]
+_MAX_DIMENSION = 12  # the size condition's j_{m/2,1}: bessel_zero takes orders <= 6
 
 
 @dataclass
@@ -224,6 +225,11 @@ def _problems(domain: Domain, lambdas, x0, samples: int,
         if lam <= 0.0:
             raise ValueError(f"lambda must be > 0, got {lam}")
     m = domain.dimension
+    if m > _MAX_DIMENSION:
+        raise ValueError(
+            f"dimension m = {m} is above {_MAX_DIMENSION}: the size condition needs "
+            f"j_(m/2,1), which is computed for m/2 <= {_MAX_DIMENSION // 2}"
+        )
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (m,):
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")

@@ -314,6 +314,10 @@ class TestPlumbing:
           '{"kind":"difference","a":{"kind":"ball","center":[0,0],"r":1.0},'
           '"b":{"kind":"ball","center":[0,0],"r":1.0}}',
           "--solution", RADIAL, "--x0", "0,0"), "x0 must lie inside the domain"),
+        # the size condition's j_{m/2,1} exists for m <= 12 only
+        (("characterize", "--domain",
+          '{"kind":"box","low":[0,0,0,0,0,0,0,0,0,0,0,0,0],"high":[1,1,1,1,1,1,1,1,1,1,1,1,1]}',
+          "--lambda", "1", "--x0", ",".join(["0.5"] * 13)), "dimension m = 13 is above 12"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

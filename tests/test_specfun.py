@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from helmholtz_means import specfun
 from helmholtz_means.specfun import (
     BESSEL_I_MAX_T,
     a_norm,
@@ -248,11 +249,25 @@ class TestKernels:
             assert np.all(v < 1.0)
             assert np.all(v > -1.0)
 
+    @pytest.mark.parametrize("m", range(9))
+    def test_one_float_point_matches_array_path(self, m):
+        # a float in the series region takes the scalar Horner route; it
+        # must give the array path's value bit for bit, as a Python float
+        cutoff = max(12.0, float(m))
+        grid = np.concatenate([np.linspace(0.0, cutoff, 241), [1e-9, 0.1 * math.pi, math.e]])
+        for kernel in (a_norm, b_norm):
+            for t in grid.tolist():
+                got = kernel(m, t)
+                assert type(got) is float
+                assert got == kernel(m, np.array([t]))[0] == kernel(m, np.array(t))
+                assert kernel(m, np.float64(t)) == got
+
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            a_norm(2, -0.1)
-        with pytest.raises(ValueError):
-            b_norm(2, -0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                a_norm(2, bad)
+            with pytest.raises(ValueError):
+                b_norm(2, bad)
         with pytest.raises(ValueError):
             a_norm(-1, 1.0)
 
@@ -297,10 +312,25 @@ class TestBesselZero:
         assert bessel_zero(6, 1) == pytest.approx(9.936109524217684, abs=1e-9)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            bessel_zero(1, 0)
-        with pytest.raises(ValueError):
-            bessel_zero(6.5, 1)
+        # arguments are checked ahead of the cache, so every call raises
+        for _ in range(2):
+            for nu, n in [(1, 0), (6.5, 1), (float("nan"), 1)]:
+                with pytest.raises(ValueError):
+                    bessel_zero(nu, n)
+
+    def test_repeated_call_is_a_cache_hit(self):
+        specfun._bessel_zero.cache_clear()
+        first = bessel_zero(2.5, 3)
+        hits = specfun._bessel_zero.cache_info().hits
+        assert bessel_zero(2.5, 3) is first
+        assert specfun._bessel_zero.cache_info().hits == hits + 1
+
+    def test_numpy_order_shares_the_float_entry(self):
+        specfun._bessel_zero.cache_clear()
+        z = bessel_zero(1.5, 1)
+        assert bessel_zero(np.float64(1.5), 1) == z == bessel_zero(np.array(1.5), 1)
+        info = specfun._bessel_zero.cache_info()
+        assert (info.currsize, info.hits) == (1, 2)
 
 
 class TestSeriesRegionAgainstScipy:

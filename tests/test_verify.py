@@ -197,6 +197,15 @@ class TestIdentity:
             assert rep.diagnostics["seed"] == rep.diagnostics["volume_seed"] == 3
             assert rep.verdict in (PASS, FAIL, INCONCLUSIVE)
 
+    def test_dimension_above_12_rejected_before_any_draw(self):
+        # j_{m/2,1} is computed for m/2 <= 6, so m = 13 has no size condition
+        cube = box(np.zeros(13), np.ones(13))
+        d = custom_domain(13, cube.indicator, cube.bounding_box)
+        counter = CountingIndicator(d)
+        with pytest.raises(ValueError, match="dimension m = 13 is above 12"):
+            make_problem(d, 1.0, np.full(13, 0.5), samples=1000)
+        assert counter.points == 0
+
 
 class CountingIndicator:
     """Wraps a domain's indicator and counts the points it classifies."""
