@@ -44,7 +44,6 @@ from .solutions import (
     membrane_eigenfunction,
     modified_radial_solution,
     plane_wave,
-    poisson_eval,
     radial_solution,
     solution_from_json,
     solution_to_json,

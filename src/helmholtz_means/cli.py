@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError, NotImplementedError, EstimationError) as exc:
+    except (ValueError, OSError, EstimationError) as exc:
         print(f"helmholtz-means: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

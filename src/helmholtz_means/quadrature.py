@@ -10,10 +10,12 @@ minuend gets the signed sum of the two terms' rules,
 its minuend gets the minuend's rule.
 
 The spectral ball rule pairs Gauss-Legendre in radius (with the s^{m-1}
-Jacobian folded into the weights) with the periodic trapezoid rule on
-the circle (m = 2) or a Gauss(polar) x trapezoid(azimuth) product on the
-sphere (m = 3).  Means are computed as sum(w f) / sum(w), which makes
-M(1, D) exactly 1.0 and absorbs the volume normalization.
+Jacobian folded into the weights) with one sphere rule for S^{m-1} in
+every dimension m >= 2: the periodic trapezoid rule in the azimuth times
+a Gauss rule in the cosine of each further polar angle.  Means are
+computed as sum(w f) / sum(w), which makes M(1, D) exactly 1.0 and
+absorbs the volume normalization.  A ball or box whose fine rule would
+hold more than _NODE_BUDGET points is sampled instead.
 
 Monte Carlo estimates are rejection sampled over the bounding box with
 an explicit seed; the reported error bar is 3 standard errors, and a
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ from .geometry import (
     _require_counts,
     _uniform,
     _unwrap,
-    ball,
     certified_relation,
 )
 
@@ -112,20 +112,59 @@ def _leggauss(nodes: int):
     return x, w
 
 
-def _sphere_directions(m: int, angular: int, rule: str):
-    """Unit directions (n_dir, m) of the periodic trapezoid rule on the
-    circle (m = 2), or of the Gauss(polar) x trapezoid(azimuth) product
-    on the sphere (m = 3), and their weights, which sum to 1."""
-    if m not in (2, 3):
-        raise NotImplementedError(f"{rule} supports m in {{2, 3}}, got {m}")
+@functools.lru_cache(maxsize=256)
+def _polar_gauss(nodes: int, k: int):
+    """Read-only z, sqrt(1 - z^2) and weights summing to 1 of the Gauss rule
+    on [-1, 1] for the weight (1 - z^2)^((k-3)/2): Legendre for k = 3, else
+    Golub-Welsch on the symmetric Jacobi recurrence."""
+    if k == 3:
+        z, w = _leggauss(nodes)
+        w = 0.5 * w
+    else:
+        a, j = 0.5 * (k - 3), np.arange(1.0, nodes)
+        off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1)))
+        z, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        w = v[0] ** 2
+    s = np.sqrt(1.0 - z * z)
+    for x in (z, s, w):
+        x.flags.writeable = False
+    return z, s, w
+
+
+def _ball_nodes(m: int, radial: int, angular: int) -> int:
+    """Points of an m-D ball rule level, or with radial = 1 of a sphere rule."""
+    return radial * math.prod(_sphere_shape(m, angular))
+
+
+def _sphere_shape(m: int, angular: int) -> tuple[int, ...]:
+    """Axes (z_m, ..., z_3, azimuth) of the sphere rule on S^{m-1}."""
+    return (max(int(angular) // 2, 4),) * (m - 2) + (int(angular),)
+
+
+# Most fine points a product rule may hold in any dimension: the 3-D ball
+# rule's at RESOLUTION_CAP, 84 x 141 x 282; a larger ball or box is sampled.
+_NODE_BUDGET = _ball_nodes(3, *resolution(RESOLUTION_CAP)[:2])
+
+
+def _sphere_directions(m: int, angular: int):
+    """Unit directions (n_dir, m) on S^{m-1}, m >= 2, in the row-major order
+    of _sphere_shape, and weights summing to 1: the periodic trapezoid rule
+    in the azimuth times _polar_gauss in z_k for k = 3..m, a direction of
+    S^{k-1} being (sqrt(1 - z_k^2) y, z_k) for y on S^{k-2}."""
+    if m < 2:
+        raise ValueError(f"the sphere rule needs m >= 2, got {m}")
+    shape = _sphere_shape(m, angular)
     phi = 2.0 * np.pi * np.arange(angular) / angular
-    if m == 2:
-        return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(angular, 1.0 / angular)
-    z, wz = _leggauss(max(int(angular) // 2, 4))
-    sz = np.sqrt(1.0 - z * z)
-    dirs = np.stack([np.outer(sz, np.cos(phi)), np.outer(sz, np.sin(phi)),
-                     np.outer(z, np.ones(angular))], axis=2)
-    return dirs.reshape(-1, 3), np.repeat(0.5 * wz, angular) / angular
+    dirs = np.empty(shape + (m,))
+    scale = w = 1.0  # products of sqrt(1 - z_k^2) and of weights over the axes so far
+    for k in range(m, 2, -1):
+        z, s, wz = _polar_gauss(shape[0], k)
+        axis = (1,) * (m - k) + (-1,) + (1,) * (k - 2)
+        np.multiply(z.reshape(axis), scale, out=dirs[..., k - 1])
+        scale, w = scale * s.reshape(axis), w * wz.reshape(axis)
+    dirs[..., 0] = np.cos(phi) * scale
+    dirs[..., 1] = np.sin(phi) * scale
+    return dirs.reshape(-1, m), np.full(shape, w / angular).reshape(-1)
 
 
 def _gauss(a: float, b: float, nodes: int):
@@ -137,7 +176,7 @@ def _gauss(a: float, b: float, nodes: int):
 def _ball_factors(m: int, r: float, radial_nodes: int, angular: int):
     """Radial Gauss rule (Jacobian s^{m-1} in its weights) and directions."""
     s, ws = _gauss(0.0, r, radial_nodes)
-    return [(s, ws * s ** (m - 1)), _sphere_directions(m, angular, "spectral ball rule")]
+    return [(s, ws * s ** (m - 1)), _sphere_directions(m, angular)]
 
 
 class MeanRule:
@@ -307,11 +346,12 @@ def _box_rule(low, high, nodes) -> MeanRule:
 
 def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) -> MeanRule:
     """The most accurate rule for d's structure at wavenumber lam: a ball
-    (m in {2, 3}) or a box, up to translation, gets its product rule,
-    sized by resolution(lam * radius) or resolution(lam * longest side);
-    a difference certified by geometry.certified_relation gets its
-    terms' product rules, each sized from its own size, when both terms
-    have one within RESOLUTION_CAP; any other domain Monte Carlo with
+    (m >= 2) or a box, up to translation, gets its product rule, sized by
+    resolution(lam * radius) or resolution(lam * longest side), when its
+    fine level holds at most _NODE_BUDGET points; a difference certified
+    by geometry.certified_relation gets its terms' product rules, each
+    sized from its own size, when both terms have one within
+    RESOLUTION_CAP and the budget; any other domain Monte Carlo with
     (samples, seed)."""
     rule = _product_rule(d, lam)
     return SampleRule(d, samples, seed) if rule is None else rule
@@ -319,15 +359,21 @@ def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) ->
 
 def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
     """The product rule, or signed sum of them, of d shifted by shift;
-    None where only sampling serves.  ValueError for a ball or box above
-    RESOLUTION_CAP."""
+    None where only sampling serves, or where the fine level would hold
+    more than _NODE_BUDGET points (counted before any node is built).
+    ValueError for a ball or box above RESOLUTION_CAP."""
     base, inner = _unwrap(d)
     shift = shift + inner
-    if isinstance(base, Ball) and d.dimension in (2, 3):
+    m = d.dimension
+    if isinstance(base, Ball) and m >= 2:
         radial, angular, _ = resolution(lam * base.r)
+        if _ball_nodes(m, radial, angular) > _NODE_BUDGET:
+            return None
         return _ball_rule(base.center + shift, base.r, radial, angular)
     if isinstance(base, Box):
         nodes = resolution(lam * float(np.max(base.high - base.low)))[2]
+        if nodes**m > _NODE_BUDGET:
+            return None
         return _box_rule(base.low + shift, base.high + shift, nodes)
     relation = certified_relation(base.a, base.b) if isinstance(base, Difference) else None
     if relation is None:
@@ -344,28 +390,14 @@ def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
     return DifferenceRule(base.a.analytic_volume, rule_a, base.b.analytic_volume, rule_b)
 
 
-def ball_mean(
-    f,
-    center,
-    r: float,
-    radial_nodes: int = 64,
-    angular_resolution: int = 64,
-    mc_samples: int = 2_000_000,
-    seed: int = 0,
-) -> MeanValueEstimate:
-    """Volume mean of f over B_r(center): the spectral product rule for
-    m in {2, 3}, other dimensions Monte Carlo (with a warning)."""
+def ball_mean(f, center, r: float, radial_nodes: int = 64,
+              angular_resolution: int = 64) -> MeanValueEstimate:
+    """Volume mean of f over B_r(center), m >= 2, on the spectral product rule."""
     center = np.asarray(center, dtype=float)
     r = float(r)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
     _require_counts(radial_nodes=radial_nodes, angular=angular_resolution)
-    if center.size not in (2, 3):
-        warnings.warn(
-            f"no spectral ball rule for m = {center.size}; falling back to Monte Carlo",
-            stacklevel=2,
-        )
-        return SampleRule(ball(center, r), mc_samples, seed).mean(f)
     return _ball_rule(center, r, radial_nodes, angular_resolution).mean(f)
 
 
@@ -401,13 +433,23 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
 
 
 def _flux(grad, center, r: float, angular: int) -> float:
-    """int grad . n dS over the sphere |x - center| = r on the sphere rule."""
+    """int grad . n dS over the sphere |x - center| = r on the sphere rule.
+    ValueError for m < 2, or for more than _NODE_BUDGET directions."""
     center, r = np.asarray(center, dtype=float), float(r)
+    m = center.size
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
     _require_counts(angular_resolution=angular)
-    normals, w = _sphere_directions(center.size, angular, "surface_flux")
-    area = 2.0 * np.pi * r if center.size == 2 else 4.0 * np.pi * r * r
+    if _ball_nodes(m, 1, angular) > _NODE_BUDGET:
+        raise ValueError(f"surface_flux: {_ball_nodes(m, 1, angular)} directions in m = {m} "
+                         f"are above the node budget {_NODE_BUDGET}")
+    normals, w = _sphere_directions(m, angular)
+    # |S^{m-1}| r^{m-1} = |S^1| r prod_{n=1}^{m-2} r int_0^pi sin^n, the
+    # integrals by Wallis' recursion from n = 0 (pi) and n = 1 (2.0)
+    area, wallis = 2.0 * np.pi * r, (np.pi, 2.0)
+    for n in range(1, m - 1):
+        area *= wallis[1] * r
+        wallis = wallis[1], wallis[0] * n / (n + 1)
     dn = np.einsum("ij,ij->i", np.asarray(grad(center + r * normals)), normals)
     return area * float(w @ dn)
 

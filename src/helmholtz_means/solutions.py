@@ -19,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import EstimationError, _require_keys
-from .quadrature import _leggauss
-from .specfun import a_norm, b_norm, gamma_fn
+from .geometry import _require_keys
+from .specfun import a_norm, b_norm
 
 HELMHOLTZ = "helmholtz"
 MODIFIED_HELMHOLTZ = "modified_helmholtz"
@@ -32,7 +31,6 @@ __all__ = [
     "radial_solution",
     "modified_radial_solution",
     "membrane_eigenfunction",
-    "poisson_eval",
     "helmholtz_residual",
     "solution_to_json",
     "solution_from_json",
@@ -185,49 +183,6 @@ def membrane_eigenfunction(i: int, j: int, a: float = 1.0) -> SolutionField:
         kind="membrane",
         params={"i": i, "j": j, "a": a},
     )
-
-
-def poisson_eval(m: int, lam: float, rho, nodes: int = 160):
-    """Radial field value at radius rho via the Poisson-type integral
-
-        c_m * int_0^1 (1 - s^2)^{(m-3)/2} cos(lam rho s) ds,
-        c_m = 2 Gamma(m/2) / (sqrt(pi) Gamma((m-1)/2)).
-
-    The substitution s = sin(theta) removes the m = 2 endpoint
-    singularity and makes the integrand entire, so Gauss-Legendre in
-    theta converges spectrally.  This is a Bessel-series-free route to
-    the same function as radial_solution and is used to cross-validate
-    it.
-    """
-    if m < 2:
-        raise ValueError(f"dimension must be >= 2, got {m}")
-    lam = _check_wavenumber(lam, "lambda")
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0.0):
-        raise ValueError("rho must be >= 0")
-    scalar = rho_arr.ndim == 0
-    rho_arr = np.atleast_1d(rho_arr)
-    c_m = 2.0 * gamma_fn(0.5 * m) / (np.sqrt(np.pi) * gamma_fn(0.5 * (m - 1)))
-
-    def rule(n):
-        # int_0^1 (1-s^2)^{(m-3)/2} f(s) ds
-        #   = int_0^{pi/2} cos(theta)^{m-2} f(sin theta) d(theta)
-        x, wx = _leggauss(int(n))
-        theta = 0.25 * np.pi * (x + 1.0)
-        w = 0.25 * np.pi * wx
-        ct = np.cos(theta) ** (m - 2)
-        st = np.sin(theta)
-        return c_m * ((w * ct) @ np.cos(lam * np.outer(st, rho_arr)))
-
-    vals = rule(nodes)
-    check = rule(max(int(nodes) // 2, 8))
-    gap = float(np.max(np.abs(vals - check)))
-    if gap > 1e-9:
-        raise EstimationError(
-            f"Poisson-integral quadrature not converged at {nodes} nodes "
-            f"(refinement gap {gap:.1e}); raise `nodes` for this lam*rho"
-        )
-    return float(vals[0]) if scalar else vals
 
 
 def helmholtz_residual(u: SolutionField, x, h: float = 1e-4) -> float:

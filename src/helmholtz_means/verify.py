@@ -512,8 +512,9 @@ def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> 
     came from the rule's draw, the sample error of the linearised
     estimator 1_D (U - U_r) |box| over all drawn points, U_r =
     K(m-2, lambda r) being U on the sphere of radius r, which carries the
-    |D| error through r; when |D| is analytic (a ball in m >= 4, or a
-    certified difference that is sampled), |D| 3 sigma / sqrt(n_accepted).
+    |D| error through r; when |D| is analytic (a ball, box or certified
+    difference whose product rule is over the node budget or a term over
+    the resolution cap), |D| 3 sigma / sqrt(n_accepted).
     samples and seed are reported on Monte Carlo only, None elsewhere.
 
     Verdict: pass when the predicted strict sign is resolved beyond the
@@ -756,9 +757,9 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     d = ball(center, r)
     lam = u.wavenumber
     angular = resolution(lam * r)[1]
+    flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular)
     est = mean_rule(d, lam).mean(u)
     lhs = d.analytic_volume * est.value
-    flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular)
     rhs = -flux / lam**2
     scale = max(abs(lhs), abs(rhs), 1e-12)
     err = surface_flux_error(u.gradient, d.center, r, angular_resolution=angular) / lam**2

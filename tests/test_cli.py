@@ -126,16 +126,33 @@ class TestReportsCommands:
             code, out, _ = run_cli(capsys, *args, *tol)
             assert code == 0
             assert json.loads(out)["verdict"] == "pass"
-        # a 4-D ball has no product rule, so the resolution cap does not
-        # apply at lambda r = 130: it is sampled, and its bar covers the
-        # residual instead of a usage error
-        sol = '{"kind":"plane_wave","lambda":130.0,"direction":[0,0,0.6,0.8],"phase":0.3}'
+        # a 4-D ball's rule at lambda r = 30 would hold more points than
+        # the node budget: it is sampled, and its bar covers the residual
+        sol = '{"kind":"plane_wave","lambda":30.0,"direction":[0,0,0.6,0.8],"phase":0.3}'
         code, out, _ = run_cli(capsys, "mean-value", "--solution", sol, "--x0", "0,0,0,0",
                                "--r", "1")
         rep = json.loads(out)
         assert code == 2 and rep["verdict"] == "inconclusive"
         assert rep["diagnostics"]["method"] == "monte_carlo"
         assert abs(rep["residual"]) <= rep["error_bar"]
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_balls_above_three_dimensions_pass(self, capsys, m):
+        # one sphere rule in every dimension: each ball check meets the
+        # default tolerance on a 4-D and a 5-D ball under the node budget
+        c = [0.1] + [0.0] * (m - 2) + [-0.2]
+        x0, ball = ",".join(map(str, c)), json.dumps({"kind": "ball", "center": c, "r": 1.0})
+        radial = json.dumps({"kind": "radial", "lambda": 1.5, "center": c})
+        wave = json.dumps({"kind": "plane_wave", "lambda": 1.5, "phase": 0.3,
+                           "direction": [0.6] + [0.0] * (m - 2) + [0.8]})
+        for argv in (("mean-value", "--solution", wave, "--x0", x0, "--r", "1"),
+                     ("identity", "--domain", ball, "--solution", radial, "--x0", x0),
+                     ("flux", "--solution", radial, "--x0", x0, "--r", "1"),
+                     ("theorem1", "--m", str(m), "--mu", "1", "--x0", x0, "--r", "1")):
+            code, out, _ = run_cli(capsys, *argv)
+            rep = json.loads(out)
+            assert code == 0 and rep["verdict"] == "pass", argv
+            assert rep["diagnostics"].get("method", "ball_spectral") == "ball_spectral"
 
     def test_characterize_ball_consistent(self, capsys):
         code, out, _ = run_cli(
@@ -318,6 +335,13 @@ class TestPlumbing:
         (("characterize", "--domain",
           '{"kind":"box","low":[0,0,0,0,0,0,0,0,0,0,0,0,0],"high":[1,1,1,1,1,1,1,1,1,1,1,1,1]}',
           "--lambda", "1", "--x0", ",".join(["0.5"] * 13)), "dimension m = 13 is above 12"),
+        # the cap applies in every dimension
+        (("mean-value", "--solution",
+          '{"kind":"plane_wave","lambda":130.0,"direction":[0,0,0.6,0.8],"phase":0.3}',
+          "--x0", "0,0,0,0", "--r", "1"), "band lambda * size = 130 is above the resolution cap 120"),
+        # a sphere rule over the node budget is refused before the volume mean is sampled
+        (("flux", "--solution", '{"kind":"radial","lambda":100.0,"center":[0,0,0,0]}',
+          "--x0", "0,0,0,0", "--r", "1"), "3456000 directions in m = 4 are above the node budget"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

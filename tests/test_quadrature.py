@@ -15,10 +15,15 @@ from helmholtz_means.geometry import (
     volume,
 )
 from helmholtz_means.quadrature import (
+    _NODE_BUDGET,
+    RESOLUTION_CAP,
+    ProductRule,
     _ball_rule,
     _box_rule,
     _gauss,
     _leggauss,
+    _polar_gauss,
+    _sphere_directions,
     ball_mean,
     box_mean,
     mc_integral,
@@ -30,10 +35,11 @@ from helmholtz_means.quadrature import (
 )
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
+    modified_radial_solution,
     plane_wave,
     radial_solution,
 )
-from helmholtz_means.specfun import a_norm
+from helmholtz_means.specfun import a_norm, b_norm
 
 
 def simpson(vals, h):
@@ -116,12 +122,19 @@ class TestBallMean:
         for a, b in zip(errs, errs[1:]):
             assert b <= a / 4.0 or a <= 1e-12
 
-    def test_fallback_warns_above_m3(self):
-        one = lambda p: np.ones(len(p))
-        with pytest.warns(UserWarning):
-            est = ball_mean(one, [0, 0, 0, 0], 1.0, mc_samples=10_000, seed=1)
-        assert est.method == "monte_carlo"
-        assert est.value == 1.0
+    def test_exact_in_four_dimensions(self):
+        # over the unit ball of R^m: M(1) = 1, M(x_i^2) = 1/(m+2) and
+        # M(x_i^2 x_j^2) = 1/((m+2)(m+4)), i != j, from a coarse rule
+        c = np.array([0.3, -0.1, 0.2, 0.5])
+        cases = [(lambda p: np.ones(len(p)), 1.0),
+                 (lambda p: (p[:, 3] - c[3]) ** 2, 1.0 / 6.0),
+                 (lambda p: (p[:, 0] - c[0]) ** 2 * (p[:, 2] - c[2]) ** 2, 1.0 / 48.0)]
+        for f, exact in cases:
+            est = ball_mean(f, c, 1.0, radial_nodes=6, angular_resolution=8)
+            assert est.method == "ball_spectral"
+            assert est.samples_or_nodes == 6 * 4 * 4 * 8
+            assert est.value == pytest.approx(exact, abs=1e-15)
+        assert ball_mean(cases[0][0], c, 1.0).value == 1.0
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
@@ -353,6 +366,101 @@ class TestResolution:
             mean_rule(box([0, 0], [1, 3]), 41.0)
 
 
+def closed_form_sphere_directions(m, angular):
+    """The m in {2, 3} sphere rules as they were first written: the
+    trapezoid rule on the circle, and Gauss-Legendre(polar) x
+    trapezoid(azimuth) on the sphere."""
+    phi = 2.0 * np.pi * np.arange(angular) / angular
+    if m == 2:
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(angular, 1.0 / angular)
+    z, wz = np.polynomial.legendre.leggauss(max(angular // 2, 4))
+    sz = np.sqrt(1.0 - z * z)
+    dirs = np.stack([np.outer(sz, np.cos(phi)), np.outer(sz, np.sin(phi)),
+                     np.outer(z, np.ones(angular))], axis=2)
+    return dirs.reshape(-1, 3), np.repeat(0.5 * wz, angular) / angular
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_low_dimensions_match_the_closed_forms_bit_for_bit(self, m):
+        for angular in (8, 9, 30, 77, 141, 282):
+            dirs, w = _sphere_directions(m, angular)
+            ref_dirs, ref_w = closed_form_sphere_directions(m, angular)
+            assert np.array_equal(dirs, ref_dirs) and np.array_equal(w, ref_w)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_directions_integrate_sphere_moments(self, m):
+        # on S^{m-1}: E x_i^2 = 1/m, E x_i^4 = 3/(m(m+2)), E x_i^2 x_j^2 = 1/(m(m+2))
+        dirs, w = _sphere_directions(m, 12)
+        assert dirs.shape == (6 ** (m - 2) * 12, m)
+        assert np.max(np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0)) <= 1e-15
+        assert abs(w.sum() - 1.0) <= 1e-15
+        for i in range(m):
+            assert abs(w @ dirs[:, i] ** 2 - 1.0 / m) <= 1e-15
+            assert abs(w @ dirs[:, i] ** 4 - 3.0 / (m * (m + 2))) <= 1e-15
+            assert abs(w @ (dirs[:, i] * dirs[:, i - 1]) ** 2 - 1.0 / (m * (m + 2))) <= 1e-15
+
+    def test_polar_rule_for_s3_is_chebyshev_second_kind(self):
+        # weight sqrt(1 - z^2): nodes cos(j pi / (n + 1)), weights
+        # proportional to sin^2(j pi / (n + 1)); memoised and read-only
+        n = 20
+        z, s, w = _polar_gauss(n, 4)
+        assert _polar_gauss(n, 4)[0] is z
+        theta = np.arange(n, 0, -1) * math.pi / (n + 1)
+        assert np.max(np.abs(z - np.cos(theta))) <= 1e-14
+        assert np.max(np.abs(s - np.sin(theta))) <= 1e-14
+        assert np.max(np.abs(w - 2.0 / (n + 1) * np.sin(theta) ** 2)) <= 1e-15
+        for arr in (z, s, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("m, bands", [(4, (1.0, 8.0, 15.0)), (5, (0.5, 1.5))])
+    def test_means_match_the_kernels(self, m, bands):
+        # M(u, B_r(c)) is a_norm(m, t) u(c) for a plane wave, a_norm(m, t)
+        # for the radial field and b_norm(m, t) for the modified one, t = k r
+        c, d, r = np.linspace(0.1, -0.2, m), np.full(m, 1.0 / math.sqrt(m)), 0.8
+        for t in bands:
+            k = t / r
+            rule = mean_rule(ball(c, r), k)
+            assert rule.method == "ball_spectral"
+            pw = plane_wave(m, k, d, 0.3)
+            for u, exact in ((pw, a_norm(m, t) * pw(c)), (radial_solution(m, k, c), a_norm(m, t)),
+                             (modified_radial_solution(m, k, c), b_norm(m, t))):
+                est = rule.mean(u)
+                scale = max(1.0, abs(exact))
+                assert abs(est.value - exact) <= 1e-13 * scale
+                assert est.abs_error_estimate <= 1e-12 * scale
+
+    def test_budget_is_the_3d_ball_rule_at_the_cap(self):
+        radial, angular, _ = resolution(RESOLUTION_CAP)
+        assert _NODE_BUDGET == radial * (angular // 2) * angular == 84 * 141 * 282
+        rule = mean_rule(ball([0, 0, 0], 1.0), RESOLUTION_CAP)
+        assert math.prod(len(w) for _, w in rule.levels[0]) == _NODE_BUDGET
+
+    def test_four_dimensional_ball_at_the_budget_edge(self):
+        # ceil(0.55 t) steps from 12 to 13 radial nodes at t = 12 / 0.55
+        for t, spectral in ((21.818, True), (21.819, False)):
+            radial, angular, _ = resolution(t)
+            assert (radial * (angular // 2) ** 2 * angular <= _NODE_BUDGET) == spectral
+            rule = mean_rule(ball([0.1, 0, 0, -0.1], 1.0), t, samples=1000, seed=1)
+            assert rule.method == ("ball_spectral" if spectral else "monte_carlo")
+
+    def test_eight_dimensional_box_is_sampled(self):
+        # 15^8 fine nodes at band 1: the rule is chosen before any is built
+        rule = mean_rule(box(np.zeros(8), np.ones(8)), 1.0, samples=1000, seed=1)
+        assert rule.method == "monte_carlo" and rule.hits is None
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_no_product_rule_exceeds_the_budget(self, m):
+        for band in (0.5, 1.8, 1.9, 8.0, 8.1, 21.8, 21.9, 37.3, 37.4, 60.0, 120.0):
+            for d in (ball(np.zeros(m), 1.0), box(np.zeros(m), np.ones(m))):
+                rule = mean_rule(d, band, samples=1000, seed=1)
+                if isinstance(rule, ProductRule):
+                    assert math.prod(len(w) for _, w in rule.levels[0]) <= _NODE_BUDGET
+                else:
+                    assert m >= 4  # nothing in m <= 3 reaches the budget
+
+
 class TestSurfaceFlux:
     def test_constant_field_zero_flux(self):
         assert surface_flux(np.zeros_like, [0, 0], 1.0) == 0.0
@@ -403,6 +511,22 @@ class TestSurfaceFlux:
         assert abs(surface_flux(u.gradient, [0, 0], 1.0, angular_resolution=12) - exact) <= err
         assert surface_flux_error(u.gradient, [0, 0], 1.0) <= 1e-12 * abs(exact)
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(NotImplementedError):
-            surface_flux(np.zeros_like, [0, 0, 0, 0], 1.0)
+    def test_divergence_theorem_four_dimensions(self):
+        # |B_r| = pi^2 r^4 / 2 in R^4; F(x) = x - c has divergence 4
+        c, r = np.array([0.1, -0.2, 0.3, 0.0]), 0.9
+        vol = 0.5 * math.pi**2 * r**4
+        got = surface_flux(lambda p: p - c, c, r, angular_resolution=40)
+        assert got == pytest.approx(4.0 * vol, rel=1e-14)
+        for u in (plane_wave(4, 2.5, [0.5, 0.5, 0.5, 0.5], 0.4), radial_solution(4, 3.0, c)):
+            lhs = vol * mean_rule(ball(c, r), u.wavenumber).mean(u).value
+            rhs = -surface_flux(u.gradient, c, r, angular_resolution=60) / u.wavenumber**2
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_one_dimension_and_the_budget_are_usage_errors(self):
+        with pytest.raises(ValueError, match="the sphere rule needs m >= 2, got 1"):
+            surface_flux(np.zeros_like, [0.0], 1.0)
+        with pytest.raises(ValueError, match="the sphere rule needs m >= 2, got 1"):
+            ball_mean(lambda p: np.ones(len(p)), [0.0], 1.0)
+        # 141^2 x 282 directions on S^3: refused before any is built
+        with pytest.raises(ValueError, match="5606442 directions in m = 4 are above the node budget"):
+            surface_flux(np.zeros_like, [0, 0, 0, 0], 1.0, angular_resolution=282)

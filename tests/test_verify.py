@@ -494,10 +494,10 @@ class TestCertifiedDifference:
         assert rule.method == "monte_carlo"
         with pytest.raises(ValueError, match="resolution cap"):
             mean_rule(box([-1, -1], [1, 1]), 70.0)
-        # a 4-D ball has no product rule, so neither has a difference of two
+        # a 4-D ball has a product rule, and so has a difference of two
         four = difference(ball([0, 0, 0, 0], 1.0), ball([0.1, 0, 0, 0], 0.5))
         assert four.analytic_volume == pytest.approx(15.0 / 16.0 * math.pi**2 / 2.0, rel=1e-14)
-        assert mean_rule(four, 1.0, samples=10_000, seed=1).method == "monte_carlo"
+        assert mean_rule(four, 1.0, samples=10_000, seed=1).method == "product_difference"
 
 
 class TestSizeCondition:
