@@ -125,7 +125,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--x0", required=True)
     p.add_argument("--samples", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--tol", type=float, default=None)
     _add_common(p)
 
@@ -163,7 +162,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="tolerance relative to the kernel b_norm(m, mu r) >= 1")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="CSV of t, a_m(t), b_m(t) over a grid")
@@ -230,7 +230,7 @@ def _run(args) -> int:
         d = domain_from_json(_load_json_arg(args.domain))
         p = verify.make_problem(d, args.lam, _parse_vector(args.x0),
                                 samples=args.samples, seed=args.seed)
-        rep = verify.characterize(p, tolerance=args.tol, budget=args.budget)
+        rep = verify.characterize(p, tolerance=args.tol)
         return _emit_reports(rep, args)
     if args.subcommand == "discrepancy":
         d = domain_from_json(_load_json_arg(args.domain))

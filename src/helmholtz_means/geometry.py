@@ -328,31 +328,27 @@ def custom_domain(dimension, indicator, bounding_box, analytic_volume=None) -> C
 
 
 def _require_counts(**counts):
-    """ValueError unless every count given (samples, budget, nodes) is >= 1."""
+    """ValueError unless every count given (samples, node counts) is >= 1."""
     for name, n in counts.items():
         if int(n) < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _uniform(d: Domain, samples: int, seed: int) -> np.ndarray:
-    """Seeded uniform points over d's bounding box."""
+def _draw(d: Domain, samples: int, seed: int):
+    """Seeded uniform points over d's bounding box and their indicator.
+    A longer draw at the same seed extends the same stream."""
     _require_counts(samples=samples)
     lo, hi = d.bounding_box
-    return np.random.default_rng(seed).uniform(lo, hi, size=(int(samples), d.dimension))
-
-
-def _draw(d: Domain, samples: int, seed: int):
-    """Seeded uniform points over d's bounding box and their indicator."""
-    pts = _uniform(d, samples, seed)
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(int(samples), d.dimension))
     return pts, d.indicator(pts)
 
 
-def _hit_volume(d: Domain, hits: np.ndarray) -> tuple[float, float]:
-    """(volume, 3-sigma error bar) from the indicator of a _draw."""
+def _hit_volume(d: Domain, hits: int, samples: int) -> tuple[float, float]:
+    """(volume, 3-sigma error bar) from hits inside points of a _draw of samples."""
     lo, hi = d.bounding_box
     vbox = float(np.prod(hi - lo))
-    p = float(np.mean(hits))
-    err3 = 3.0 * vbox * math.sqrt(max(p * (1.0 - p), 0.0) / hits.size)
+    p = hits / samples
+    err3 = 3.0 * vbox * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
     return vbox * p, err3
 
 
@@ -361,7 +357,8 @@ def volume(d: Domain, samples: int = 2_000_000, seed: int = 0) -> tuple[float, f
     Carlo over the bounding box with a 3-sigma error bar."""
     if d.analytic_volume is not None:
         return float(d.analytic_volume), 0.0
-    return _hit_volume(d, _draw(d, samples, seed)[1])
+    hits = _draw(d, samples, seed)[1]
+    return _hit_volume(d, int(np.count_nonzero(hits)), hits.size)
 
 
 def _radius_of_volume(v: float, m: int) -> float:
@@ -376,34 +373,12 @@ def equivalent_radius(d: Domain, samples: int = 2_000_000, seed: int = 0) -> flo
     return _radius_of_volume(volume(d, samples=samples, seed=seed)[0], d.dimension)
 
 
-def circumradius_about(d: Domain, x0, budget: int = 1_000_000, seed: int = 0) -> float:
-    """Sampled sup of |y - x0| over inside points.
-
-    Converges to the true enclosing radius from below; deterministic for
-    a fixed seed, and monotone in budget under the same seed (growing the
-    budget extends the same sample stream).
-    """
-    x0 = _vec(x0, d.dimension)
-    _require_counts(budget=budget)
-    lo, hi = d.bounding_box
-    rng = np.random.default_rng(seed)
-    best = -1.0
-    remaining = int(budget)
-    found = False
-    while remaining > 0:
-        n = min(remaining, 500_000)
-        pts = rng.uniform(lo, hi, size=(n, d.dimension))
-        hits = d.indicator(pts)
-        if np.any(hits):
-            found = True
-            dist2 = np.einsum("ij,ij->i", pts[hits] - x0, pts[hits] - x0)
-            best = max(best, float(np.max(dist2)))
-        remaining -= n
-    if not found:
-        raise EstimationError(
-            f"no inside point found in {budget} samples; bounding box may be too loose"
-        )
-    return math.sqrt(best)
+def circumradius_about(points, x0) -> float:
+    """Largest |y - x0| over given inside points, such as a SampleRule's
+    accepted points: the sampled enclosing radius, which converges to the
+    exact one from below as the draw grows."""
+    dist = points - np.asarray(x0, dtype=float)
+    return math.sqrt(float(np.max(np.einsum("ij,ij->i", dist, dist))))
 
 
 def exact_circumradius(d: Domain, x0) -> float | None:

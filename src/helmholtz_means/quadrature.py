@@ -18,8 +18,10 @@ absorbs the volume normalization.  A ball or box whose fine rule would
 hold more than _NODE_BUDGET points is sampled instead.
 
 Monte Carlo estimates are rejection sampled over the bounding box with
-an explicit seed; the reported error bar is 3 standard errors, and a
-fixed (samples, seed) pair reproduces results bit for bit.
+an explicit seed; a SampleRule makes one draw, on first use, and its
+|D|, every mean and the sampled enclosing radius of verify's size
+condition all read it.  The reported error bar is 3 standard errors,
+and a fixed (samples, seed) pair reproduces results bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .geometry import (
     _draw,
     _hit_volume,
     _require_counts,
-    _uniform,
     _unwrap,
     certified_relation,
 )
@@ -251,45 +252,43 @@ class ProductRule(MeanRule):
 class SampleRule(MeanRule):
     """Rejection sampling over the bounding box from one seeded draw.
 
-    hits is the draw's indicator, which also gives |D| (volume()), and
-    accepted its inside points; both are None until first needed, and
-    the points are kept only once a mean asks for them.  A mean is the
-    sample mean over accepted points with error bar 3 sigma /
-    sqrt(n_accepted); f is evaluated over fixed blocks of 2^18 points,
-    so it must act pointwise, and the reductions run over all values at
-    once.  It raises EstimationError when the acceptance rate drops
-    below 1e-4 (bounding box too loose).
+    The draw is made at the first call that needs it (accepted, volume()
+    or mean) and cached: it keeps the inside points, accepted, whose count
+    also gives |D|, and drops the rest.  It raises EstimationError when
+    the acceptance rate is below 1e-4 (bounding box too loose), so every
+    use of the draw fails the same way.  A mean is the sample mean over
+    the accepted points with error bar 3 sigma / sqrt(n_accepted); f is
+    evaluated over fixed blocks of 2^18 points, so it must act pointwise,
+    and the reductions run over all values at once.
     """
 
     method = MONTE_CARLO
 
     def __init__(self, d: Domain, samples: int, seed: int):
         self.domain, self.samples, self.seed = d, int(samples), seed
-        self.hits = self.accepted = None
+
+    @functools.cached_property
+    def accepted(self) -> np.ndarray:
+        """The draw's inside points, (n_accepted, m)."""
+        pts, hits = _draw(self.domain, self.samples, self.seed)
+        accepted = np.compress(hits, pts, axis=0)
+        if len(accepted) < _MIN_ACCEPTANCE * self.samples:
+            raise EstimationError(
+                f"acceptance rate {len(accepted) / self.samples:.2e} below {_MIN_ACCEPTANCE}; "
+                "tighten the bounding box"
+            )
+        return accepted
 
     def volume(self) -> tuple[float, float]:
         """(|D|, 3-sigma error bar) from the draw, as geometry.volume gives it."""
-        if self.hits is None:
-            self.hits = _draw(self.domain, self.samples, self.seed)[1]
-        return _hit_volume(self.domain, self.hits)
+        return _hit_volume(self.domain, len(self.accepted), self.samples)
 
     def mean(self, f) -> MeanValueEstimate:
-        if self.accepted is None:
-            if self.hits is None:
-                pts, self.hits = _draw(self.domain, self.samples, self.seed)
-            else:  # the same stream again; the indicator is not rerun
-                pts = _uniform(self.domain, self.samples, self.seed)
-            self.accepted = np.compress(self.hits, pts, axis=0)
-            del pts
-        n_acc = len(self.accepted)
-        if n_acc < _MIN_ACCEPTANCE * self.samples:
-            raise EstimationError(
-                f"acceptance rate {n_acc / self.samples:.2e} below {_MIN_ACCEPTANCE}; "
-                "tighten the bounding box"
-            )
+        accepted = self.accepted
+        n_acc = len(accepted)
         vals = np.empty(n_acc)
         for i in range(0, n_acc, _MEAN_BLOCK):
-            vals[i : i + _MEAN_BLOCK] = f(self.accepted[i : i + _MEAN_BLOCK])
+            vals[i : i + _MEAN_BLOCK] = f(accepted[i : i + _MEAN_BLOCK])
         return MeanValueEstimate(
             value=float(np.mean(vals)),
             abs_error_estimate=3.0 * float(np.std(vals)) / math.sqrt(n_acc),
@@ -429,7 +428,7 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
         g[keep] = np.asarray(f(pts[keep]), dtype=float)
     integral = vbox * float(np.mean(g))
     ierr3 = 3.0 * vbox * float(np.std(g)) / math.sqrt(samples)
-    return (integral, ierr3) + _hit_volume(d, keep)
+    return (integral, ierr3) + _hit_volume(d, int(np.count_nonzero(keep)), samples)
 
 
 def _flux(grad, center, r: float, angular: int) -> float:

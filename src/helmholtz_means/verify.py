@@ -32,6 +32,7 @@ from .geometry import (
 from .quadrature import (
     MONTE_CARLO,
     MeanRule,
+    SampleRule,
     mean_rule,
     resolution,
     surface_flux,
@@ -190,8 +191,8 @@ class CharacterizationProblem:
 
     rule is the domain's one mean rule, on which every check of the
     problem evaluates M(., D); on a domain without an analytic volume it
-    is the Monte Carlo rule whose draw gave |D|.  Problems made together
-    share it.
+    is the Monte Carlo rule whose draw gave |D|, and a sampled size
+    condition reads the same draw.  Problems made together share it.
     """
 
     domain: Domain
@@ -335,20 +336,22 @@ def check_identity(
     )
 
 
-def check_size_condition(
-    p: CharacterizationProblem, budget: int = 1_000_000, seed: int = 0
-) -> VerificationReport:
+def check_size_condition(p: CharacterizationProblem) -> VerificationReport:
     """Containment D within B_{r0}(x0), lambda r0 = j_{m/2,1}.
 
     Uses exact corner/center arithmetic for balls, boxes, differences
     whose subtrahend misses the minuend or lies strictly inside it, and
     their translates.  Otherwise an upper bound on the enclosing radius (a
     difference is bounded by its minuend) certifies a pass when it is
-    <= r0, with nothing sampled; failing that, the sampled sup of
-    |y - x0|, which converges from below (a fail is then certain, a pass
-    is up to sampling slack).
+    <= r0, with nothing sampled; failing that, the sup of |y - x0| over
+    the inside points of the problem's draw, which converges from below
+    (a fail is then certain, a pass is up to sampling slack).  The draw
+    is p.rule's when that is a SampleRule, so it classifies no point
+    again; otherwise (a certified difference whose mean is exact but whose
+    enclosing radius is not) one SampleRule(p.domain, p.samples, p.seed).
+    samples and seed are reported where the sup is sampled, 0 and None
+    elsewhere.
     """
-    _require_counts(budget=budget)
     circ = exact_circumradius(p.domain, p.x0)
     upper = p.domain.circumradius_upper(p.x0)
     if circ is not None:
@@ -356,7 +359,8 @@ def check_size_condition(
     elif upper is not None and upper <= p.r0:
         circ, method, err = upper, "upper_bound", 0.0
     else:
-        circ = circumradius_about(p.domain, p.x0, budget=budget, seed=seed)
+        rule = p.rule if isinstance(p.rule, SampleRule) else SampleRule(p.domain, p.samples, p.seed)
+        circ = circumradius_about(rule.accepted, p.x0)
         method, err = "sampled_sup", 2e-3 * circ
     residual = circ - p.r0
     if residual <= 0.0:
@@ -377,8 +381,8 @@ def check_size_condition(
             "lambda_times_enclosing_radius": p.lam * circ,
             "j_half_m_1": p.lam * p.r0,
             "method": method,
-            "budget": budget if method == "sampled_sup" else 0,
-            "seed": seed if method == "sampled_sup" else None,
+            "samples": p.samples if method == "sampled_sup" else 0,
+            "seed": p.seed if method == "sampled_sup" else None,
             "one_sided": "sampled sup converges from below",
         },
         verdict=verdict,
@@ -389,10 +393,10 @@ def check_size_condition(
 # the characterization battery
 
 
-def default_family(p: CharacterizationProblem, seed: int = 0):
+def default_family(p: CharacterizationProblem):
     """Radial field at x0, two phases of each axis-aligned plane wave,
-    and seeded random-direction plane waves, all at the problem's
-    wavenumber."""
+    and random-direction plane waves seeded by p.seed, all at the
+    problem's wavenumber."""
     m = p.domain.dimension
     fields = [radial_solution(m, p.lam, p.x0)]
     for i in range(m):
@@ -400,7 +404,7 @@ def default_family(p: CharacterizationProblem, seed: int = 0):
         e[i] = 1.0
         fields.append(plane_wave(m, p.lam, e, 0.0))
         fields.append(plane_wave(m, p.lam, e, 0.5 * math.pi))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(p.seed)
     for _ in range(_RANDOM_WAVES):
         v = rng.normal(size=m)
         v /= np.linalg.norm(v)
@@ -412,13 +416,14 @@ def characterize(
     p: CharacterizationProblem,
     family=None,
     tolerance: float | None = None,
-    budget: int = 1_000_000,
 ) -> VerificationReport:
     """Run the identity over a family of solutions plus the radial field,
     gate on the size condition, and summarize.  Every member is
     evaluated on the problem's rule (one node set, or one seeded sample),
     so member residuals share their quadrature or sampling error.  The
-    default family and a sampled size condition use the problem's seed.
+    default family is seeded by the problem's seed, and a sampled size
+    condition reads the problem's draw; diagnostics["size_condition"]
+    names the method that gave the enclosing radius.
 
     Conclusions (in diagnostics["conclusion"], mapped onto the verdict):
     "consistent with D = B_r(x0)"  -> pass   (all identities hold, size holds)
@@ -429,9 +434,8 @@ def characterize(
     A finite family can only ever certify the negative direction; the
     "consistent" wording is deliberate.
     """
-    _require_counts(budget=budget)
     if family is None:
-        family = default_family(p, seed=p.seed)
+        family = default_family(p)
     fields = list(family)
     if not any(f.kind == "radial" for f in fields):
         fields.insert(0, radial_solution(p.domain.dimension, p.lam, p.x0))
@@ -440,7 +444,7 @@ def characterize(
             raise ValueError("all family members must share the problem's wavenumber")
 
     member_reports = [check_identity(f, p, tolerance=tolerance) for f in fields]
-    size_rep = check_size_condition(p, budget=budget, seed=p.seed)
+    size_rep = check_size_condition(p)
 
     failing = [(f, r) for f, r in zip(fields, member_reports) if r.verdict == FAIL]
     inconclusive = [r for r in member_reports if r.verdict == INCONCLUSIVE]
@@ -480,6 +484,7 @@ def characterize(
             "members": members,
             "size_condition": {
                 "verdict": size_rep.verdict,
+                "method": size_rep.diagnostics["method"],
                 "enclosing_radius": size_rep.lhs,
                 "r0": size_rep.rhs,
             },
@@ -792,7 +797,10 @@ def theorem1_identity_check(
     """Ball form of the modified-equation identity: b_norm(m, mu r)
     against the ball mean of the monotone radial solution on
     mean_rule(B_r(x0), mu), plus the strict monotonicity of b_norm that
-    the argument leans on."""
+    the argument leans on.  tolerance is relative to the kernel: the
+    report's tolerance is tolerance * b_norm(m, mu r), which grows like
+    e^{mu r} with the rule's rounding error; b_norm >= 1, so it is never
+    below tolerance itself."""
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -808,7 +816,7 @@ def theorem1_identity_check(
         "theorem1_ball_identity",
         lhs,
         est.value,
-        tolerance,
+        tolerance * lhs,
         est.abs_error_estimate,
         {
             "m": m,

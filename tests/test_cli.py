@@ -305,12 +305,14 @@ class TestPlumbing:
         assert out1 == out2
         rep = json.loads(out1)
         assert rep["diagnostics"]["size_condition"]["verdict"] == "pass"
+        assert rep["diagnostics"]["size_condition"]["method"] == "exact"
 
     @pytest.mark.parametrize("argv, message", [
         (("identity", "--domain", BOX_MINUS_DISK, "--solution", RADIAL, "--x0", "0,0",
           "--samples", "0"), "samples must be >= 1"),
+        # the size condition reads the problem's draw; it takes no sample count
         (("characterize", "--domain", BOX_MINUS_DISK, "--lambda", "1.5", "--x0", "0,0",
-          "--samples", "10000", "--budget", "0"), "budget must be >= 1"),
+          "--samples", "10000", "--budget", "0"), "arguments: --budget 0"),
         (("kuran", "--domain", BOX_MINUS_DISK, "--x0", "0,0", "--lambdas", ""), "could not convert"),
         # |D| is positive, but 15 of 200000 points land in the four corners
         # the disk leaves: the mean's acceptance floor is not met
@@ -344,7 +346,11 @@ class TestPlumbing:
           "--x0", "0,0,0,0", "--r", "1"), "3456000 directions in m = 4 are above the node budget"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, *argv)
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except SystemExit as exc:  # the parser rejects a flag, after printing its usage
+            captured = capsys.readouterr()
+            code, out, err = exc.code, captured.out, captured.err.splitlines(True)[-1]
         assert code == 64
         assert out == ""
         assert err.startswith("helmholtz-means: error: ") and err.count("\n") == 1

@@ -24,6 +24,7 @@ from helmholtz_means.geometry import (
     unit_ball_volume,
     volume,
 )
+from helmholtz_means.quadrature import SampleRule
 
 
 class TestConstructors:
@@ -137,32 +138,40 @@ class TestEquivalentRadius:
             equivalent_radius(empty, samples=50_000)
 
 
+def sampled_radius(d, x0, samples, seed=0):
+    """The sup of |y - x0| over one seeded draw's inside points."""
+    return circumradius_about(SampleRule(d, samples, seed).accepted, x0)
+
+
 class TestCircumradius:
     def test_ball_about_center(self):
-        r = circumradius_about(ball([0, 0], 1.0), [0, 0], budget=1_000_000, seed=0)
+        r = sampled_radius(ball([0, 0], 1.0), [0, 0], 1_000_000)
         assert r == pytest.approx(1.0, abs=1e-3)
         assert r < 1.0  # converges from below
 
     def test_square_about_center_half_diagonal(self):
-        r = circumradius_about(box([0, 0], [1, 1]), [0.5, 0.5], budget=1_000_000, seed=0)
+        r = sampled_radius(box([0, 0], [1, 1]), [0.5, 0.5], 1_000_000)
         assert r == pytest.approx(1 / math.sqrt(2), abs=2e-3)
 
     def test_offset_ball_triangle_inequality(self):
-        r = circumradius_about(ball([0.4, 0], 1.0), [0, 0], budget=1_000_000, seed=0)
+        r = sampled_radius(ball([0.4, 0], 1.0), [0, 0], 1_000_000)
         assert r == pytest.approx(1.4, abs=3e-3)
 
-    def test_monotone_in_budget(self):
+    def test_monotone_in_samples(self):
+        # a longer draw at the same seed extends the same stream
         d = box([0, 0], [1, 1])
-        prev = 0.0
-        for budget in [1_000, 10_000, 100_000, 400_000]:
-            cur = circumradius_about(d, [0.5, 0.5], budget=budget, seed=9)
+        prev_points, prev = np.empty((0, 2)), 0.0
+        for samples in [1_000, 10_000, 100_000, 400_000]:
+            points = SampleRule(d, samples, 9).accepted
+            assert np.array_equal(points[: len(prev_points)], prev_points)
+            cur = circumradius_about(points, [0.5, 0.5])
             assert cur >= prev
-            prev = cur
+            prev_points, prev = points, cur
 
     def test_no_inside_point(self):
         empty = difference(ball([0, 0], 1), ball([0, 0], 2))
-        with pytest.raises(EstimationError):
-            circumradius_about(empty, [0, 0], budget=10_000, seed=0)
+        with pytest.raises(EstimationError, match="acceptance rate"):
+            sampled_radius(empty, [0, 0], 10_000)
 
     def test_exact_circumradius(self):
         assert exact_circumradius(ball([0.3, 0], 1.0), [0, 0]) == pytest.approx(1.3, rel=1e-14)

@@ -18,6 +18,7 @@ from helmholtz_means.quadrature import (
     _NODE_BUDGET,
     RESOLUTION_CAP,
     ProductRule,
+    SampleRule,
     _ball_rule,
     _box_rule,
     _gauss,
@@ -218,6 +219,11 @@ class TestMonteCarlo:
         loose = custom_domain(2, tiny.indicator, ([-50, -50], [50, 50]))
         with pytest.raises(EstimationError):
             mc_mean(lambda p: np.ones(len(p)), loose, samples=100_000, seed=0)
+        # the floor is on the draw: |D|, a mean and the inside points all fail
+        rule = SampleRule(loose, 100_000, 0)
+        for use in (rule.volume, lambda: rule.mean(lambda p: p[:, 0]), lambda: rule.accepted):
+            with pytest.raises(EstimationError, match="acceptance rate .* below 0.0001"):
+                use()
 
     def test_mc_integral_ball_area(self):
         val, err, vol, verr = mc_integral(
@@ -233,11 +239,13 @@ class TestMeanRule:
         d = difference(box([-1, -1], [1, 1]), ball([0.9, 0.2], 0.3))  # crosses x = 1
         u = radial_solution(2, 2.0, [0, 0])
         ref = mc_mean(u, d, samples=100_000, seed=9)
-        # |D| first: the points are redrawn from the seed for the mean
+        # nothing is drawn before the first use; |D| first, and its draw
+        # serves the mean
         rule = mean_rule(d, 2.0, samples=100_000, seed=9)
         assert rule.method == "monte_carlo"
+        assert "accepted" not in vars(rule)
         assert rule.volume() == volume(d, samples=100_000, seed=9)
-        assert rule.accepted is None
+        assert "accepted" in vars(rule)
         assert rule.mean(u) == ref
         assert rule.mean(u) == ref  # and again on the kept points
         # a mean first: one draw gives both
@@ -448,7 +456,7 @@ class TestSphereRule:
     def test_eight_dimensional_box_is_sampled(self):
         # 15^8 fine nodes at band 1: the rule is chosen before any is built
         rule = mean_rule(box(np.zeros(8), np.ones(8)), 1.0, samples=1000, seed=1)
-        assert rule.method == "monte_carlo" and rule.hits is None
+        assert rule.method == "monte_carlo" and "accepted" not in vars(rule)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_no_product_rule_exceeds_the_budget(self, m):

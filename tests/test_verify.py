@@ -11,6 +11,7 @@ from helmholtz_means.geometry import (
     ball,
     box,
     certified_relation,
+    circumradius_about,
     custom_domain,
     difference,
     equivalent_radius,
@@ -18,6 +19,7 @@ from helmholtz_means.geometry import (
     volume,
 )
 from helmholtz_means.quadrature import (
+    SampleRule,
     ball_mean,
     box_mean,
     mc_integral,
@@ -207,6 +209,12 @@ class TestIdentity:
         assert counter.points == 0
 
 
+def touching_difference():
+    """A square minus a box notch that shares its face x = 1: a certified
+    difference whose mean is exact but whose enclosing radius is not."""
+    return difference(box([-1, -1], [1, 1]), box([0, -0.5], [1, 0.5]))
+
+
 class CountingIndicator:
     """Wraps a domain's indicator and counts the points it classifies."""
 
@@ -307,6 +315,22 @@ class TestSharedRule:
         kuran_limit_check(d, [0, 0], samples=n, seed=4)
         assert count.points == n + 1
 
+        # at lambda = 3, r0 = 1.28 is below the square's bound sqrt(2),
+        # so the size condition takes its sup over the same draw
+        d = self.domain()
+        count = CountingIndicator(d)
+        p = make_problem(d, 3.0, [0, 0], samples=n, seed=4)
+        rep = characterize(p)
+        assert count.points == n + 1
+        assert rep.diagnostics["size_condition"]["method"] == "sampled_sup"
+
+        # a certified difference: an exact mean, and one draw for the sup
+        d = touching_difference()
+        count = CountingIndicator(d)
+        rep = characterize(make_problem(d, 3.0, [-0.5, 0], samples=n, seed=4))
+        assert count.points == n + 1
+        assert rep.diagnostics["size_condition"]["method"] == "sampled_sup"
+
         d = self.domain()
         count = CountingIndicator(d)
         p = make_problem(d, 1.5, [0, 0], samples=n, seed=4)
@@ -342,18 +366,24 @@ class TestSharedRule:
             kuran_limit_check(d, [0, 0])
             assert sizes == [count(0.3)] * 4
 
-    def test_fresh_problem_holds_no_points(self):
-        p = make_problem(self.domain(), 1.5, [0, 0], samples=self.SAMPLES, seed=4)
-        rule = p.rule
-        assert rule.accepted is None
-        check_identity(radial_solution(2, 1.5, [0, 0]), p)
-        assert len(rule.accepted) == rule.mean(lambda x: x[:, 0]).samples_or_nodes
+    def test_problem_keeps_its_one_draw(self):
+        # |D| needs the draw, so make_problem makes it; every later use
+        # reads the same cached inside points
+        rule = mean_rule(self.domain(), 1.5, samples=self.SAMPLES, seed=4)
+        assert "accepted" not in vars(rule)
+        p = make_problem(self.domain(), 3.0, [0, 0], samples=self.SAMPLES, seed=4)
+        points = p.rule.accepted
+        assert (p.volume, p.volume_error) == p.rule.volume()
+        check_identity(radial_solution(2, 3.0, [0, 0]), p)
+        assert check_size_condition(p).lhs == circumradius_about(points, p.x0)
+        assert p.rule.accepted is points
+        assert len(points) == p.rule.mean(lambda x: x[:, 0]).samples_or_nodes
 
     def test_characterize_members_share_one_sample(self):
         n = self.SAMPLES
         p = make_problem(self.domain(), 1.5, [0, 0], samples=n, seed=4)
         rep = characterize(p)
-        family = default_family(p, seed=4)
+        family = default_family(p)
         for f, member in zip(family, rep.diagnostics["members"], strict=True):
             assert member["residual"] == check_identity(f, p).residual
 
@@ -527,11 +557,12 @@ class TestSizeCondition:
         # the bite removes the far side: the true enclosing radius is
         # about 1.5625, at the corners where the two circles meet.
         bitten = difference(ball([0, 0], 1.0), ball([-1.0, 0.0], 0.8))
-        p = make_problem(bitten, bessel_zero(1.0, 1) / 1.65, [0.7, 0.0])
+        p = make_problem(bitten, bessel_zero(1.0, 1) / 1.65, [0.7, 0.0], samples=200_000, seed=1)
         assert p.r0 == pytest.approx(1.65, rel=1e-12)
-        rep = check_size_condition(p, budget=200_000, seed=1)
+        rep = check_size_condition(p)
         assert rep.diagnostics["method"] == "sampled_sup"
-        assert rep.diagnostics["budget"] == 200_000
+        assert (rep.diagnostics["samples"], rep.diagnostics["seed"]) == (200_000, 1)
+        assert rep.lhs == circumradius_about(p.rule.accepted, p.x0)  # the problem's draw
         assert 1.55 < rep.lhs <= 1.5626
         assert rep.verdict == PASS
 
@@ -550,27 +581,37 @@ class TestSizeCondition:
             (translate(tangent, [0.5, -0.2]), [-0.2, -0.2], "upper_bound"),
         ]
         for d, x0, method in cases:
-            rep = check_size_condition(make_problem(d, 1.0, x0), budget=200_000, seed=1)
+            rep = check_size_condition(make_problem(d, 1.0, x0))
             assert rep.diagnostics["method"] == method
-            assert rep.diagnostics["budget"] == 0 and rep.diagnostics["seed"] is None
+            assert rep.diagnostics["samples"] == 0 and rep.diagnostics["seed"] is None
             assert rep.lhs == pytest.approx(1.7, abs=1e-15)
             assert rep.error_bar == 0.0
             assert rep.verdict == PASS
         # a custom domain has no bound, so it is sampled
         disk = ball([0, 0], 1.0)
         custom = custom_domain(2, disk.indicator, disk.bounding_box)
-        rep = check_size_condition(make_problem(custom, 1.0, [0, 0]), budget=50_000, seed=1)
+        rep = check_size_condition(make_problem(custom, 1.0, [0, 0], samples=50_000, seed=1))
         assert rep.diagnostics["method"] == "sampled_sup"
+
+    def test_touching_difference_samples_its_own_draw(self):
+        # the minuend's bound sqrt(1.5^2 + 1) is above r0 = j_{1,1} / 3, so
+        # one SampleRule of the problem's samples at its seed gives the sup
+        p = make_problem(touching_difference(), 3.0, [-0.5, 0.0], samples=100_000, seed=6)
+        assert p.rule.method == "product_difference"
+        rep = check_size_condition(p)
+        assert rep.diagnostics["method"] == "sampled_sup"
+        assert (rep.diagnostics["samples"], rep.diagnostics["seed"]) == (100_000, 6)
+        assert rep.lhs == circumradius_about(SampleRule(p.domain, 100_000, 6).accepted, p.x0)
+        assert 1.79 < rep.lhs <= math.hypot(1.5, 1.0)
+        assert rep.verdict == FAIL
+        summary = characterize(p).diagnostics["size_condition"]
+        assert summary == {"verdict": FAIL, "method": "sampled_sup",
+                           "enclosing_radius": rep.lhs, "r0": p.r0}
 
     def test_counts_must_be_positive(self):
         annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
         with pytest.raises(ValueError, match="samples"):
             make_problem(annulus, 1.0, [0.7, 0.0], samples=0)
-        p = make_problem(annulus, 1.0, [0.7, 0.0], samples=10_000)
-        with pytest.raises(ValueError, match="budget"):
-            check_size_condition(p, budget=0)
-        with pytest.raises(ValueError, match="budget"):
-            characterize(p, budget=0)
 
     def test_problem_invariants(self):
         p = make_problem(box([0, 0], [1, 1]), 2.0, [0.5, 0.5])
@@ -621,7 +662,7 @@ class TestCharacterize:
         # composite domain: no spectral shortcut, sampled size condition
         annulus = difference(ball([0, 0], 1.0), ball([0, 0], 0.4))
         p = make_problem(annulus, 1.0, [0.7, 0.0], samples=400_000, seed=2)
-        rep = characterize(p, budget=200_000)
+        rep = characterize(p)
         assert rep.verdict == FAIL
         assert rep.diagnostics["conclusion"] == "not a ball centered at x0"
         assert rep.diagnostics["size_condition"]["verdict"] == PASS
@@ -873,6 +914,15 @@ class TestTheorem1:
         assert rep.verdict == PASS
         assert abs(rep.residual) <= 1e-8
         assert rep.diagnostics["kernel_strictly_increasing"]
+
+    @pytest.mark.parametrize("mu", [20.0, 40.0])
+    def test_tolerance_scales_with_the_kernel(self, mu):
+        # b_norm(3, mu) is 1.7e6 at mu = 20 and 1.4e14 at mu = 40; the
+        # rule's rounding-level error exceeds any absolute 1e-8 there
+        rep = theorem1_identity_check(mu, [0, 0, 0], 1.0, 3)
+        assert rep.tolerance == 1e-8 * b_norm(3, mu)
+        assert rep.verdict == PASS, (rep.residual, rep.error_bar, rep.tolerance)
+        assert abs(rep.residual) <= 1e-13 * rep.lhs
 
     def test_small_argument_limit(self):
         rep = theorem1_identity_check(1.0, np.zeros(2), 1e-4, 2)
