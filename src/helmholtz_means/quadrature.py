@@ -326,8 +326,14 @@ class DifferenceRule(MeanRule):
         )
 
 
+def _coarse(count: int, floor: int = 8) -> int:
+    """A product rule's coarse count for the fine count `count`: two
+    thirds of it, at least floor (8 for the sphere rule's directions)."""
+    return max(2 * count // 3, floor)
+
+
 def _ball_rule(center, r, radial_nodes, angular) -> ProductRule:
-    levels = ((radial_nodes, angular), (max(2 * radial_nodes // 3, 4), max(2 * angular // 3, 8)))
+    levels = ((radial_nodes, angular), (_coarse(radial_nodes, 4), _coarse(angular)))
     return ProductRule(BALL_SPECTRAL, lambda s, dirs: center + s[..., None] * dirs,
                        [_ball_factors(center.size, r, n, a) for n, a in levels])
 
@@ -338,7 +344,7 @@ def _box_rule(low, high, nodes) -> MeanRule:
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise ValueError("box requires low < high componentwise")
     _require_counts(nodes=nodes)
-    levels = (int(nodes), max(2 * int(nodes) // 3, 4))
+    levels = (int(nodes), _coarse(int(nodes), 4))
     return ProductRule(BOX_GAUSS, lambda *axes: np.stack(np.broadcast_arrays(*axes), axis=-1),
                        [[_gauss(a, b, n) for a, b in zip(lo, hi)] for n in levels])
 
@@ -464,6 +470,7 @@ def surface_flux(grad, center, r: float, angular_resolution: int = 256) -> float
 
 def surface_flux_error(grad, center, r: float, angular_resolution: int = 256) -> float:
     """|fine - coarse| of surface_flux's rule, the coarse level having
-    max(2 angular_resolution // 3, 8) directions as in the ball rule."""
+    max(2 angular_resolution // 3, 8) directions as in the ball rule.  No
+    check calls it: flux_identity_check reuses its fine flux for the bar."""
     angular = int(angular_resolution)
-    return abs(_flux(grad, center, r, angular) - _flux(grad, center, r, max(2 * angular // 3, 8)))
+    return abs(_flux(grad, center, r, angular) - _flux(grad, center, r, _coarse(angular)))

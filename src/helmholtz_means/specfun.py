@@ -20,11 +20,15 @@ ratio between a Helmholtz solution's value at a ball's center and its
 volume mean over that ball; b_norm is the analogous monotone kernel for
 the modified equation.
 
+The zeros j_{nu,n} come from a symmetric tridiagonal eigenproblem (see
+bessel_zero), independent of the evaluation code above.
+
 All functions accept scalar or ndarray arguments for t.  The one piece
-of state is a per-process cache of zeros: bessel_zero computes each
-j_{nu,n} once and then returns the cached float.  a_norm and b_norm at
-one float point in the series region run the array path's Horner steps
-on Python floats, so they return the same bits without array overhead.
+of state is a per-process cache of zeros: each (order, truncation size)
+eigenproblem is solved once and its zeros are kept read-only.  a_norm
+and b_norm at one float point in the series region run the array
+path's Horner steps on Python floats, so they return the same bits
+without array overhead.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ BESSEL_I_MAX_T = 300.0
 # Rescale unnormalized recurrence values above this magnitude.
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
+# Largest zero index bessel_zero serves (a 1024 x 1024 eigenproblem).
+_MAX_ZERO_INDEX = 200
 
 __all__ = [
     "gamma_fn",
@@ -312,95 +318,37 @@ def b_norm(m: int, t):
     return _norm_kernel(m, t, 1.0, "b")
 
 
-def _brent(f, a: float, b: float, xtol: float = 1e-13, maxiter: int = 200) -> float:
-    """Brent root refinement on a sign-change bracket [a, b]."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError("bracket endpoints must have opposite signs")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(maxiter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
-        mid = 0.5 * (c - b)
-        if abs(mid) <= tol or fb == 0.0:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * mid * s, 1.0 - s
-            else:
-                qq, r = fa / fc, fb / fc
-                p = s * (2.0 * mid * qq * (qq - r) - (b - a) * (r - 1.0))
-                q = (qq - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * mid * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = mid
-        else:
-            d = e = mid
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, mid)
-        fb = f(b)
-    return b
-
-
 def bessel_zero(nu: float, n: int) -> float:
-    """n-th positive zero j_{nu,n} of J_nu, for 0 <= nu <= 6, n >= 1.
+    """n-th positive zero j_{nu,n} of J_nu, for 0 <= nu <= 6, 1 <= n <= 200.
 
-    Starts from the McMahon asymptotic guess (with its first 1/t
-    correction), scans a +-1.5 window on a fine grid for the sign
-    change, and refines with Brent.  Absolute error <= 1e-9.  Each zero
-    is computed once per process and then served from a cache; the
-    arguments are checked on every call.  The order limit bounds the
-    size condition lambda r0 = j_{m/2,1} to dimensions m <= 12.
+    The zeros are the reciprocals of the positive eigenvalues of the
+    symmetric tridiagonal matrix with zero diagonal and off-diagonal
+    1 / (2 sqrt((nu + k)(nu + k + 1))), k = 1, 2, ... (Ikebe, Kikuchi &
+    Fujishiro, J. Comput. Appl. Math. 38 (1991)), truncated to the least
+    power of two >= 4n + 64 rows.  The truncation depends on n alone, so
+    each zero depends only on (nu, n).  Absolute error <= 1e-11; no
+    Bessel function is evaluated.  The order limit bounds the size
+    condition lambda r0 = j_{m/2,1} to dimensions m <= 12.
     """
     nu = _check_order(nu)
     if nu > 6.0:
         raise ValueError(f"bessel_zero supports orders nu <= 6, got {nu}")
     n = int(n)
-    if n < 1:
-        raise ValueError(f"bessel_zero requires n >= 1, got {n}")
-    return _bessel_zero(nu, n)
+    if not 1 <= n <= _MAX_ZERO_INDEX:
+        raise ValueError(f"bessel_zero requires 1 <= n <= {_MAX_ZERO_INDEX}, got {n}")
+    size = 64
+    while size < 4 * n + 64:
+        size *= 2
+    return float(_zeros(nu, size)[n - 1])
 
 
-@functools.lru_cache(maxsize=256)
-def _bessel_zero(nu: float, n: int) -> float:
-    guess = (n + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    guess -= (mu - 1.0) / (8.0 * guess)
-
-    def f(t):
-        return bessel_j(nu, t)
-
-    half_width = 1.5
-    for _ in range(5):
-        lo = max(guess - half_width, 0.05)
-        hi = guess + half_width
-        # Zeros of J_nu are > 3 apart for nu <= 6, so a 0.25 grid cannot
-        # straddle two of them within one step.
-        grid = np.linspace(lo, hi, max(int((hi - lo) / 0.25) + 2, 8))
-        vals = f(grid)
-        signs = np.sign(vals)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if flips.size:
-            mids = 0.5 * (grid[flips] + grid[flips + 1])
-            i = flips[np.argmin(np.abs(mids - guess))]
-            return _brent(f, float(grid[i]), float(grid[i + 1]))
-        exact = np.nonzero(vals == 0.0)[0]
-        if exact.size:
-            return float(grid[exact[0]])
-        half_width += 1.5
-    raise RuntimeError(f"bessel_zero failed to bracket j_({nu},{n}) near {guess:.3f}")
+@functools.lru_cache(maxsize=None)
+def _zeros(nu: float, size: int) -> np.ndarray:
+    """j_{nu,1}, j_{nu,2}, ... from the size x size truncated matrix,
+    solved once per (nu, size) and kept read-only."""
+    k = np.arange(1.0, size)
+    off = 0.5 / np.sqrt((nu + k) * (nu + k + 1.0))
+    eig = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    zeros = 1.0 / eig[size // 2 :][::-1]  # the positive half, largest first
+    zeros.flags.writeable = False
+    return zeros

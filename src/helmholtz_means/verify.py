@@ -33,10 +33,10 @@ from .quadrature import (
     MONTE_CARLO,
     MeanRule,
     SampleRule,
+    _coarse,
     mean_rule,
     resolution,
     surface_flux,
-    surface_flux_error,
 )
 from .solutions import (
     HELMHOLTZ,
@@ -344,10 +344,14 @@ def check_size_condition(p: CharacterizationProblem) -> VerificationReport:
     their translates.  Otherwise an upper bound on the enclosing radius (a
     difference is bounded by its minuend) certifies a pass when it is
     <= r0, with nothing sampled; failing that, the sup of |y - x0| over
-    the inside points of the problem's draw, which converges from below
-    (a fail is then certain, a pass is up to sampling slack).  The draw
-    is p.rule's when that is a SampleRule, so it classifies no point
-    again; otherwise (a certified difference whose mean is exact but whose
+    the inside points of the problem's draw.  Those points lie in D, so
+    the sup is a lower bound on the enclosing radius: sup > r0 is a
+    certain fail.  A pass needs sup + h <= r0, h = (|bounding box| /
+    samples)^(1/m) being the draw's mean spacing, which is reported as
+    the error bar; anything between is inconclusive.  h is a heuristic
+    for how far the sup can fall short, not a bound.  The draw is
+    p.rule's when that is a SampleRule, so it classifies no point again;
+    otherwise (a certified difference whose mean is exact but whose
     enclosing radius is not) one SampleRule(p.domain, p.samples, p.seed).
     samples and seed are reported where the sup is sampled, 0 and None
     elsewhere.
@@ -361,14 +365,16 @@ def check_size_condition(p: CharacterizationProblem) -> VerificationReport:
     else:
         rule = p.rule if isinstance(p.rule, SampleRule) else SampleRule(p.domain, p.samples, p.seed)
         circ = circumradius_about(rule.accepted, p.x0)
-        method, err = "sampled_sup", 2e-3 * circ
+        lo, hi = p.domain.bounding_box
+        err = (float(np.prod(hi - lo)) / p.samples) ** (1.0 / p.domain.dimension)
+        method = "sampled_sup"
     residual = circ - p.r0
-    if residual <= 0.0:
-        verdict = PASS
-    elif residual <= err:
-        verdict = INCONCLUSIVE
-    else:
+    if residual > 0.0:
         verdict = FAIL
+    elif residual + err <= 0.0:
+        verdict = PASS
+    else:
+        verdict = INCONCLUSIVE
     return _report(
         "size_condition",
         circ,
@@ -756,7 +762,8 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     boundary flux of u's closed-form gradient; relative residual
     tolerance 1e-5.  The volume mean is mean_rule(B_r(center), lambda)'s,
     and the sphere rule has resolution(lambda r)'s angular count; the
-    error bar adds the two rules' |fine - coarse|."""
+    error bar adds the two rules' |fine - coarse|, the flux's from one
+    pass per level."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the flux identity applies to Helmholtz fields")
     d = ball(center, r)
@@ -767,7 +774,8 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     lhs = d.analytic_volume * est.value
     rhs = -flux / lam**2
     scale = max(abs(lhs), abs(rhs), 1e-12)
-    err = surface_flux_error(u.gradient, d.center, r, angular_resolution=angular) / lam**2
+    coarse = surface_flux(u.gradient, d.center, r, angular_resolution=_coarse(angular))
+    err = abs(flux - coarse) / lam**2
     err += d.analytic_volume * est.abs_error_estimate
     return _report(
         "flux_identity",

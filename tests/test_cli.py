@@ -23,6 +23,13 @@ class TestSpecfun:
         assert code == 0
         assert json.loads(out)[0]["value"] == pytest.approx(3.831706, abs=1e-5)
 
+    def test_zeros_of_a_non_half_integer_order(self, capsys):
+        # j_{0.3,4..6} lie past t = 12, where bessel_j refuses order 0.3
+        code, out, _ = run_cli(capsys, "specfun", "zeros", "--nu", "0.3", "--count", "6")
+        assert code == 0
+        values = [row["value"] for row in json.loads(out)]
+        assert len(values) == 6 and values[3] > 12.0
+
     def test_kernel_a_at_zero(self, capsys):
         code, out, _ = run_cli(capsys, "specfun", "a", "--m", "2", "--t", "0", "--format", "csv")
         assert code == 0
@@ -179,6 +186,19 @@ class TestReportsCommands:
             capsys, "characterize", "--domain", square, "--lambda", lam, "--x0", "0.5,0.5"
         )
         assert code == 2
+        assert json.loads(out)["diagnostics"]["conclusion"] == "outside theorem scope"
+
+    def test_characterize_sampled_sup_short_of_r0_is_out_of_scope(self, capsys):
+        # the bitten disk's enclosing radius 1.5627 is above r0 = 1.555; a
+        # 2,000-point draw's sup falls short of r0 by less than its spacing
+        bitten = ('{"kind":"difference","a":{"kind":"ball","center":[0,0],"r":1},'
+                  '"b":{"kind":"ball","center":[-1,0],"r":0.8}}')
+        code, out, _ = run_cli(capsys, "characterize", "--domain", bitten, "--lambda", "2.4641",
+                               "--x0", "0.7,0", "--samples", "2000", "--seed", "0")
+        assert code == 2
+        size = json.loads(out)["diagnostics"]["size_condition"]
+        assert size["verdict"] == "inconclusive" and size["method"] == "sampled_sup"
+        assert size["enclosing_radius"] < size["r0"]
         assert json.loads(out)["diagnostics"]["conclusion"] == "outside theorem scope"
 
     def test_discrepancy_square(self, capsys):
@@ -344,6 +364,8 @@ class TestPlumbing:
         # a sphere rule over the node budget is refused before the volume mean is sampled
         (("flux", "--solution", '{"kind":"radial","lambda":100.0,"center":[0,0,0,0]}',
           "--x0", "0,0,0,0", "--r", "1"), "3456000 directions in m = 4 are above the node budget"),
+        # zeros are served up to n = 200
+        (("specfun", "zeros", "--nu", "1", "--count", "201"), "requires 1 <= n <= 200, got 201"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:

@@ -297,8 +297,8 @@ class TestBesselZero:
             assert abs(bessel_j(nu, z)) <= 1e-8
 
     def test_full_contract_range_brackets(self):
-        # Must not fail to bracket anywhere in nu <= 6, n <= 20; zeros
-        # strictly increase in n and interlace with the next order.
+        # Over nu <= 6, n <= 20 the zeros strictly increase in n and
+        # interlace with the next order.
         for nu in np.arange(0.0, 6.5, 0.5):
             zs = [bessel_zero(float(nu), n) for n in range(1, 21)]
             assert np.all(np.diff(zs) > 0.0)
@@ -308,7 +308,7 @@ class TestBesselZero:
                     assert zs[n] < nxt[n] < zs[n + 1]
 
     def test_high_order_first_zero(self):
-        # Worst case for the asymptotic guess; j_{6,1} = 9.93610952...
+        # The largest order served; j_{6,1} = 9.93610952...
         assert bessel_zero(6, 1) == pytest.approx(9.936109524217684, abs=1e-9)
 
     def test_argument_validation(self):
@@ -319,18 +319,59 @@ class TestBesselZero:
                     bessel_zero(nu, n)
 
     def test_repeated_call_is_a_cache_hit(self):
-        specfun._bessel_zero.cache_clear()
+        specfun._zeros.cache_clear()
         first = bessel_zero(2.5, 3)
-        hits = specfun._bessel_zero.cache_info().hits
-        assert bessel_zero(2.5, 3) is first
-        assert specfun._bessel_zero.cache_info().hits == hits + 1
+        hits = specfun._zeros.cache_info().hits
+        assert bessel_zero(2.5, 3) == first
+        info = specfun._zeros.cache_info()
+        assert (info.currsize, info.hits) == (1, hits + 1)
 
     def test_numpy_order_shares_the_float_entry(self):
-        specfun._bessel_zero.cache_clear()
+        specfun._zeros.cache_clear()
         z = bessel_zero(1.5, 1)
         assert bessel_zero(np.float64(1.5), 1) == z == bessel_zero(np.array(1.5), 1)
-        info = specfun._bessel_zero.cache_info()
+        info = specfun._zeros.cache_info()
         assert (info.currsize, info.hits) == (1, 2)
+
+    def test_cached_zeros_are_read_only(self):
+        zeros = specfun._zeros(1.0, 128)
+        assert not zeros.flags.writeable
+        with pytest.raises(ValueError):
+            zeros[0] = 0.0
+
+    def test_zero_depends_only_on_order_and_index(self):
+        # a zero's truncation size is fixed by n, so neither a later,
+        # larger request nor a cache clear moves its bits
+        specfun._zeros.cache_clear()
+        first = bessel_zero(1.0, 1)
+        bessel_zero(1.0, 150)
+        assert bessel_zero(1.0, 1) == first
+        specfun._zeros.cache_clear()
+        assert bessel_zero(1.0, 1) == first
+
+    def test_index_bound(self):
+        assert bessel_zero(0.0, 200) == pytest.approx(627.5333317469042, abs=1e-11)
+        for n in (201, 10_000):
+            with pytest.raises(ValueError, match="1 <= n <= 200"):
+                bessel_zero(1.0, n)
+
+    def test_non_half_integer_order_past_the_series_cutoff(self):
+        # j_{0.3,4..6} lie past t = 12, where bessel_j serves only integer
+        # and half-integer orders; the zeros interlace j_{0,n} < j_{0.3,n} < n pi
+        for n in range(4, 7):
+            z = bessel_zero(0.3, n)
+            assert z > 12.0
+            assert bessel_zero(0.0, n) < z < n * math.pi
+
+    def test_zeros_against_scipy(self):
+        sp = pytest.importorskip("scipy.special")
+        optimize = pytest.importorskip("scipy.optimize")
+        for nu in [0.3] + [0.5 * k for k in range(13)]:
+            for n in range(1, 201):
+                z = bessel_zero(nu, n)
+                ref = optimize.brentq(lambda x: sp.jv(nu, x), z - 0.5, z + 0.5,
+                                      xtol=1e-14, rtol=1e-15)
+                assert abs(z - ref) <= 1e-11, (nu, n)
 
 
 class TestSeriesRegionAgainstScipy:

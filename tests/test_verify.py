@@ -566,6 +566,39 @@ class TestSizeCondition:
         assert 1.55 < rep.lhs <= 1.5626
         assert rep.verdict == PASS
 
+    def test_sampled_pass_needs_the_draws_spacing(self):
+        # The bitten disk's true enclosing radius is 1.5627 > r0 = 1.555:
+        # a sampled sup never passes it, and a sup above r0 fails.
+        bitten = difference(ball([0, 0], 1.0), ball([-1.0, 0.0], 0.8))
+        j = bessel_zero(1.0, 1)
+        for samples in (2_000, 20_000, 200_000):
+            for seed in range(3):
+                rep = check_size_condition(make_problem(bitten, j / 1.555, [0.7, 0.0],
+                                                        samples=samples, seed=seed))
+                assert rep.diagnostics["method"] == "sampled_sup"
+                # h, the draw's mean spacing over the bounding box [-1, 1]^2
+                assert rep.error_bar == (4.0 / samples) ** 0.5
+                assert rep.verdict != PASS
+                assert rep.verdict == (FAIL if rep.lhs > rep.rhs else INCONCLUSIVE)
+        for seed in range(3):
+            p = make_problem(bitten, j / 1.65, [0.7, 0.0], samples=200_000, seed=seed)
+            assert check_size_condition(p).verdict == PASS
+
+    def test_sampled_verdict_bands(self):
+        # one draw, three r0: just under the sup (fail), less than h above
+        # it (inconclusive), more than h above it (pass)
+        bitten = difference(ball([0, 0], 1.0), ball([-1.0, 0.0], 0.8))
+        j = bessel_zero(1.0, 1)
+        rep = check_size_condition(make_problem(bitten, j / 1.6, [0.7, 0.0],
+                                                samples=20_000, seed=0))
+        sup, h = rep.lhs, rep.error_bar
+        for r0, verdict in [(sup * (1.0 - 1e-12), FAIL), (sup + 0.5 * h, INCONCLUSIVE),
+                            (sup + 1.01 * h, PASS)]:
+            p = make_problem(bitten, j / r0, [0.7, 0.0], samples=20_000, seed=0)
+            rep = check_size_condition(p)
+            assert (rep.lhs, rep.error_bar) == (sup, h)  # the same draw
+            assert rep.verdict == verdict
+
     def test_upper_bound_certifies_difference(self):
         # A \ B lies in A, so A's enclosing radius 0.7 + 1 = 1.7 bounds it,
         # and 1.7 <= r0 = 3.83 certifies the pass without sampling.  It is
@@ -877,6 +910,23 @@ class TestFluxIdentity:
         rep = flux_identity_check(u, [0, 0], 1.0)
         assert rep.lhs == pytest.approx(math.pi * a_norm(2, 1.0), rel=1e-9)
         assert rep.lhs == pytest.approx(2.7649, abs=2e-4)
+
+    def test_one_pass_per_sphere_level(self):
+        # the gradient is evaluated once on the fine directions and once on
+        # the coarse ones; the bar reuses the fine flux
+        from dataclasses import replace
+
+        from helmholtz_means.quadrature import _ball_nodes, _coarse
+
+        for m, lam, r in [(2, 1.0, 1.0), (3, 1.5, 0.8), (4, 1.0, 1.0)]:
+            u = radial_solution(m, lam, np.zeros(m))
+            rows = []
+            counted = replace(u, gradient=lambda x, g=u.gradient: rows.append(len(x)) or g(x))
+            rep = flux_identity_check(counted, np.zeros(m), r)
+            angular = rep.diagnostics["angular_resolution"]
+            fine, coarse = _ball_nodes(m, 1, angular), _ball_nodes(m, 1, _coarse(angular))
+            assert rows == [fine, coarse]
+            assert rep.verdict == PASS
 
     def test_zero_field_trivial_identity(self):
         from helmholtz_means.solutions import SolutionField
