@@ -44,6 +44,7 @@ from .geometry import (
     _require_counts,
     _unwrap,
     certified_relation,
+    unit_ball_volume,
 )
 
 __all__ = [
@@ -70,7 +71,7 @@ MONTE_CARLO = "monte_carlo"
 
 _MIN_ACCEPTANCE = 1e-4
 _MEAN_BLOCK = 1 << 18  # accepted points per field evaluation in SampleRule.mean
-_PRODUCT_BLOCK = 1 << 16  # nodes per field evaluation in ProductRule.mean
+_PRODUCT_BLOCK = 1 << 16  # most points per field evaluation in _level_mean
 
 # Largest band lambda * size that resolution sizes a product rule for; at
 # the cap a 3-D ball rule has 84 x 141 x 282 fine nodes.
@@ -174,12 +175,6 @@ def _gauss(a: float, b: float, nodes: int):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def _ball_factors(m: int, r: float, radial_nodes: int, angular: int):
-    """Radial Gauss rule (Jacobian s^{m-1} in its weights) and directions."""
-    s, ws = _gauss(0.0, r, radial_nodes)
-    return [(s, ws * s ** (m - 1)), _sphere_directions(m, angular)]
-
-
 class MeanRule:
     """The volume mean M(., D) of one domain at one resolution.
 
@@ -199,18 +194,11 @@ class MeanRule:
 class ProductRule(MeanRule):
     """A ball or box product rule with a fine and a coarse level.
 
-    A level is the tensor product of its factors, (nodes, weights) pairs:
-    a ball's radial Gauss rule and sphere directions, or a box's Gauss
-    rule per axis.  place(*nodes) maps factor nodes that broadcast
-    against each other to an array of points (..., m).  mean takes the
-    level's points in row-major order, at most 2^16 at a time: each
-    block is formed from the rows of the first factor (radial or x
-    nodes) it spans, broadcast against the other factors and sliced to
-    the block, with weights w_0 w_1 ... multiplied left to right.  Where
-    the other factors hold more than 2^16 points, a row is indexed by
-    the first two factors (and so on), so a block never forms more than
-    three blocks' worth of points.  It sums w f and w over the same
-    blocks in the same order, so f = 1 gives exactly 1.0; the error
+    Every level is rows x columns, two (nodes, weights) pairs: a ball's
+    radial Gauss rule (Jacobian s^{m-1} in its weights) times the sphere
+    directions, or a box's Gauss rule on axis 0 times the tensor product
+    of its other axes.  place(rows, columns) maps slices of the two to
+    their (rows * columns, m) points in row-major order.  The error
     estimate is the change from the coarse to the fine level.
     """
 
@@ -218,35 +206,26 @@ class ProductRule(MeanRule):
         self.method, self._place, self.levels = method, place, levels  # [fine, coarse]
 
     def mean(self, f) -> MeanValueEstimate:
-        value, coarse = (self._level_mean(f, factors) for factors in self.levels)
+        value, coarse = (_level_mean(self._place, f, level) for level in self.levels)
         size = math.prod(len(w) for _, w in self.levels[0])
         return MeanValueEstimate(value, abs(value - coarse), self.method, size)
 
-    def _level_mean(self, f, factors) -> float:
-        sizes = [len(w) for _, w in factors]
-        # rows run over the fewest leading factors that leave a row (the
-        # product of the others) within one block; they share axis 0
-        lead = next(j for j in range(1, len(sizes) + 1)
-                    if math.prod(sizes[j:]) <= _PRODUCT_BLOCK)
-        rest = len(sizes) - lead
-        axes = [(-1,) + (1,) * rest] * lead + [
-            (1,) * (1 + i) + (-1,) + (1,) * (rest - 1 - i) for i in range(rest)]
-        nodes = [x.reshape(ax + x.shape[1:]) for (x, _), ax in zip(factors, axes)]
-        weights = [w.reshape(ax) for (_, w), ax in zip(factors, axes)]
-        row, total = math.prod(sizes[lead:]), math.prod(sizes)
-        num = den = 0.0
-        for start in range(0, total, _PRODUCT_BLOCK):
-            stop = min(start + _PRODUCT_BLOCK, total)
-            first = start // row
-            idx = np.unravel_index(np.arange(first, -(-stop // row)), sizes[:lead])
-            cut = slice(start - first * row, stop - first * row)
-            w = math.prod([x[i] for x, i in zip(weights, idx)] + weights[lead:])
-            w = w.reshape(-1)[cut]
-            pts = self._place(*(x[i] for x, i in zip(nodes, idx)), *nodes[lead:])
-            pts = pts.reshape(-1, pts.shape[-1])[cut]
-            num += float(np.sum(w * np.asarray(f(pts), dtype=float)))
+
+def _level_mean(place, f, level) -> float:
+    """sum(w f) / sum(w) over a rows x columns level, w = w_row w_column, in
+    blocks of 2^16 // columns whole rows, or one row's columns 2^16 at a time
+    where they hold more, each freed once f has read it; w f and w share
+    their blocks, so f = 1 gives exactly 1.0."""
+    (rows, w_rows), (cols, w_cols) = level
+    step = max(_PRODUCT_BLOCK // len(w_cols), 1)  # rows per block
+    num = den = 0.0
+    for i in range(0, len(w_rows), step):
+        for j in range(0, len(w_cols), _PRODUCT_BLOCK):  # one slice unless step is 1
+            w = np.multiply.outer(w_rows[i : i + step], w_cols[j : j + _PRODUCT_BLOCK]).reshape(-1)
+            vals = f(place(rows[i : i + step], cols[j : j + _PRODUCT_BLOCK]))
+            num += float(np.sum(w * np.asarray(vals, dtype=float)))
             den += float(np.sum(w))
-        return num / den
+    return num / den
 
 
 class SampleRule(MeanRule):
@@ -332,10 +311,20 @@ def _coarse(count: int, floor: int = 8) -> int:
     return max(2 * count // 3, floor)
 
 
+def _ball_place(center):
+    """place for a ball level: center + s * direction, formed in one array."""
+    def place(s, dirs):
+        pts = s[:, None, None] * dirs
+        return np.add(pts, center, out=pts).reshape(-1, center.size)
+    return place
+
+
 def _ball_rule(center, r, radial_nodes, angular) -> ProductRule:
-    levels = ((radial_nodes, angular), (_coarse(radial_nodes, 4), _coarse(angular)))
-    return ProductRule(BALL_SPECTRAL, lambda s, dirs: center + s[..., None] * dirs,
-                       [_ball_factors(center.size, r, n, a) for n, a in levels])
+    levels = []
+    for n, a in ((radial_nodes, angular), (_coarse(radial_nodes, 4), _coarse(angular))):
+        s, ws = _gauss(0.0, r, n)
+        levels.append([(s, ws * s ** (center.size - 1)), _sphere_directions(center.size, a)])
+    return ProductRule(BALL_SPECTRAL, _ball_place(center), levels)
 
 
 def _box_rule(low, high, nodes) -> MeanRule:
@@ -344,9 +333,22 @@ def _box_rule(low, high, nodes) -> MeanRule:
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise ValueError("box requires low < high componentwise")
     _require_counts(nodes=nodes)
-    levels = (int(nodes), _coarse(int(nodes), 4))
-    return ProductRule(BOX_GAUSS, lambda *axes: np.stack(np.broadcast_arrays(*axes), axis=-1),
-                       [[_gauss(a, b, n) for a, b in zip(lo, hi)] for n in levels])
+
+    def place(x, cols):
+        pts = np.empty((len(x),) + cols.shape)
+        pts[:] = cols
+        pts[..., 0] = x[:, None]
+        return pts.reshape(-1, cols.shape[1])
+
+    levels = []
+    for n in (int(nodes), _coarse(int(nodes), 4)):
+        first, *others = [_gauss(a, b, n) for a, b in zip(lo, hi)]
+        # columns: the tensor product of axes 1..m-1, as points whose axis 0
+        # (0 here) place fills from the rows; for m = 1 one point of weight 1
+        cols = np.stack(np.meshgrid(np.zeros(1), *(x for x, _ in others), indexing="ij"), -1)
+        w = functools.reduce(np.multiply.outer, [wx for _, wx in others], np.ones(1))
+        levels.append([first, (cols.reshape(-1, lo.size), w.reshape(-1))])
+    return ProductRule(BOX_GAUSS, place, levels)
 
 
 def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) -> MeanRule:
@@ -438,7 +440,8 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
 
 
 def _flux(grad, center, r: float, angular: int) -> float:
-    """int grad . n dS over the sphere |x - center| = r on the sphere rule.
+    """int grad . n dS over |x - center| = r, the sphere's area times the
+    _level_mean of grad . (p - center) / r on the level (r) x directions.
     ValueError for m < 2, or for more than _NODE_BUDGET directions."""
     center, r = np.asarray(center, dtype=float), float(r)
     m = center.size
@@ -448,15 +451,9 @@ def _flux(grad, center, r: float, angular: int) -> float:
     if _ball_nodes(m, 1, angular) > _NODE_BUDGET:
         raise ValueError(f"surface_flux: {_ball_nodes(m, 1, angular)} directions in m = {m} "
                          f"are above the node budget {_NODE_BUDGET}")
-    normals, w = _sphere_directions(m, angular)
-    # |S^{m-1}| r^{m-1} = |S^1| r prod_{n=1}^{m-2} r int_0^pi sin^n, the
-    # integrals by Wallis' recursion from n = 0 (pi) and n = 1 (2.0)
-    area, wallis = 2.0 * np.pi * r, (np.pi, 2.0)
-    for n in range(1, m - 1):
-        area *= wallis[1] * r
-        wallis = wallis[1], wallis[0] * n / (n + 1)
-    dn = np.einsum("ij,ij->i", np.asarray(grad(center + r * normals)), normals)
-    return area * float(w @ dn)
+    level = [(np.array([r]), np.ones(1)), _sphere_directions(m, angular)]
+    dn = lambda p: np.einsum("ij,ij->i", np.asarray(grad(p)), p - center) / r
+    return m * unit_ball_volume(m) * r ** (m - 1) * _level_mean(_ball_place(center), dn, level)
 
 
 def surface_flux(grad, center, r: float, angular_resolution: int = 256) -> float:

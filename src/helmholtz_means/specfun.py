@@ -319,7 +319,7 @@ def b_norm(m: int, t):
 
 
 def bessel_zero(nu: float, n: int) -> float:
-    """n-th positive zero j_{nu,n} of J_nu, for 0 <= nu <= 6, 1 <= n <= 200.
+    """n-th positive zero j_{nu,n} of J_nu, for 0 <= nu <= 6, integer 1 <= n <= 200.
 
     The zeros are the reciprocals of the positive eigenvalues of the
     symmetric tridiagonal matrix with zero diagonal and off-diagonal
@@ -333,6 +333,8 @@ def bessel_zero(nu: float, n: int) -> float:
     nu = _check_order(nu)
     if nu > 6.0:
         raise ValueError(f"bessel_zero supports orders nu <= 6, got {nu}")
+    if not float(n).is_integer():
+        raise ValueError(f"bessel_zero requires an integer index n, got {n}")
     n = int(n)
     if not 1 <= n <= _MAX_ZERO_INDEX:
         raise ValueError(f"bessel_zero requires 1 <= n <= {_MAX_ZERO_INDEX}, got {n}")

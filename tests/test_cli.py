@@ -124,6 +124,16 @@ class TestReportsCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_identity_on_an_interval(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "identity", "--domain", '{"kind":"box","low":[0],"high":[2]}',
+            "--solution", '{"kind":"plane_wave","lambda":1.0,"direction":[1],"phase":0.0}',
+            "--x0", "1",
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdict"] == "pass" and rep["diagnostics"]["method"] == "box_gauss"
+
     def test_large_lambda_r_mean_value_passes(self, capsys):
         # lambda r = 60 in 3-D: the resolution grows with lambda r, so the
         # theorem holds at a tolerance of 2e-4 and at the default

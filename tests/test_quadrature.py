@@ -23,6 +23,7 @@ from helmholtz_means.quadrature import (
     _box_rule,
     _gauss,
     _leggauss,
+    _level_mean,
     _polar_gauss,
     _sphere_directions,
     ball_mean,
@@ -161,6 +162,16 @@ class TestBoxMean:
         f = lambda p: p[:, 0] * p[:, 1] + p[:, 2] ** 2
         est = box_mean(f, [0, 0, 0], [1, 1, 1], nodes_per_axis=12)
         assert est.value == pytest.approx(0.25 + 1.0 / 3.0, abs=1e-13)
+
+    def test_interval(self):
+        # m = 1: the rows are the interval's Gauss rule and the columns one
+        # point of weight 1 with no axis of its own; M(cos(lam x + phi), [0, 2])
+        # in closed form
+        lam, phi = 3.0, 0.2
+        est = mean_rule(box([0], [2]), lam).mean(plane_wave(1, lam, [1], phi))
+        exact = (math.sin(2.0 * lam + phi) - math.sin(phi)) / (2.0 * lam)
+        assert est.method == "box_gauss" and est.samples_or_nodes == resolution(2.0 * lam)[2]
+        assert abs(est.value - exact) <= 1e-15 and est.abs_error_estimate <= 1e-15
 
     def test_convergence_order(self):
         u = membrane_eigenfunction(3, 3, 1.0)
@@ -306,38 +317,49 @@ class TestMeanRule:
         assert abs(est.value - a_norm(3, 60.0) * u([0.1, 0.2, -0.3])) <= 1e-14
         assert est.abs_error_estimate <= 1e-14
 
-    @pytest.mark.parametrize("m, build", [
-        # rows of 500, 12168 and 4900 points cross the 2^16-point block
-        # edges, and no level's size is a multiple of 2^16; 520 angular
+    @pytest.mark.parametrize("m, center, build", [
+        # rows of 500, 12168 and 4900 points do not divide a 2^16-point
+        # block, and no level's size is a multiple of 2^16; 520 angular
         # nodes give 135200 directions, more than a block, on the fine level
-        (2, lambda: _ball_rule(np.array([0.1, -0.2]), 0.8, 300, 500)),
-        (3, lambda: mean_rule(ball([0.1, 0.2, -0.3], 1.0), 60.0)),
-        (3, lambda: _box_rule([0, -1, 0.5], [1, 1, 2], 70)),
-        (3, lambda: _ball_rule(np.array([0.1, 0.2, -0.3]), 1.0, 6, 520)),
+        (2, [0.1, -0.2], lambda c: _ball_rule(np.array(c), 0.8, 300, 500)),
+        (3, [0.1, 0.2, -0.3], lambda c: mean_rule(ball(c, 1.0), 60.0)),
+        (3, None, lambda c: _box_rule([0, -1, 0.5], [1, 1, 2], 70)),
+        (3, [0.1, 0.2, -0.3], lambda c: _ball_rule(np.array(c), 1.0, 6, 520)),
     ], ids=["ball_2d", "ball_3d_lambda_r_60", "box_3d", "ball_3d_directions_above_a_block"])
-    def test_level_mean_matches_gathered_blocks(self, m, build):
-        # reference: each block gathered point by point from unravelled
-        # flat indices, weights multiplied left to right
-        rule = build()
+    def test_level_mean_matches_gathered_blocks(self, m, center, build):
+        # reference: blocks of 2^16 // columns whole rows, or one row's
+        # columns 2^16 at a time, each point gathered from its own (row,
+        # column) node pair and weighted w_row * w_column
+        rule = build(center)
         u = plane_wave(m, 7.0, np.full(m, 1.0 / math.sqrt(m)), 0.3)
-        for factors in rule.levels:
-            shape = tuple(len(w) for _, w in factors)
-            total = math.prod(shape)
+        for level in rule.levels:
+            (rows, w_rows), (cols, w_cols) = level
+            n_rows, n_cols = len(w_rows), len(w_cols)
+            total = n_rows * n_cols
             assert total > 2**16 and total % 2**16
+            step, width = max(2**16 // n_cols, 1), min(n_cols, 2**16)
             blocks, ref_blocks, num, den = [], [], 0.0, 0.0
-            for start in range(0, total, 2**16):
-                idx = np.unravel_index(np.arange(start, min(start + 2**16, total)), shape)
-                w = math.prod(weights[i] for (_, weights), i in zip(factors, idx))
-                pts = rule._place(*(nodes[i] for (nodes, _), i in zip(factors, idx)))
-                ref_blocks.append(pts)
-                num += float(np.sum(w * np.asarray(u(pts), dtype=float)))
-                den += float(np.sum(w))
+            for i in range(0, n_rows, step):
+                for j in range(0, n_cols, width):
+                    ii, jj = (a.reshape(-1) for a in np.meshgrid(
+                        np.arange(i, min(i + step, n_rows)), np.arange(j, min(j + width, n_cols)),
+                        indexing="ij"))
+                    if center is None:
+                        pts = np.column_stack([rows[ii], cols[jj, 1:]])
+                    else:
+                        pts = np.array(center) + rows[ii][:, None] * cols[jj]
+                    w = w_rows[ii] * w_cols[jj]
+                    ref_blocks.append(pts)
+                    num += float(np.sum(w * np.asarray(u(pts), dtype=float)))
+                    den += float(np.sum(w))
 
             def spy(pts):
                 blocks.append(pts.copy())
                 return u(pts)
 
-            assert rule._level_mean(spy, factors) == num / den
+            assert _level_mean(rule._place, spy, level) == num / den
+            assert max(len(b) for b in blocks) <= 2**16
+            assert sum(len(b) for b in blocks) == total
             assert len(blocks) == len(ref_blocks)
             assert all(np.array_equal(a, b) for a, b in zip(blocks, ref_blocks))
 
@@ -529,6 +551,20 @@ class TestSurfaceFlux:
             lhs = vol * mean_rule(ball(c, r), u.wavenumber).mean(u).value
             rhs = -surface_flux(u.gradient, c, r, angular_resolution=60) / u.wavenumber**2
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_gradient_is_evaluated_in_blocks(self):
+        # 40 x 40 x 80 = 128000 directions on S^3, two blocks of at most
+        # 2^16 points; F(x) = x - c has flux 4 |B_r| = 2 pi^2 r^4
+        c, r = np.array([0.1, -0.2, 0.3, 0.0]), 0.9
+        calls = []
+
+        def grad(p):
+            calls.append(len(p))
+            return p - c
+
+        got = surface_flux(grad, c, r, angular_resolution=80)
+        assert sum(calls) == 128_000 and len(calls) == 2 and max(calls) <= 2**16
+        assert got == pytest.approx(2.0 * math.pi**2 * r**4, rel=1e-14)
 
     def test_one_dimension_and_the_budget_are_usage_errors(self):
         with pytest.raises(ValueError, match="the sphere rule needs m >= 2, got 1"):

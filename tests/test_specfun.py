@@ -314,7 +314,8 @@ class TestBesselZero:
     def test_argument_validation(self):
         # arguments are checked ahead of the cache, so every call raises
         for _ in range(2):
-            for nu, n in [(1, 0), (6.5, 1), (float("nan"), 1)]:
+            # a fractional index is refused, not truncated to j_{1,1}
+            for nu, n in [(1, 0), (6.5, 1), (float("nan"), 1), (1, 1.9), (1, float("inf"))]:
                 with pytest.raises(ValueError):
                     bessel_zero(nu, n)
 
@@ -351,6 +352,7 @@ class TestBesselZero:
 
     def test_index_bound(self):
         assert bessel_zero(0.0, 200) == pytest.approx(627.5333317469042, abs=1e-11)
+        assert bessel_zero(0.0, 200.0) == bessel_zero(0.0, np.int64(200)) == bessel_zero(0.0, 200)
         for n in (201, 10_000):
             with pytest.raises(ValueError, match="1 <= n <= 200"):
                 bessel_zero(1.0, n)
