@@ -5,9 +5,9 @@ strategy for J_nu and I_nu:
 
 * ascending power series for t <= max(12, 2*nu), in Horner form with a
   term count fixed from the largest t (the last term ratio <= 1e-20),
-* beyond that, Miller-style downward recurrence with a normalizing sum
-  (integer orders) or exact trigonometric / hyperbolic seed values
-  (half-integer orders).
+* beyond that, Miller's downward recurrence for I and for integer-order
+  J, and upward recurrence from the closed forms for half-integer-order
+  J; other orders are refused there.
 
 The normalized kernels are
 
@@ -143,11 +143,11 @@ def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
     return (0.5 * t) ** nu / gamma_fn(nu + 1.0) * _ascending_series(t, nu, sign)
 
 
-def _bessel_j_half_upward(l: int, t: np.ndarray) -> np.ndarray:
-    """J_{l+1/2}(t) from exact J_{+-1/2} by upward recurrence.
+def _upward(l: int, t: np.ndarray) -> np.ndarray:
+    """J_{l+1/2} upward from the exact J_{-1/2}, J_{1/2} = sqrt(2/(pi t)) (cos t, sin t).
 
-    Stable here because the recurrence only runs while order < t (this
-    path is used for t > max(12, 2*nu)).
+    Stable because this path only runs for t > max(12, 2*nu), so order < t.  Never
+    used for I: upward, I is the recessive solution and rounding grows like K.
     """
     c = np.sqrt(2.0 / (np.pi * t))
     prev = c * np.cos(t)  # J_{-1/2}
@@ -159,67 +159,35 @@ def _bessel_j_half_upward(l: int, t: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _bessel_j_int_miller(n: int, t: np.ndarray) -> np.ndarray:
-    """J_n(t) by downward recurrence, normalized by J_0 + 2*sum J_{2k} = 1."""
+def _miller(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
+    """J_nu (sign=-1, integer nu) or I_nu (sign=+1, integer or
+    half-integer nu) by Miller's downward recurrence, normalized by
+    J_0 + 2*sum J_{2k} = 1, I_0 + 2*sum I_k = e^t or the exact
+    I_{1/2} = sqrt(2/(pi t)) sinh t."""
+    base = nu % 1  # 0 or 1/2: the recurrence ends at this order
     start = int(1.2 * float(np.max(t))) + 40
     if start % 2:
         start += 1
-    above = np.zeros_like(t)  # unnormalized J at order k+1
-    cur = np.full_like(t, 1e-30)  # unnormalized J at order k
+    above = np.zeros_like(t)  # unnormalized value at order k+1
+    cur = np.full_like(t, 1e-30)  # unnormalized value at order k
     norm = np.zeros_like(t)
     target = np.zeros_like(t)
+    combine = np.subtract if sign < 0 else np.add
     for k in range(start, 0, -1):
-        above, cur = cur, (2.0 * k / t) * cur - above
+        above, cur = cur, combine((2.0 * (k + base) / t) * cur, above)
         order = k - 1
-        if order == n:
+        if order + base == nu:
             target = cur.copy()
-        if order > 0 and order % 2 == 0:
+        if not base and order > 0 and (sign > 0 or order % 2 == 0):
             norm += 2.0 * cur
         big = np.abs(cur) > _RESCALE_AT
         if np.any(big):
             for arr in (above, cur, norm, target):
                 arr[big] *= _RESCALE_BY
-    norm += cur  # adds unnormalized J_0
-    return target / norm
-
-
-def _bessel_i_miller(nu: float, t: np.ndarray) -> np.ndarray:
-    """I_nu(t) by downward recurrence for integer or half-integer nu."""
-    half = round(2.0 * nu) % 2 == 1
-    base = 0.5 if half else 0.0
-    steps = int(nu - base) + int(1.2 * float(np.max(t))) + 40
-    top = base + steps
-    above = np.zeros_like(t)
-    cur = np.full_like(t, 1e-30)
-    norm = np.zeros_like(t)
-    target = np.zeros_like(t)
-    order = top
-    for _ in range(steps):
-        above, cur = cur, above + (2.0 * order / t) * cur
-        order -= 1.0
-        if order == nu:
-            target = cur.copy()
-        if not half and order >= 1.0:
-            norm += 2.0 * cur
-        big = np.abs(cur) > _RESCALE_AT
-        if np.any(big):
-            for arr in (above, cur, norm, target):
-                arr[big] *= _RESCALE_BY
-    if half:
-        # cur is the unnormalized I_{1/2}; pin it to the exact value.
-        exact = np.sqrt(2.0 / (np.pi * t)) * np.sinh(t)
-        return target * (exact / cur)
-    norm += cur  # adds unnormalized I_0; e^t = I_0 + 2*sum_{k>=1} I_k
-    return target * (np.exp(t) / norm)
-
-
-def _half_integer_split(nu: float):
-    """Return (is_supported, is_half, l) for the large-t recurrence paths."""
-    two_nu = 2.0 * nu
-    k = round(two_nu)
-    if abs(two_nu - k) > 1e-9:
-        return False, False, 0
-    return True, k % 2 == 1, (k - 1) // 2
+    if base:
+        return target * (np.sqrt(2.0 / (np.pi * t)) * np.sinh(t) / cur)
+    norm += cur  # adds the unnormalized order 0
+    return target / norm if sign < 0 else target * (np.exp(t) / norm)
 
 
 def _dispatch_bessel(nu: float, t, kind: str):
@@ -229,23 +197,20 @@ def _dispatch_bessel(nu: float, t, kind: str):
     tt = np.atleast_1d(tt).astype(float)
     if kind == "i" and np.any(tt > BESSEL_I_MAX_T):
         raise ValueError(f"bessel_i is limited to t <= {BESSEL_I_MAX_T} (overflow guard)")
+    sign = -1.0 if kind == "j" else 1.0
     cutoff = max(_SERIES_CUTOFF, 2.0 * nu)
     out = np.empty_like(tt)
     small = tt <= cutoff
     if np.any(small):
-        out[small] = _series_bessel(nu, tt[small], -1.0 if kind == "j" else 1.0)
+        out[small] = _series_bessel(nu, tt[small], sign)
     if np.any(~small):
-        ok, half, l = _half_integer_split(nu)
-        if not ok:
+        if not (2.0 * nu).is_integer():
             raise ValueError(
                 f"bessel_{kind}: order {nu} not supported for t > {cutoff} "
                 "(only integer and half-integer orders)"
             )
         tl = tt[~small]
-        if kind == "j":
-            out[~small] = _bessel_j_half_upward(l, tl) if half else _bessel_j_int_miller(int(nu), tl)
-        else:
-            out[~small] = _bessel_i_miller(nu, tl)
+        out[~small] = _upward(int(nu), tl) if nu % 1 and sign < 0 else _miller(nu, tl, sign)
     return float(out[0]) if scalar else out
 
 
@@ -261,8 +226,10 @@ def bessel_j(nu: float, t):
 def bessel_i(nu: float, t):
     """Modified Bessel function I_nu(t), 0 <= t <= 300, nu >= 0.
 
-    Relative error <= 1e-11 for t <= 50; the cap on t guards the exp(t)
-    normalization against overflow.
+    Relative error <= 1e-11 for t <= 50 at any order, and to t = 300 for
+    integer and half-integer orders nu <= 120; the cap guards the exp(t)
+    normalization against overflow.  Past the series cutoff only integer
+    and half-integer orders are supported.
     """
     return _dispatch_bessel(nu, t, "i")
 

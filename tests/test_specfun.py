@@ -131,10 +131,24 @@ class TestBesselJ:
 
     def test_series_recurrence_seam(self):
         # The evaluation strategy switches at t = max(12, 2 nu); both
-        # sides of the seam must agree.
+        # sides of the seam must agree, for J and for I.
         for nu in [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0]:
             cut = max(12.0, 2.0 * nu)
             assert bessel_j(nu, cut) == pytest.approx(bessel_j(nu, cut + 1e-12), abs=1e-11)
+            assert bessel_i(nu, cut) == pytest.approx(bessel_i(nu, cut + 1e-12), rel=1e-11)
+
+    def test_near_integer_order_past_the_cutoff_is_refused(self):
+        # 2 nu within 1e-9 of an integer is not an integer: past the
+        # cutoff no recurrence serves it, so it raises instead of
+        # returning a neighbouring order's value; the series still serves it
+        nu = 2.9999999999
+        for f in (bessel_j, bessel_i):
+            with pytest.raises(ValueError, match="only integer and half-integer orders"):
+                f(nu, 20.0)
+            with pytest.raises(ValueError, match="only integer and half-integer orders"):
+                f(nu, np.array([1.0, 20.0]))
+        assert bessel_j(nu, 12.0) == pytest.approx(bessel_j(3.0, 12.0), abs=1e-9)
+        assert bessel_i(nu, 12.0) == pytest.approx(bessel_i(3.0, 12.0), rel=1e-9)
 
     def test_vectorized_matches_scalar(self):
         # Series/recurrence lengths are chosen collectively for an array,
@@ -376,26 +390,61 @@ class TestBesselZero:
                 assert abs(z - ref) <= 1e-11, (nu, n)
 
 
-class TestSeriesRegionAgainstScipy:
-    """The Horner series region against scipy.special, inside the
-    documented contracts: J absolute 1e-11, I relative 1e-11; the
-    kernels, which are J and I rescaled, to the same bounds."""
+def _regions(values):
+    """Each value in the series region, under its bare id, and in the
+    recurrence region past the cutoff."""
+    return [pytest.param(v, "series", id=str(v)) for v in values] + [
+        pytest.param(v, "recurrence", id=f"{v}-recurrence") for v in values
+    ]
 
-    @pytest.mark.parametrize("m", range(11))
-    def test_kernels(self, m):
+
+class TestSeriesRegionAgainstScipy:
+    """Both evaluation regions against scipy.special, inside the
+    documented contracts: J absolute 1e-11 on the series region
+    t <= max(12, 2 nu) and past it to t = 50, I relative 1e-11 on the
+    series region and past it to t = 300; the kernels, which are J and
+    I rescaled, to the same bounds over the same ranges."""
+
+    @pytest.mark.parametrize("m, region", _regions(range(13)))
+    def test_kernels(self, m, region):
         sp = pytest.importorskip("scipy.special")
         nu = 0.5 * m
-        t = np.linspace(1e-3, max(12.0, float(m)), 2001)
-        scale = math.gamma(nu + 1.0) / (0.5 * t) ** nu
-        assert np.max(np.abs(a_norm(m, t) - scale * sp.jv(nu, t))) <= 1e-11
-        b_ref = scale * sp.iv(nu, t)
-        assert np.max(np.abs(b_norm(m, t) / b_ref - 1.0)) <= 1e-11
+        cutoff = max(12.0, float(m))
+        if region == "series":
+            ta = tb = np.linspace(1e-3, cutoff, 2001)
+        else:
+            ta, tb = (np.linspace(cutoff, top, 2001)[1:] for top in (50.0, 300.0))
+        a_ref = math.gamma(nu + 1.0) / (0.5 * ta) ** nu * sp.jv(nu, ta)
+        assert np.max(np.abs(a_norm(m, ta) - a_ref)) <= 1e-11
+        b_ref = math.gamma(nu + 1.0) / (0.5 * tb) ** nu * sp.iv(nu, tb)
+        assert np.max(np.abs(b_norm(m, tb) / b_ref - 1.0)) <= 1e-11
 
-    @pytest.mark.parametrize("nu", [0.5 * k for k in range(13)])
-    def test_bessel(self, nu):
+    @pytest.mark.parametrize("nu, region", _regions([0.5 * k for k in range(13)]))
+    def test_bessel(self, nu, region):
         sp = pytest.importorskip("scipy.special")
-        t = np.linspace(0.0, max(12.0, 2.0 * nu), 2001)
-        assert np.max(np.abs(bessel_j(nu, t) - sp.jv(nu, t))) <= 1e-11
-        ts = t[1:]  # I_nu(0) = 0 for nu > 0: relative error is undefined there
-        assert np.max(np.abs(bessel_i(nu, ts) / sp.iv(nu, ts) - 1.0)) <= 1e-11
-        assert bessel_i(nu, 0.0) == sp.iv(nu, 0.0)
+        cutoff = max(12.0, 2.0 * nu)
+        if region == "series":
+            tj = np.linspace(0.0, cutoff, 2001)
+            ti = tj[1:]  # I_nu(0) = 0 for nu > 0: relative error is undefined there
+            assert bessel_i(nu, 0.0) == sp.iv(nu, 0.0)
+        else:
+            tj, ti = (np.linspace(cutoff, top, 2001)[1:] for top in (50.0, 300.0))
+        assert np.max(np.abs(bessel_j(nu, tj) - sp.jv(nu, tj))) <= 1e-11
+        assert np.max(np.abs(bessel_i(nu, ti) / sp.iv(nu, ti) - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("nu", [12.5, 24.5, 30.5, 60.0, 75.5, 100.5, 120.0])
+    def test_high_order_i_past_the_cutoff(self, nu):
+        # Upward from I_{1/2}, rounding grows by about exp(2t - 2 nu eta)
+        # (1e-10 at nu = 30.5); Miller's downward recurrence keeps every
+        # order, half-integers included, to 1e-11 up to t = 300
+        sp = pytest.importorskip("scipy.special")
+        t = np.linspace(2.0 * nu, 300.0, 2001)[1:]
+        assert np.max(np.abs(bessel_i(nu, t) / sp.iv(nu, t) - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("m", [25, 49, 61, 120, 151, 201])
+    def test_high_order_b_norm_past_the_cutoff(self, m):
+        sp = pytest.importorskip("scipy.special")
+        nu = 0.5 * m
+        t = np.linspace(float(m), 300.0, 2001)[1:]
+        b_ref = math.gamma(nu + 1.0) / (0.5 * t) ** nu * sp.iv(nu, t)
+        assert np.max(np.abs(b_norm(m, t) / b_ref - 1.0)) <= 1e-11
