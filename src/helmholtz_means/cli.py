@@ -3,7 +3,8 @@
 Output is JSON (default) or CSV, written to stdout or --out, with no
 timestamps, so identical flags and seeds give byte-identical output.
 Exit codes: 0 pass, 1 any theorem-check fail, 2 inconclusive, 64 usage
-or validation error, or a sampled estimate that could not be formed.
+or validation error, a non-finite or overflowing value, or a sampled
+estimate that could not be formed.
 Note `membrane` exits 1 by design: the bundle contains the
 size-condition check, and its failure is the point of the
 counterexample.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -75,6 +77,9 @@ def _emit_reports(reports, args) -> int:
 
 
 def _emit_table(rows, header, args) -> int:
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"non-finite value at {header[0]} = {row[0]!r}")
     if args.format == "json":
         objs = [dict(zip(header, row)) for row in rows]
         _emit(json.dumps(objs, indent=2, sort_keys=True) + "\n", args.out)
@@ -116,7 +121,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--x0", required=True)
     p.add_argument("--samples", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="absolute, or relative to |lhs| for a modified-equation field")
     _add_common(p)
 
     p = sub.add_parser("characterize", help="identity battery plus size condition")
@@ -263,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError, EstimationError) as exc:
+    except (ValueError, OverflowError, OSError, EstimationError) as exc:
         print(f"helmholtz-means: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

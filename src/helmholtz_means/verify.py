@@ -260,28 +260,13 @@ def check_mean_value_formula(
     r: float,
     tolerance: float = IDENTITY_TOL_SPECTRAL,
 ) -> VerificationReport:
-    """a_norm(m, lambda r) * u(x) against the volume mean of u over B_r(x),
-    on mean_rule(B_r(x), lambda)."""
+    """check_identity on make_problem(B_r(x), lambda, x) for a Helmholtz
+    field, so m <= 12 and its r is |D|'s radius (r to rounding)."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the mean value formula applies to Helmholtz fields")
-    est = mean_rule(ball(x, r), u.wavenumber).mean(u)
-    lhs = a_norm(u.dimension, u.wavenumber * r) * u(x)
-    return _report(
-        "mean_value_formula",
-        lhs,
-        est.value,
-        tolerance,
-        est.abs_error_estimate,
-        {
-            "m": u.dimension,
-            "lambda": u.wavenumber,
-            "r": r,
-            "lambda_r": u.wavenumber * r,
-            "field": u.kind,
-            "method": est.method,
-            "nodes": est.samples_or_nodes,
-        },
-    )
+    rep = check_identity(u, make_problem(ball(x, r), u.wavenumber, x), tolerance)
+    rep.name = "mean_value_formula"
+    return rep
 
 
 def check_identity(
@@ -289,34 +274,40 @@ def check_identity(
     p: CharacterizationProblem,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """u(x0) * a_norm(m, lambda r) against M(u, D), on the problem's rule.
+    """u(x0) K(m, lambda r) against M(u, D) on the problem's rule, K = a_norm
+    for a Helmholtz field and b_norm for a modified one.
 
     The error bar is the mean's (|fine - coarse|, or 3 sigma for Monte
     Carlo) plus, linearly since |D| comes from the same draw, the shift
     of the lhs under the |D| error bar through r = (|D| / omega_m)^(1/m):
-    |u(x0)| |t a_norm(m+2, t) / (m+2)| lambda r volume_error / (m |D|),
-    t = lambda r.  Spectral, Gauss and certified-difference paths default
-    to tolerance 1e-8; Monte Carlo paths to the error bar, with
-    inconclusive rather than fail when the bar dominates.  volume_seed is
+    |u(x0)| |t K(m+2, t) / (m+2)| lambda r volume_error / (m |D|),
+    t = lambda r, or 0 where |D| is exact.  Spectral, Gauss and
+    certified-difference paths default to tolerance 1e-8, Monte Carlo
+    paths to the error bar, with inconclusive rather than fail when the
+    bar dominates; any other tolerance is relative to |lhs| for a
+    modified field, as b_norm >= 1 grows like e^{mu r}.  volume_seed is
     the seed only where |D| came from a draw, None where |D| is exact.
     """
-    if u.equation != HELMHOLTZ:
-        raise ValueError("identity (volume-mean form) applies to Helmholtz fields")
     if abs(u.wavenumber - p.lam) > 1e-12 * max(1.0, p.lam):
         raise ValueError(
             f"field wavenumber {u.wavenumber} differs from the problem's lambda {p.lam}"
         )
+    kernel = a_norm if u.equation == HELMHOLTZ else b_norm
     est = p.rule.mean(u)
     m, t = p.domain.dimension, p.lam * p.r
     u0 = u(p.x0)
-    volume_term = (abs(u0) * abs(t * a_norm(m + 2, t) / (m + 2)) * p.lam * p.r
-                   * p.volume_error / (m * p.volume))
+    lhs = u0 * kernel(m, t)
+    volume_term = (abs(u0) * abs(t * kernel(m + 2, t) / (m + 2)) * p.lam * p.r
+                   * p.volume_error / (m * p.volume)) if p.volume_error else 0.0
     error_bar = est.abs_error_estimate + volume_term
+    scale = 1.0 if u.equation == HELMHOLTZ else abs(lhs)
     if tolerance is None:
-        tolerance = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL
+        tolerance = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL * scale
+    else:
+        tolerance *= scale
     return _report(
         "identity",
-        u0 * a_norm(m, t),
+        lhs,
         est.value,
         tolerance,
         error_bar,
@@ -802,40 +793,18 @@ def theorem1_identity_check(
     m: int,
     tolerance: float = 1e-8,
 ) -> VerificationReport:
-    """Ball form of the modified-equation identity: b_norm(m, mu r)
-    against the ball mean of the monotone radial solution on
-    mean_rule(B_r(x0), mu), plus the strict monotonicity of b_norm that
-    the argument leans on.  tolerance is relative to the kernel: the
-    report's tolerance is tolerance * b_norm(m, mu r), which grows like
-    e^{mu r} with the rule's rounding error; b_norm >= 1, so it is never
-    below tolerance itself."""
-    mu = float(mu)
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    """check_identity of the monotone radial solution on make_problem(B_r(x0),
+    mu, x0) (m <= 12; tolerance relative to b_norm(m, mu r)), failing also
+    when b_norm, which the argument leans on, is not strictly increasing."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (m,):
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     u = modified_radial_solution(m, mu, x0)
-    est = mean_rule(ball(x0, r), mu).mean(u)
-    lhs = b_norm(m, mu * r)
+    rep = check_identity(u, make_problem(ball(x0, r), u.wavenumber, x0), tolerance)
     grid = np.linspace(0.0, 10.0, _MONOTONE_GRID)
     monotone = bool(np.all(np.diff(b_norm(m, grid)) > 0.0))
-    rep = _report(
-        "theorem1_ball_identity",
-        lhs,
-        est.value,
-        tolerance * lhs,
-        est.abs_error_estimate,
-        {
-            "m": m,
-            "mu": mu,
-            "r": r,
-            "mu_r": mu * r,
-            "method": est.method,
-            "kernel_strictly_increasing": monotone,
-            "grid_points": _MONOTONE_GRID,
-        },
-    )
+    rep.name = "theorem1_ball_identity"
+    rep.diagnostics.update(kernel_strictly_increasing=monotone, grid_points=_MONOTONE_GRID)
     if not monotone:
         rep.verdict = FAIL
     return rep

@@ -124,6 +124,21 @@ class TestReportsCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("domain, x0, code", [
+        ('{"kind":"ball","center":[0.2,-0.1],"r":1.0}', "0.2,-0.1", 0),
+        ('{"kind":"box","low":[0,0],"high":[1,1]}', "0.5,0.5", 1),
+    ])
+    def test_identity_of_a_modified_radial_field(self, capsys, domain, x0, code):
+        # a modified-equation field is checked against b_norm: it holds on
+        # the ball about its center and fails on the square
+        solution = '{"kind":"modified_radial","mu":0.5,"center":[%s]}' % x0
+        got, out, _ = run_cli(capsys, "identity", "--domain", domain, "--solution", solution,
+                              "--x0", x0)
+        assert got == code
+        rep = json.loads(out)
+        assert rep["diagnostics"]["field"] == "modified_radial"
+        assert rep["tolerance"] == pytest.approx(1e-8 * rep["lhs"], rel=1e-15)
+
     def test_identity_on_an_interval(self, capsys):
         code, out, _ = run_cli(
             capsys, "identity", "--domain", '{"kind":"box","low":[0],"high":[2]}',
@@ -376,6 +391,17 @@ class TestPlumbing:
           "--x0", "0,0,0,0", "--r", "1"), "3456000 directions in m = 4 are above the node budget"),
         # zeros are served up to n = 200
         (("specfun", "zeros", "--nu", "1", "--count", "201"), "requires 1 <= n <= 200, got 201"),
+        # a value that overflows is refused rather than printed as Infinity
+        (("specfun", "b", "--m", "240", "--t", "300"), "non-finite value at t = 300.0"),
+        (("specfun", "i", "--nu", "149.5", "--t", "299"), "non-finite value at t = 299.0"),
+        (("specfun", "a", "--m", "400", "--t", "450"), "gamma_fn overflows"),
+        # mean-value and theorem1 check the identity on a problem, so m <= 12
+        (("mean-value", "--solution",
+          '{"kind":"plane_wave","lambda":1.0,"direction":[0,0,0,0,0,0,0,0,0,0,0,0,1],'
+          '"phase":0.3}', "--x0", ",".join(["0"] * 13), "--r", "1"),
+         "dimension m = 13 is above 12"),
+        (("theorem1", "--m", "13", "--mu", "1", "--x0", ",".join(["0"] * 13), "--r", "1"),
+         "dimension m = 13 is above 12"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:

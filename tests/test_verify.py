@@ -125,6 +125,13 @@ class TestMeanValueFormula:
         with pytest.raises(ValueError):
             check_mean_value_formula(modified_radial_solution(2, 1.0, [0, 0]), [0, 0], 1.0)
 
+    def test_is_the_identity_on_the_ball_about_x(self):
+        u, x = plane_wave(3, 2.0, [0, 0.6, 0.8], 0.3), [0.1, 0.2, -0.3]
+        rep = report_to_dict(check_mean_value_formula(u, x, 1.5))
+        ref = report_to_dict(check_identity(u, make_problem(ball(x, 1.5), 2.0, x)))
+        assert rep.pop("name") == "mean_value_formula" and ref.pop("name") == "identity"
+        assert rep == ref
+
 
 class TestIdentity:
     def test_ball_reduces_to_mean_value_formula(self):
@@ -207,6 +214,35 @@ class TestIdentity:
         with pytest.raises(ValueError, match="dimension m = 13 is above 12"):
             make_problem(d, 1.0, np.full(13, 0.5), samples=1000)
         assert counter.points == 0
+
+
+class TestModifiedIdentity:
+    """check_identity on a modified-equation field: the kernel is b_norm,
+    and the default tolerance is 1e-8 relative to |lhs|."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("mu_r", [0.5, 3.0, 20.0])
+    def test_ball_about_its_center_passes(self, m, mu_r):
+        # at mu r = 20 the rule's rounding error is above an absolute 1e-8
+        c = np.linspace(0.2, -0.1, m)
+        p = make_problem(ball(c, 1.0), mu_r, c)
+        rep = check_identity(modified_radial_solution(m, mu_r, c), p)
+        assert rep.verdict == PASS, (rep.residual, rep.error_bar, rep.tolerance)
+        assert rep.lhs == pytest.approx(b_norm(m, mu_r), rel=1e-14)
+        assert rep.tolerance == pytest.approx(1e-8 * rep.lhs, rel=1e-15)
+
+    @pytest.mark.parametrize("d, x0, mu", [
+        (box([0, 0], [1, 1]), [0.5, 0.5], 0.5),
+        (box([0, 0], [1, 1]), [0.5, 0.5], 3.0),
+        (ball([0, 0], 1.0), [0.3, 0.0], 0.5),
+    ])
+    def test_off_a_ball_fails_with_the_sign_functional(self, d, x0, mu):
+        # identity residual = -(modified sign functional) / |D|
+        p = make_problem(d, mu, x0)
+        rep = check_identity(modified_radial_solution(2, mu, x0), p)
+        disc = proof_discrepancy(p, "modified_helmholtz")
+        assert rep.verdict == FAIL
+        assert rep.residual == pytest.approx(-disc.residual / p.volume, rel=1e-12)
 
 
 def touching_difference():
@@ -978,6 +1014,16 @@ class TestTheorem1:
         rep = theorem1_identity_check(1.0, np.zeros(2), 1e-4, 2)
         assert rep.lhs == pytest.approx(1.0, abs=1e-8)
         assert rep.rhs == pytest.approx(1.0, abs=1e-8)
+
+    def test_is_the_identity_on_the_ball_plus_the_monotone_grid(self):
+        x0 = [0.1, 0.2]
+        rep = theorem1_identity_check(2.0, x0, 1.5, 2)
+        ref = check_identity(modified_radial_solution(2, 2.0, x0),
+                             make_problem(ball(x0, 1.5), 2.0, x0), 1e-8)
+        assert rep.name == "theorem1_ball_identity"
+        assert rep.diagnostics.pop("kernel_strictly_increasing") is True
+        assert rep.diagnostics.pop("grid_points") == 10_000
+        assert report_to_dict(rep) == dict(report_to_dict(ref), name=rep.name)
 
     def test_monotone_kernel_values(self):
         assert b_norm(3, 2.0) > b_norm(3, 1.0) > 1.0
