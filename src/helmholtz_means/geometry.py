@@ -293,8 +293,8 @@ def ball(center, r: float) -> Ball:
     """Open ball of radius r; analytic volume unit_ball_volume(m) * r^m."""
     c = _vec(center)
     r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"ball radius must be > 0, got {r}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"ball radius must be finite and > 0, got {r}")
     return Ball(c, r)
 
 

@@ -192,7 +192,7 @@ class CharacterizationProblem:
     rule is the domain's one mean rule, on which every check of the
     problem evaluates M(., D); on a domain without an analytic volume it
     is the Monte Carlo rule whose draw gave |D|, and a sampled size
-    condition reads the same draw.  Problems made together share it.
+    condition reads the same draw.
     """
 
     domain: Domain
@@ -212,19 +212,13 @@ def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000,
     """The problem and its mean rule: a ball or box gets its product rule,
     sized from lam times its size by quadrature.resolution, a certified
     difference the signed sum of its terms' product rules and its exact
-    |D|, any other domain one seeded draw of samples points."""
-    return _problems(domain, [lam], x0, samples, seed)[0]
-
-
-def _problems(domain: Domain, lambdas, x0, samples: int,
-              seed: int) -> list[CharacterizationProblem]:
-    """One problem per wavenumber, sharing one rule (sized for the largest
-    wavenumber), one |D| estimate and one j_{m/2,1}."""
+    |D|, any other domain one seeded draw of samples points.  The rule
+    resolves every wavenumber up to lam, so check_identity runs fields
+    of any such wavenumber on it."""
     _require_counts(samples=samples)
-    lambdas = [float(lam) for lam in lambdas]
-    for lam in lambdas:
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be > 0, got {lam}")
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     m = domain.dimension
     if m > _MAX_DIMENSION:
         raise ValueError(
@@ -236,18 +230,14 @@ def _problems(domain: Domain, lambdas, x0, samples: int,
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the domain")
-    rule = mean_rule(domain, max(lambdas), samples, seed)
+    rule = mean_rule(domain, lam, samples, seed)
     if domain.analytic_volume is None:
         vol, verr = rule.volume()
     else:
         vol, verr = float(domain.analytic_volume), 0.0
-    r = _radius_of_volume(vol, m)
-    j = bessel_zero(0.5 * m, 1)
-    return [
-        CharacterizationProblem(domain=domain, lam=lam, x0=x0, r=r, r0=j / lam, volume=vol,
-                                volume_error=verr, rule=rule, seed=seed, samples=samples)
-        for lam in lambdas
-    ]
+    return CharacterizationProblem(domain=domain, lam=lam, x0=x0, r=_radius_of_volume(vol, m),
+                                   r0=bessel_zero(0.5 * m, 1) / lam, volume=vol,
+                                   volume_error=verr, rule=rule, seed=seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +264,35 @@ def check_identity(
     p: CharacterizationProblem,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """u(x0) K(m, lambda r) against M(u, D) on the problem's rule, K = a_norm
-    for a Helmholtz field and b_norm for a modified one.
+    """u(x0) K(m, k r) against M(u, D) on the problem's rule, k being the
+    field's wavenumber and K = a_norm for a Helmholtz field and b_norm for
+    a modified one.  The rule is sized for p.lam and resolves every
+    smaller wavenumber, so k may be anything up to p.lam (to a relative
+    1e-12); a field above it is refused.
 
     The error bar is the mean's (|fine - coarse|, or 3 sigma for Monte
     Carlo) plus, linearly since |D| comes from the same draw, the shift
     of the lhs under the |D| error bar through r = (|D| / omega_m)^(1/m):
-    |u(x0)| |t K(m+2, t) / (m+2)| lambda r volume_error / (m |D|),
-    t = lambda r, or 0 where |D| is exact.  Spectral, Gauss and
+    |u(x0)| |t K(m+2, t) / (m+2)| k r volume_error / (m |D|),
+    t = k r, or 0 where |D| is exact.  Spectral, Gauss and
     certified-difference paths default to tolerance 1e-8, Monte Carlo
     paths to the error bar, with inconclusive rather than fail when the
     bar dominates; any other tolerance is relative to |lhs| for a
     modified field, as b_norm >= 1 grows like e^{mu r}.  volume_seed is
     the seed only where |D| came from a draw, None where |D| is exact.
     """
-    if abs(u.wavenumber - p.lam) > 1e-12 * max(1.0, p.lam):
+    k = u.wavenumber
+    if k > p.lam + 1e-12 * max(1.0, p.lam):
         raise ValueError(
-            f"field wavenumber {u.wavenumber} differs from the problem's lambda {p.lam}"
+            f"field wavenumber {k} is above the problem's lambda {p.lam}, "
+            "for which its rule is sized"
         )
     kernel = a_norm if u.equation == HELMHOLTZ else b_norm
     est = p.rule.mean(u)
-    m, t = p.domain.dimension, p.lam * p.r
+    m, t = p.domain.dimension, k * p.r
     u0 = u(p.x0)
     lhs = u0 * kernel(m, t)
-    volume_term = (abs(u0) * abs(t * kernel(m + 2, t) / (m + 2)) * p.lam * p.r
+    volume_term = (abs(u0) * abs(t * kernel(m + 2, t) / (m + 2)) * k * p.r
                    * p.volume_error / (m * p.volume)) if p.volume_error else 0.0
     error_bar = est.abs_error_estimate + volume_term
     scale = 1.0 if u.equation == HELMHOLTZ else abs(lhs)
@@ -313,7 +308,7 @@ def check_identity(
         error_bar,
         {
             "m": m,
-            "lambda": p.lam,
+            "lambda": k,
             "r": p.r,
             "field": u.kind,
             "method": est.method,
@@ -614,22 +609,21 @@ def membrane_counterexample(a: float = 1.0) -> list[VerificationReport]:
     )
 
     problem = make_problem(square, lam, center)
-    m21, m12 = problem.rule.mean(u21), problem.rule.mean(u12)
-    reports.append(
-        _report(
-            "membrane_zero_mean",
-            m21.value,
-            0.0,
-            1e-12,
-            m21.abs_error_estimate,
-            {"mean_u21": m21.value, "mean_u12": m12.value, "method": m21.method},
-            verdict=PASS if (abs(m21.value) <= 1e-12 and abs(m12.value) <= 1e-12) else FAIL,
-        )
-    )
-
     identity = check_identity(u21, problem, tolerance=1e-12)
     identity.name = "membrane_identity"
     identity.diagnostics["note"] = "0 = 0: both sides vanish at the center"
+    m21, m12 = identity.rhs, problem.rule.mean(u12).value
+    reports.append(
+        _report(
+            "membrane_zero_mean",
+            m21,
+            0.0,
+            1e-12,
+            identity.error_bar,
+            {"mean_u21": m21, "mean_u12": m12, "method": identity.diagnostics["method"]},
+            verdict=PASS if (abs(m21) <= 1e-12 and abs(m12) <= 1e-12) else FAIL,
+        )
+    )
     reports.append(identity)
 
     # Exact enclosing radius of the square about its center: a/sqrt(2).
@@ -681,46 +675,48 @@ def kuran_limit_check(
     Two reports: the kernel a_norm(m, t) -> 1 at the quadratic rate
     -t^2 / (2(m+2)), and the plane-wave identity residual approaching
     the harmonic mean-value residual M(x1 - x0_1, D) as lambda -> 0.
-    The second report's error bar is the rule's error estimate for the
-    mean of u / lambda - (x1 - x0_1) at the smallest lambda (both sides
-    are means on one rule) plus the identity's volume_error_term / lambda.
-    Every wavenumber's problem shares one rule, sized as by make_problem
-    for the largest wavenumber.
+    The kernel ratio divides a_norm's rounding, at most 2^-52 near 1, by
+    t^2 / (2(m+2)), so its error bar is 2(m+2) 2^-52 / t^2 at the
+    smallest t, and a t whose square underflows is refused.  The second
+    report's error bar is the rule's error estimate for the mean of
+    u / lambda - (x1 - x0_1) at the smallest lambda (both sides are
+    means on one rule) plus the identity's volume_error_term / lambda.
+    Every lambda's identity runs on one make_problem at the first,
+    largest, lambda.
     """
-    x0 = np.asarray(x0, dtype=float)
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("kuran_limit_check needs at least one lambda")
     if any(l <= 0 for l in lambdas) or any(nxt >= prev for prev, nxt in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
-    m = d.dimension
-    problems = _problems(d, lambdas, x0, samples, seed)
-    r = problems[0].r
+    p = make_problem(d, lambdas[0], x0, samples, seed)
+    m, r, x0 = d.dimension, p.r, p.x0
+    t_min = lambdas[-1] * r
+    if t_min * t_min < np.finfo(float).tiny:
+        raise ValueError(f"lambda * r = {t_min} is too small: its square underflows")
 
     rows = []
     for lam in lambdas:
         t = lam * r
         ratio = (a_norm(m, t) - 1.0) / (-t * t / (2.0 * (m + 2.0)))
         rows.append({"lambda": lam, "t": t, "kernel_ratio": ratio})
-    t_min = lambdas[-1] * r
     kernel_report = _report(
         "kuran_kernel_limit",
         rows[-1]["kernel_ratio"],
         1.0,
         1e-3 + t_min * t_min,
-        0.0,
+        2.0 * (m + 2.0) * np.finfo(float).eps / (t_min * t_min),
         {"m": m, "r": r, "series_coefficient": 1.0 / (2.0 * (m + 2.0)), "table": rows},
     )
 
     # sin-profile plane wave: residual / lambda -> -(M(x1, D) - x0_1)
     e1 = np.zeros(m)
     e1[0] = 1.0
-    rule = problems[0].rule
-    harmonic = rule.mean(lambda pts: pts[:, 0] - x0[0])
+    harmonic = p.rule.mean(lambda pts: pts[:, 0] - x0[0])
     id_rows = []
-    for lam, prob in zip(lambdas, problems):
+    for lam in lambdas:
         u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
-        rep = check_identity(u, prob)
+        rep = check_identity(u, p)
         id_rows.append(
             {"lambda": lam, "identity_residual": rep.residual, "scaled": rep.residual / lam}
         )
@@ -729,7 +725,7 @@ def kuran_limit_check(
     limit_tol = max(1e-6, 10.0 * lam_min * lam_min * max(1.0, abs(harmonic.value)))
     # Both sides are means on one rule, so the sampling error of
     # scaled - (-harmonic) is that of the mean of u / lambda - (x1 - x0_1).
-    gap = rule.mean(lambda pts: u(pts) / lam_min - (pts[:, 0] - x0[0]))
+    gap = p.rule.mean(lambda pts: u(pts) / lam_min - (pts[:, 0] - x0[0]))
     identity_report = _report(
         "kuran_identity_limit",
         scaled,
@@ -742,7 +738,7 @@ def kuran_limit_check(
             "harmonic_residual": harmonic.value,
             "harmonic_note": "M(x1 - x0_1, D); zero for any x0-centered-symmetric domain",
             "table": id_rows,
-            "seed": seed if rule.method == MONTE_CARLO else None,
+            "seed": seed if p.rule.method == MONTE_CARLO else None,
         },
     )
     return [kernel_report, identity_report]

@@ -402,6 +402,16 @@ class TestPlumbing:
          "dimension m = 13 is above 12"),
         (("theorem1", "--m", "13", "--mu", "1", "--x0", ",".join(["0"] * 13), "--r", "1"),
          "dimension m = 13 is above 12"),
+        # non-finite radii and wavenumbers are named as such
+        (("mean-value", "--solution", RADIAL, "--x0", "0,0", "--r", "nan"),
+         "ball radius must be finite and > 0, got nan"),
+        (("mean-value", "--solution", RADIAL, "--x0", "0,0", "--r", "inf"),
+         "ball radius must be finite and > 0, got inf"),
+        (("characterize", "--domain", BOX_MINUS_DISK, "--lambda", "nan", "--x0", "0,0"),
+         "lambda must be finite and > 0, got nan"),
+        # a kernel ratio whose t^2 underflows is refused
+        (("kuran", "--domain", '{"kind":"ball","center":[0,0],"r":1}', "--x0", "0,0",
+          "--lambdas", "1e-200"), "its square underflows"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:

@@ -49,6 +49,9 @@ class TestConstructors:
             ball([0, 0], 0.0)
         with pytest.raises(ValueError):
             ball([0, 0], -1.0)
+        for r in [math.nan, math.inf]:
+            with pytest.raises(ValueError, match="finite"):
+                ball([0, 0], r)
         with pytest.raises(ValueError):
             box([0, 0], [1, 0])
         with pytest.raises(ValueError):

@@ -181,6 +181,25 @@ class TestIdentity:
         with pytest.raises(ValueError):
             check_identity(plane_wave(2, 2.0, [1, 0], 0.0), p)
 
+    def test_field_below_the_problems_lambda_runs_on_its_rule(self):
+        # a rule sized for lambda = 60 resolves a field at 2: same verdict
+        # and residual to rounding as on the field's own problem
+        c = [0.0, 0.0, 0.0]
+        p, own = make_problem(ball(c, 1.0), 60.0, c), make_problem(ball(c, 1.0), 2.0, c)
+        for u in [plane_wave(3, 2.0, [0.6, 0.0, 0.8], 0.3), radial_solution(3, 2.0, c)]:
+            rep, ref = check_identity(u, p), check_identity(u, own)
+            assert rep.verdict == ref.verdict == PASS
+            assert rep.diagnostics["lambda"] == 2.0
+            assert rep.lhs == ref.lhs
+            assert rep.residual == pytest.approx(ref.residual, abs=1e-13)
+
+    def test_field_above_the_problems_lambda_rejected_past_the_slack(self):
+        p = make_problem(ball([0, 0], 1.0), 60.0, [0, 0])
+        rep = check_identity(radial_solution(2, 60.0 * (1 + 5e-13), [0, 0]), p)
+        assert rep.verdict == PASS
+        with pytest.raises(ValueError, match="above the problem's lambda"):
+            check_identity(radial_solution(2, 60.0 * (1 + 2e-12), [0, 0]), p)
+
     def test_translated_ball_uses_spectral_path(self):
         # x0 at the true center; nested shifts add up onto the base center:
         # (0.1, -0.2) + (0.3, 0) + (-0.1, 0.5) = (0.3, 0.3)
@@ -916,6 +935,40 @@ class TestKuranLimit:
             kuran_limit_check(ball([0, 0], 1.0), [0, 0], lambdas=(0.01, 0.1))
         with pytest.raises(ValueError, match="at least one lambda"):
             kuran_limit_check(ball([0, 0], 1.0), [0, 0], lambdas=())
+
+    def test_one_problem_serves_every_lambda(self, monkeypatch):
+        import helmholtz_means.verify as verify
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return make_problem(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "make_problem", counting)
+        kuran_limit_check(box([0, 0], [1, 2]), [0.3, 1.0])
+        assert calls == [0.3]
+
+    def test_rounding_at_small_lambda_is_not_a_fail(self):
+        # the ratio divides a_norm's last bit by t^2 / 8: at t = 1e-7 that
+        # is a bar of about 0.18, so the report cannot fail
+        kernel, _ = kuran_limit_check(ball([0, 0], 1.0), [0, 0], lambdas=(1e-3, 1e-7))
+        assert kernel.verdict == INCONCLUSIVE
+        assert kernel.error_bar == pytest.approx(8 * 2.0**-52 / 1e-14, rel=1e-12)
+        with pytest.raises(ValueError, match="underflows"):
+            kuran_limit_check(ball([0, 0], 1.0), [0, 0], lambdas=(1e-200,))
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    @pytest.mark.parametrize("t", [1e-3, 1e-5, 1e-7])
+    def test_kernel_bar_covers_the_ratio_error(self, m, t):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        kernel, _ = kuran_limit_check(ball(np.zeros(m), 1.0), np.zeros(m), lambdas=(t,))
+        tt = mpmath.mpf(kernel.diagnostics["table"][-1]["t"])
+        nu = mpmath.mpf(m) / 2
+        exact_a = mpmath.gamma(nu + 1) * (2 / tt) ** nu * mpmath.besselj(nu, tt)
+        exact = (exact_a - 1) / (-tt * tt / (2 * (m + 2)))
+        assert abs(kernel.lhs - float(exact)) <= kernel.error_bar
 
 
 class TestFluxIdentity:
