@@ -79,7 +79,10 @@ def plane_wave(m: int, lam: float, direction, phase: float = 0.0) -> SolutionFie
     phase = float(phase)
 
     def evaluate(pts):
-        return np.cos(lam * (pts @ d) + phase)
+        arg = pts @ d
+        arg *= lam
+        arg += phase
+        return np.cos(arg, out=arg)
 
     def gradient(pts):
         return -lam * np.sin(lam * (pts @ d) + phase)[:, None] * d

@@ -15,7 +15,10 @@ The normalized kernels are
     b_norm(m, t) = Gamma(m/2 + 1) * I_{m/2}(t) / (t/2)^{m/2}
 
 with the removable singularity at t = 0 handled by their even power
-series, so a_norm(m, 0) == b_norm(m, 0) == 1.0 exactly.  a_norm is the
+series, so a_norm(m, 0) == b_norm(m, 0) == 1.0 exactly.  Past the
+series region, and in the series of J and I, the factor
+Gamma(nu + 1) / (t/2)^nu or its reciprocal is formed in log form, so a
+finite value is returned finite at any order.  a_norm is the
 ratio between a Helmholtz solution's value at a ball's center and its
 volume mean over that ball; b_norm is the analogous monotone kernel for
 the modified equation.
@@ -26,9 +29,11 @@ bessel_zero), independent of the evaluation code above.
 All functions accept scalar or ndarray arguments for t.  The one piece
 of state is a per-process cache of zeros: each (order, truncation size)
 eigenproblem is solved once and its zeros are kept read-only.  a_norm
-and b_norm at one float point in the series region run the array
-path's Horner steps on Python floats, so they return the same bits
-without array overhead.
+and b_norm at one float point run the array path's Horner steps, or
+past the series region its recurrence, on Python floats, so they return
+the same bits without array overhead.  _miller_orders gives J or I at
+every order nu + l from one downward pass, for quadrature's error
+bounds.
 """
 
 from __future__ import annotations
@@ -138,9 +143,19 @@ def _ascending_series(t: np.ndarray, nu: float, sign: float) -> np.ndarray:
     return total
 
 
+def _power_over_gamma(nu: float, t, sign: float = 1.0):
+    """(t/2)^nu / Gamma(nu + 1), or with sign = -1 its reciprocal, in log
+    form, so neither factor overflows on its own; numpy's log and exp
+    give a float and a one-point array the same bits."""
+    if nu == 0.0:
+        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    with np.errstate(divide="ignore"):  # t = 0: (t/2)^nu = 0
+        return np.exp(sign * (nu * np.log(0.5 * t) - math.lgamma(nu + 1.0)))
+
+
 def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
     """Ascending series of J_nu (sign=-1) or I_nu (sign=+1)."""
-    return (0.5 * t) ** nu / gamma_fn(nu + 1.0) * _ascending_series(t, nu, sign)
+    return _power_over_gamma(nu, t) * _ascending_series(t, nu, sign)
 
 
 def _upward(l: int, t: np.ndarray) -> np.ndarray:
@@ -188,6 +203,50 @@ def _miller(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
         return target * (np.sqrt(2.0 / (np.pi * t)) * np.sinh(t) / cur)
     norm += cur  # adds the unnormalized order 0
     return target / norm if sign < 0 else target * (np.exp(t) / norm)
+
+
+def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[float]:
+    """J_{nu+l}(t) (sign=-1) or I_{nu+l}(t) (sign=+1) for l = 0..count-1,
+    nu integer or half-integer, at one float t > 0, by one downward pass
+    on Python floats.  The pass starts at least 10 orders above the
+    highest returned, and otherwise where _miller starts, so with
+    count = 1 it repeats _miller's steps, rescalings and normalization
+    and gives its one-point value bit for bit.  Half-integer J, which
+    _miller leaves to _upward, takes one more step to order -1/2 and is
+    normalized by the larger of J_{-1/2}, J_{1/2} =
+    sqrt(2/(pi t)) (cos t, sin t)."""
+    base = nu % 1
+    start = max(int(1.2 * t) + 40, int(nu) + count + 10)
+    if start % 2:
+        start += 1
+    low = int(nu) + 1  # the step to order nu
+    high, big = low + count - 1, _RESCALE_AT
+    every = 0 if base else (1 if sign > 0 else 2)  # orders in the normalizing sum
+    above, cur, norm = 0.0, 1e-30, 0.0
+    out = []  # unnormalized values, highest order first
+    for k in range(start, 0, -1):
+        above, cur = cur, (2.0 * (k + base) / t) * cur + sign * above
+        if low <= k <= high:
+            out.append(cur)
+        if every and k > 1 and (every == 1 or k % 2):
+            norm += 2.0 * cur
+        if cur > big or -cur > big:
+            above, cur, norm = above * _RESCALE_BY, cur * _RESCALE_BY, norm * _RESCALE_BY
+            out = [v * _RESCALE_BY for v in out]
+    out.reverse()
+    if base and sign > 0:
+        scale = np.sqrt(2.0 / (np.pi * t)) * np.sinh(t) / cur
+    elif base:
+        c, lower = np.sqrt(2.0 / (np.pi * t)), cur / t - above  # J_{-1/2}, unnormalized
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        scale = c * cos_t / lower if abs(cos_t) > abs(sin_t) else c * sin_t / cur
+    elif sign < 0:
+        norm += cur
+        return [v / norm for v in out]
+    else:
+        norm += cur
+        scale = np.exp(t) / norm
+    return [float(v * scale) for v in out]
 
 
 def _dispatch_bessel(nu: float, t, kind: str):
@@ -239,6 +298,7 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
         raise ValueError(f"{kind}_norm requires integer m >= 0, got {m}")
     m = int(m)
     cutoff = max(_SERIES_CUTOFF, float(m))  # 2*nu = m
+    nu = 0.5 * m
     if isinstance(t, float) and 0.0 <= t <= cutoff:
         # One point in the series region: the array path's Horner steps,
         # in the same order, on Python floats.  NaN, inf and t < 0 fail
@@ -246,9 +306,14 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
         t = float(t)
         q = 0.25 * t * t
         total = 1.0
-        for c in _series_coeffs(q, 0.5 * m, sign):
+        for c in _series_coeffs(q, nu, sign):
             total = total * q * c + 1.0
         return total
+    if isinstance(t, float) and cutoff < t < math.inf and (sign < 0 or t <= BESSEL_I_MAX_T):
+        # One point past the cutoff: the array path's recurrence on floats
+        t = float(t)
+        z = _upward(int(nu), t) if nu % 1 and sign < 0 else _miller_orders(nu, t, sign)[0]
+        return float(_power_over_gamma(nu, t, -1.0) * z)
     tt = _as_t_array(t, f"{kind}_norm")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt).astype(float)
@@ -262,7 +327,7 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
     if np.any(~small):
         tl = tt[~small]
         f = bessel_j if kind == "a" else bessel_i
-        out[~small] = gamma_fn(0.5 * m + 1.0) * f(0.5 * m, tl) / (0.5 * tl) ** (0.5 * m)
+        out[~small] = _power_over_gamma(nu, tl, -1.0) * f(nu, tl)
     return float(out[0]) if scalar else out
 
 

@@ -32,8 +32,9 @@ from .geometry import (
 from .quadrature import (
     MONTE_CARLO,
     MeanRule,
+    ProductRule,
     SampleRule,
-    _coarse,
+    _flux_bound,
     mean_rule,
     resolution,
     surface_flux,
@@ -210,11 +211,11 @@ class CharacterizationProblem:
 def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000,
                  seed: int = 0) -> CharacterizationProblem:
     """The problem and its mean rule: a ball or box gets its product rule,
-    sized from lam times its size by quadrature.resolution, a certified
+    sized from lam times its size by a proved error bound, a certified
     difference the signed sum of its terms' product rules and its exact
-    |D|, any other domain one seeded draw of samples points.  The rule
-    resolves every wavenumber up to lam, so check_identity runs fields
-    of any such wavenumber on it."""
+    |D|, any other domain one seeded draw of samples points.  The bound
+    grows with the wavenumber, so the rule resolves every wavenumber up
+    to lam, and check_identity runs fields of any such wavenumber on it."""
     _require_counts(samples=samples)
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
@@ -270,7 +271,8 @@ def check_identity(
     smaller wavenumber, so k may be anything up to p.lam (to a relative
     1e-12); a field above it is refused.
 
-    The error bar is the mean's (|fine - coarse|, or 3 sigma for Monte
+    The error bar is the mean's (the rule's proved bound at k with u's
+    evaluation error and the sum's rounding, or 3 sigma for Monte
     Carlo) plus, linearly since |D| comes from the same draw, the shift
     of the lhs under the |D| error bar through r = (|D| / omega_m)^(1/m):
     |u(x0)| |t K(m+2, t) / (m+2)| k r volume_error / (m |D|),
@@ -680,7 +682,9 @@ def kuran_limit_check(
     smallest t, and a t whose square underflows is refused.  The second
     report's error bar is the rule's error estimate for the mean of
     u / lambda - (x1 - x0_1) at the smallest lambda (both sides are
-    means on one rule) plus the identity's volume_error_term / lambda.
+    means on one rule), whose stated bound is u's over lambda since every
+    product rule integrates the degree-1 x1 - x0_1 exactly, plus the
+    identity's volume_error_term / lambda.
     Every lambda's identity runs on one make_problem at the first,
     largest, lambda.
     """
@@ -712,7 +716,8 @@ def kuran_limit_check(
     # sin-profile plane wave: residual / lambda -> -(M(x1, D) - x0_1)
     e1 = np.zeros(m)
     e1[0] = 1.0
-    harmonic = p.rule.mean(lambda pts: pts[:, 0] - x0[0])
+    # x1 - x0_1 has degree 1, which every product rule integrates exactly
+    harmonic = p.rule.mean(lambda pts: pts[:, 0] - x0[0], bound=0.0)
     id_rows = []
     for lam in lambdas:
         u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
@@ -725,7 +730,8 @@ def kuran_limit_check(
     limit_tol = max(1e-6, 10.0 * lam_min * lam_min * max(1.0, abs(harmonic.value)))
     # Both sides are means on one rule, so the sampling error of
     # scaled - (-harmonic) is that of the mean of u / lambda - (x1 - x0_1).
-    gap = p.rule.mean(lambda pts: u(pts) / lam_min - (pts[:, 0] - x0[0]))
+    gap = p.rule.mean(lambda pts: u(pts) / lam_min - (pts[:, 0] - x0[0]),
+                      bound=p.rule.bound(u) / lam_min)
     identity_report = _report(
         "kuran_identity_limit",
         scaled,
@@ -746,23 +752,30 @@ def kuran_limit_check(
 
 def flux_identity_check(u: SolutionField, center, r: float) -> VerificationReport:
     """Volume integral of u over a ball against -lambda^{-2} times the
-    boundary flux of u's closed-form gradient; relative residual
-    tolerance 1e-5.  The volume mean is mean_rule(B_r(center), lambda)'s,
-    and the sphere rule has resolution(lambda r)'s angular count; the
-    error bar adds the two rules' |fine - coarse|, the flux's from one
-    pass per level."""
+    boundary flux of u's closed-form gradient; tolerance 1e-5 relative
+    to the integrand's scale |D| sup|u|, sup|u| <= 1 for every Helmholtz
+    field (plane-wave mass at most 1), or to |lhs| or |rhs| where larger,
+    so it holds where a_norm(m, lambda r) and both sides vanish.  The
+    volume mean is mean_rule(B_r(center), lambda)'s, and the flux runs on
+    that rule's own sphere directions (on the ones resolution(m, lambda r)
+    sizes where the ball is sampled); the error bar adds the mean's bar
+    and the flux's proved bound over lambda^2."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the flux identity applies to Helmholtz fields")
     d = ball(center, r)
     lam = u.wavenumber
-    angular = resolution(lam * r)[1]
-    flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular)
-    est = mean_rule(d, lam).mean(u)
+    rule = mean_rule(d, lam)
+    if isinstance(rule, ProductRule):
+        angular, directions = rule.angular, rule.level[1]
+    else:
+        angular, directions = resolution(d.dimension, lam * r)[1], None
+    flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular,
+                        directions=directions)
+    est = rule.mean(u)
     lhs = d.analytic_volume * est.value
     rhs = -flux / lam**2
-    scale = max(abs(lhs), abs(rhs), 1e-12)
-    coarse = surface_flux(u.gradient, d.center, r, angular_resolution=_coarse(angular))
-    err = abs(flux - coarse) / lam**2
+    scale = max(abs(lhs), abs(rhs), d.analytic_volume)
+    err = _flux_bound(u, d.center, r, angular) / lam**2
     err += d.analytic_volume * est.abs_error_estimate
     return _report(
         "flux_identity",

@@ -158,9 +158,9 @@ class TestReportsCommands:
             code, out, _ = run_cli(capsys, *args, *tol)
             assert code == 0
             assert json.loads(out)["verdict"] == "pass"
-        # a 4-D ball's rule at lambda r = 30 would hold more points than
+        # a 4-D ball's rule at lambda r = 45 would hold more points than
         # the node budget: it is sampled, and its bar covers the residual
-        sol = '{"kind":"plane_wave","lambda":30.0,"direction":[0,0,0.6,0.8],"phase":0.3}'
+        sol = '{"kind":"plane_wave","lambda":45.0,"direction":[0,0,0.6,0.8],"phase":0.3}'
         code, out, _ = run_cli(capsys, "mean-value", "--solution", sol, "--x0", "0,0,0,0",
                                "--r", "1")
         rep = json.loads(out)
@@ -387,14 +387,14 @@ class TestPlumbing:
           '{"kind":"plane_wave","lambda":130.0,"direction":[0,0,0.6,0.8],"phase":0.3}',
           "--x0", "0,0,0,0", "--r", "1"), "band lambda * size = 130 is above the resolution cap 120"),
         # a sphere rule over the node budget is refused before the volume mean is sampled
-        (("flux", "--solution", '{"kind":"radial","lambda":100.0,"center":[0,0,0,0]}',
-          "--x0", "0,0,0,0", "--r", "1"), "3456000 directions in m = 4 are above the node budget"),
+        (("flux", "--solution", '{"kind":"radial","lambda":100.0,"center":[0,0,0,0,0]}',
+          "--x0", "0,0,0,0,0", "--r", "1"), "74030112 directions in m = 5 are above the node budget"),
         # zeros are served up to n = 200
         (("specfun", "zeros", "--nu", "1", "--count", "201"), "requires 1 <= n <= 200, got 201"),
-        # a value that overflows is refused rather than printed as Infinity
-        (("specfun", "b", "--m", "240", "--t", "300"), "non-finite value at t = 300.0"),
-        (("specfun", "i", "--nu", "149.5", "--t", "299"), "non-finite value at t = 299.0"),
-        (("specfun", "a", "--m", "400", "--t", "450"), "gamma_fn overflows"),
+        # past t = 300 exp(t) nears overflow: I and b_norm refuse it
+        (("specfun", "i", "--nu", "149.5", "--t", "300.5"), "bessel_i is limited to t <= 300.0"),
+        (("specfun", "b", "--m", "240", "--t", "301"), "limited to t <= 300.0 (overflow guard)"),
+        (("specfun", "a", "--m", "-2", "--t", "1"), "a_norm requires integer m >= 0, got -2"),
         # mean-value and theorem1 check the identity on a problem, so m <= 12
         (("mean-value", "--solution",
           '{"kind":"plane_wave","lambda":1.0,"direction":[0,0,0,0,0,0,0,0,0,0,0,0,1],'
@@ -423,6 +423,14 @@ class TestPlumbing:
         assert out == ""
         assert err.startswith("helmholtz-means: error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_table_refuses_non_finite_values(self, capsys):
+        # no kernel reaches it within t <= 300 now, but a non-finite value
+        # would still be refused rather than printed as Infinity
+        args = cli._build_parser().parse_args(["specfun", "a", "--m", "2"])
+        with pytest.raises(ValueError, match="non-finite value at t = 1.0"):
+            cli._emit_table([(0.0, 1.0), (1.0, math.inf)], ("t", "value"), args)
+        assert capsys.readouterr().out == ""
 
     def test_nodes_flag_is_usage_error(self, capsys):
         # node counts follow from lambda * size; no subcommand takes --nodes

@@ -19,7 +19,9 @@ from helmholtz_means.quadrature import (
     RESOLUTION_CAP,
     ProductRule,
     SampleRule,
+    _ball_nodes,
     _ball_rule,
+    _box_resolution,
     _box_rule,
     _gauss,
     _leggauss,
@@ -41,7 +43,7 @@ from helmholtz_means.solutions import (
     plane_wave,
     radial_solution,
 )
-from helmholtz_means.specfun import a_norm, b_norm
+from helmholtz_means.specfun import a_norm, b_norm, bessel_zero
 
 
 def simpson(vals, h):
@@ -77,9 +79,18 @@ def disk_mean_bruteforce(f, r, n=1_601):
 
 class TestBallMean:
     def test_constant_is_exactly_one(self):
+        # a constant has degree 0, which every product rule integrates
+        # exactly: its stated bound is 0, and its bar is rounding only
         one = lambda p: np.ones(len(p))
-        assert ball_mean(one, [0, 0], 1.0).value == 1.0
-        assert ball_mean(one, [0.5, -1, 2], 0.7).value == 1.0
+        assert ball_mean(one, [0, 0], 1.0, bound=0.0).value == 1.0
+        assert ball_mean(one, [0.5, -1, 2], 0.7, bound=0.0).value == 1.0
+        assert 0.0 < ball_mean(one, [0, 0], 1.0, bound=0.0).abs_error_estimate <= 1e-14
+
+    def test_bare_callable_needs_a_stated_bound(self):
+        with pytest.raises(TypeError, match="error bound of a bare callable"):
+            ball_mean(lambda p: np.ones(len(p)), [0, 0], 1.0)
+        with pytest.raises(TypeError, match="error bound of a bare callable"):
+            mean_rule(box([0, 0], [1, 1]), 1.0).mean(lambda p: p[:, 0])
 
     def test_radial_field_m2(self):
         # M(U, B_1) = a_norm(2, 1) = 2 J_1(1); DERIVED via 1-D Simpson oracle
@@ -113,6 +124,10 @@ class TestBallMean:
         est = ball_mean(u, [0, 0], 1.0)
         assert est.method == "ball_spectral"
         assert est.abs_error_estimate < 1e-10
+        # too few nodes: the proved bar grows and still covers the error
+        coarse = ball_mean(u, [0, 0], 1.0, radial_nodes=4, angular_resolution=8)
+        assert coarse.abs_error_estimate > 1e-6
+        assert abs(coarse.value - a_norm(2, 4.0)) <= coarse.abs_error_estimate
 
     def test_convergence_order(self):
         u = radial_solution(2, 4.0, [0, 0])
@@ -132,20 +147,20 @@ class TestBallMean:
                  (lambda p: (p[:, 3] - c[3]) ** 2, 1.0 / 6.0),
                  (lambda p: (p[:, 0] - c[0]) ** 2 * (p[:, 2] - c[2]) ** 2, 1.0 / 48.0)]
         for f, exact in cases:
-            est = ball_mean(f, c, 1.0, radial_nodes=6, angular_resolution=8)
+            est = ball_mean(f, c, 1.0, radial_nodes=6, angular_resolution=8, bound=0.0)
             assert est.method == "ball_spectral"
             assert est.samples_or_nodes == 6 * 4 * 4 * 8
             assert est.value == pytest.approx(exact, abs=1e-15)
-        assert ball_mean(cases[0][0], c, 1.0).value == 1.0
+        assert ball_mean(cases[0][0], c, 1.0, bound=0.0).value == 1.0
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
-            ball_mean(lambda p: np.ones(len(p)), [0, 0], 0.0)
+            ball_mean(lambda p: np.ones(len(p)), [0, 0], 0.0, bound=0.0)
 
 
 class TestBoxMean:
     def test_constant(self):
-        assert box_mean(lambda p: np.ones(len(p)), [0, 0], [1, 1]).value == 1.0
+        assert box_mean(lambda p: np.ones(len(p)), [0, 0], [1, 1], bound=0.0).value == 1.0
 
     def test_membrane_21_zero_mean(self):
         u = membrane_eigenfunction(2, 1, 1.0)
@@ -160,32 +175,33 @@ class TestBoxMean:
 
     def test_3d_box(self):
         f = lambda p: p[:, 0] * p[:, 1] + p[:, 2] ** 2
-        est = box_mean(f, [0, 0, 0], [1, 1, 1], nodes_per_axis=12)
+        est = box_mean(f, [0, 0, 0], [1, 1, 1], nodes_per_axis=12, bound=0.0)
         assert est.value == pytest.approx(0.25 + 1.0 / 3.0, abs=1e-13)
 
     def test_interval(self):
         # m = 1: the rows are the interval's Gauss rule and the columns one
         # point of weight 1 with no axis of its own; M(cos(lam x + phi), [0, 2])
-        # in closed form
+        # in closed form; the bar is the proved 1e-14 and the evaluation of
+        # cos at arguments up to 6.2
         lam, phi = 3.0, 0.2
         est = mean_rule(box([0], [2]), lam).mean(plane_wave(1, lam, [1], phi))
         exact = (math.sin(2.0 * lam + phi) - math.sin(phi)) / (2.0 * lam)
-        assert est.method == "box_gauss" and est.samples_or_nodes == resolution(2.0 * lam)[2]
-        assert abs(est.value - exact) <= 1e-15 and est.abs_error_estimate <= 1e-15
+        assert est.method == "box_gauss" and est.samples_or_nodes == _box_resolution(1, 2.0 * lam)
+        assert abs(est.value - exact) <= 1e-15 and est.abs_error_estimate <= 1e-14 + 2e-14
 
     def test_convergence_order(self):
         u = membrane_eigenfunction(3, 3, 1.0)
         f = lambda p: u(p) ** 2  # mean 1/4, smooth, nontrivial
         errs = []
         for nodes in [4, 8, 16]:
-            est = box_mean(f, [0, 0], [1, 1], nodes_per_axis=nodes)
+            est = box_mean(f, [0, 0], [1, 1], nodes_per_axis=nodes, bound=math.inf)  # value only
             errs.append(max(abs(est.value - 0.25), 1e-13))
         for a, b in zip(errs, errs[1:]):
             assert b <= a / 4.0 or a <= 1e-12
 
     def test_degenerate(self):
         with pytest.raises(ValueError):
-            box_mean(lambda p: np.ones(len(p)), [0, 0], [1, 0])
+            box_mean(lambda p: np.ones(len(p)), [0, 0], [1, 0], bound=0.0)
 
 
 class TestMonteCarlo:
@@ -267,14 +283,14 @@ class TestMeanRule:
     def test_product_rules_match_wrappers(self):
         # the counts follow from lambda times the radius, or the longest side
         u = plane_wave(2, 3.0, [0.6, 0.8], 0.2)
-        radial, angular, _ = resolution(3.0 * 0.9)
-        rule = mean_rule(translate(ball([0.1, 0.0], 0.9), [0.2, -0.3]), 3.0)
+        radial, angular = resolution(2, 3.0 * 0.9)
+        rule = mean_rule(translate(ball([0.125, 0.0], 0.9), [0.25, -0.375]), 3.0)
         assert rule.method == "ball_spectral"
         est = rule.mean(u)
-        assert est == ball_mean(u, [0.3, -0.3], 0.9, radial_nodes=radial,
+        assert est == ball_mean(u, [0.375, -0.375], 0.9, radial_nodes=radial,
                                 angular_resolution=angular)
         assert est.samples_or_nodes == radial * angular
-        nodes = resolution(3.0 * 2.0)[2]
+        nodes = _box_resolution(2, 3.0 * 2.0)
         rule = mean_rule(box([0, 0], [1, 2]), 3.0)
         assert rule.method == "box_gauss"
         est = rule.mean(u)
@@ -298,7 +314,7 @@ class TestMeanRule:
             mc_mean(lambda p: p[:, 0], d, samples=0)
 
     def test_product_rule_evaluates_in_blocks(self):
-        # lambda r = 60 on a 3-D ball: about 7e5 fine and coarse nodes,
+        # lambda r = 60 on a 3-D ball: about 1.8e5 nodes on one level,
         # formed and evaluated at most 2^16 at a time
         u = plane_wave(3, 60.0, [0.0, 0.6, 0.8], 0.3)
         calls = []
@@ -307,15 +323,15 @@ class TestMeanRule:
             calls.append(len(pts))
             return u(pts)
 
-        radial, angular, _ = resolution(60.0)
-        est = mean_rule(ball([0.1, 0.2, -0.3], 1.0), 60.0).mean(spy)
-        fine = radial * angular * (angular // 2)
-        assert est.samples_or_nodes == fine
-        coarse_radial, coarse_angular = 2 * radial // 3, 2 * angular // 3
-        assert sum(calls) == fine + coarse_radial * coarse_angular * (coarse_angular // 2)
+        radial, angular = resolution(3, 60.0)
+        rule = mean_rule(ball([0.1, 0.2, -0.3], 1.0), 60.0)
+        est = rule.mean(spy, bound=rule.bound(u))
+        assert est.samples_or_nodes == radial * angular * (angular // 2) == sum(calls)
         assert len(calls) > 2 and max(calls) <= 2**16
         assert abs(est.value - a_norm(3, 60.0) * u([0.1, 0.2, -0.3])) <= 1e-14
-        assert est.abs_error_estimate <= 1e-14
+        # the bar is u's proved bound at lambda, at most 1e-14, and the
+        # rounding of cos at arguments up to 60 |x| <= 82: 7 x 82 ulp
+        assert est == rule.mean(u) and est.abs_error_estimate <= 1e-14 + 7 * 82 * 2.0**-52 + 1e-14
 
     @pytest.mark.parametrize("m, center, build", [
         # rows of 500, 12168 and 4900 points do not divide a 2^16-point
@@ -332,7 +348,7 @@ class TestMeanRule:
         # column) node pair and weighted w_row * w_column
         rule = build(center)
         u = plane_wave(m, 7.0, np.full(m, 1.0 / math.sqrt(m)), 0.3)
-        for level in rule.levels:
+        for level in [rule.level]:
             (rows, w_rows), (cols, w_cols) = level
             n_rows, n_cols = len(w_rows), len(w_cols)
             total = n_rows * n_cols
@@ -357,7 +373,7 @@ class TestMeanRule:
                 blocks.append(pts.copy())
                 return u(pts)
 
-            assert _level_mean(rule._place, spy, level) == num / den
+            assert _level_mean(rule._place, spy, level)[0] == num / den
             assert max(len(b) for b in blocks) <= 2**16
             assert sum(len(b) for b in blocks) == total
             assert len(blocks) == len(ref_blocks)
@@ -380,15 +396,34 @@ class TestMeanRule:
 
 class TestResolution:
     def test_counts_grow_with_the_band(self):
-        counts = [resolution(t) for t in (0.0, 1.0, 20.0, 60.0, 120.0)]
-        for lower, higher in zip(counts, counts[1:]):
-            assert all(a <= b for a, b in zip(lower, higher))
-        assert all(isinstance(n, int) and n >= 1 for c in counts for n in c)
+        for m in (2, 3, 5):
+            counts = [resolution(m, t) + (_box_resolution(m, t),)
+                      for t in (0.0, 1.0, 20.0, 60.0, 120.0)]
+            for lower, higher in zip(counts, counts[1:]):
+                assert all(a <= b for a, b in zip(lower, higher))
+            assert all(isinstance(n, int) and n >= 1 for c in counts for n in c)
+            # the sphere rule's degree is odd past the circle, so its polar
+            # axes of angular // 2 nodes reach it
+            assert all(c[1] % 2 == 0 for c in counts) or m == 2
+
+    def test_counts_are_the_fewest_within_the_target(self):
+        # one node fewer on either axis breaks the 1e-14 bound
+        for m, band in [(2, 3.8), (3, 4.4934), (3, 60.0), (5, 5.7635)]:
+            radial, angular = resolution(m, band)
+            rule = _ball_rule(np.zeros(m), 1.0, radial, angular)
+            bound = rule._truncation(band, False)
+            assert bound <= 1e-14
+            u = plane_wave(m, band, np.eye(m)[0], 0.0)
+            assert rule.bound(u) - bound < 1e-13  # the rest is u's rounding
+            for fewer in (_ball_rule(np.zeros(m), 1.0, radial - 1, angular),
+                          _ball_rule(np.zeros(m), 1.0, radial, angular - (1 if m == 2 else 2))):
+                assert fewer.bound(u) - rule.bound(u) > 0.0
+                assert fewer._truncation(band, False) > 0.5e-14
 
     @pytest.mark.parametrize("band", [120.5, 1e6, float("inf"), float("nan")])
     def test_cap_names_the_band(self, band):
         with pytest.raises(ValueError, match="above the resolution cap 120"):
-            resolution(band)
+            resolution(2, band)
 
     def test_box_band_uses_the_longest_side(self):
         mean_rule(box([0, 0], [1, 3]), 40.0)
@@ -462,16 +497,29 @@ class TestSphereRule:
                 assert est.abs_error_estimate <= 1e-12 * scale
 
     def test_budget_is_the_3d_ball_rule_at_the_cap(self):
-        radial, angular, _ = resolution(RESOLUTION_CAP)
-        assert _NODE_BUDGET == radial * (angular // 2) * angular == 84 * 141 * 282
+        # the budget keeps the count the fitted rules had at the cap,
+        # 84 x 141 x 282; the bound-sized rule there is 53 x 87 x 174
+        assert _NODE_BUDGET == 84 * 141 * 282 == 3_340_008
+        radial, angular = resolution(3, RESOLUTION_CAP)
         rule = mean_rule(ball([0, 0, 0], 1.0), RESOLUTION_CAP)
-        assert math.prod(len(w) for _, w in rule.levels[0]) == _NODE_BUDGET
+        assert rule.nodes == radial * (angular // 2) * angular == 53 * 87 * 174
+
+    def test_five_dimensional_balls_in_scope_are_spectral(self):
+        # lambda r0 = j_{5/2,1}: the size condition's edge in m = 5
+        t = bessel_zero(2.5, 1)
+        rule = mean_rule(ball(np.zeros(5), 1.0), t)
+        assert rule.method == "ball_spectral" and rule.nodes <= _NODE_BUDGET
 
     def test_four_dimensional_ball_at_the_budget_edge(self):
-        # ceil(0.55 t) steps from 12 to 13 radial nodes at t = 12 / 0.55
-        for t, spectral in ((21.818, True), (21.819, False)):
-            radial, angular, _ = resolution(t)
-            assert (radial * (angular // 2) ** 2 * angular <= _NODE_BUDGET) == spectral
+        # the first band whose 4-D ball rule is over the budget is sampled
+        def nodes(t):
+            return _ball_nodes(4, *resolution(4, t))
+        lo, hi = 1.0, 60.0
+        while hi - lo > 1e-3:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if nodes(mid) <= _NODE_BUDGET else (lo, mid)
+        assert 20.0 < lo < 60.0
+        for t, spectral in ((lo, True), (hi, False)):
             rule = mean_rule(ball([0.1, 0, 0, -0.1], 1.0), t, samples=1000, seed=1)
             assert rule.method == ("ball_spectral" if spectral else "monte_carlo")
 
@@ -486,7 +534,7 @@ class TestSphereRule:
             for d in (ball(np.zeros(m), 1.0), box(np.zeros(m), np.ones(m))):
                 rule = mean_rule(d, band, samples=1000, seed=1)
                 if isinstance(rule, ProductRule):
-                    assert math.prod(len(w) for _, w in rule.levels[0]) <= _NODE_BUDGET
+                    assert rule.nodes == math.prod(len(w) for _, w in rule.level) <= _NODE_BUDGET
                 else:
                     assert m >= 4  # nothing in m <= 3 reaches the budget
 
@@ -532,14 +580,16 @@ class TestSurfaceFlux:
             assert got == pytest.approx(m * vol, rel=1e-13)
 
     def test_error_estimate_positive_and_small(self):
-        # |fine - coarse| covers an under-resolved rule's error and is at
+        # the proved bound covers an under-resolved rule's error and is at
         # rounding level at the default count
         u = plane_wave(2, 1.0, [1, 0], 0.0)
         exact = -math.pi * a_norm(2, 1.0)
-        err = surface_flux_error(u.gradient, [0, 0], 1.0, angular_resolution=12)
-        assert 0 < err < 1e-3
-        assert abs(surface_flux(u.gradient, [0, 0], 1.0, angular_resolution=12) - exact) <= err
-        assert surface_flux_error(u.gradient, [0, 0], 1.0) <= 1e-12 * abs(exact)
+        for angular in (4, 6, 8):
+            err = surface_flux_error(u, [0, 0], 1.0, angular_resolution=angular)
+            assert 0 < err < 1.0
+            got = surface_flux(u.gradient, [0, 0], 1.0, angular_resolution=angular)
+            assert 1e-16 < abs(got - exact) <= err
+        assert surface_flux_error(u, [0, 0], 1.0) <= 1e-12 * abs(exact)
 
     def test_divergence_theorem_four_dimensions(self):
         # |B_r| = pi^2 r^4 / 2 in R^4; F(x) = x - c has divergence 4

@@ -276,6 +276,18 @@ class TestKernels:
                 assert got == kernel(m, np.array([t]))[0] == kernel(m, np.array(t))
                 assert kernel(m, np.float64(t)) == got
 
+    @pytest.mark.parametrize("m", range(7))
+    def test_one_float_point_past_the_cutoff_matches_array_path(self, m):
+        # past the cutoff a float takes the recurrence on Python floats;
+        # it must give the one-point array's value bit for bit
+        cutoff = max(12.0, float(m))
+        grid = np.linspace(cutoff, 300.0, 97)[1:].tolist() + [cutoff + 1e-9, 12.5, 50.0]
+        for kernel in (a_norm, b_norm):
+            for t in grid:
+                got = kernel(m, t)
+                assert type(got) is float
+                assert got == kernel(m, np.array([t]))[0] == kernel(m, np.array(t))
+
     def test_domain_errors(self):
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -448,3 +460,45 @@ class TestSeriesRegionAgainstScipy:
         t = np.linspace(float(m), 300.0, 2001)[1:]
         b_ref = math.gamma(nu + 1.0) / (0.5 * t) ** nu * sp.iv(nu, t)
         assert np.max(np.abs(b_norm(m, t) / b_ref - 1.0)) <= 1e-11
+
+
+class TestLogForm:
+    """Gamma(nu + 1) / (t/2)^nu and its reciprocal are formed in log form,
+    so a kernel or Bessel value that fits in a double is returned finite
+    even where either factor alone would overflow."""
+
+    def test_former_overflows_against_scipy(self):
+        sp = pytest.importorskip("scipy.special")
+        b = b_norm(240, 300.0)
+        assert b == pytest.approx(1.09e56, rel=1e-2)
+        assert b == pytest.approx(math.exp(math.lgamma(121.0) - 120.0 * math.log(150.0))
+                                  * sp.iv(120, 300.0), rel=1e-11)
+        assert bessel_i(149.5, 299.0) == pytest.approx(sp.iv(149.5, 299.0), rel=1e-11)
+        a = a_norm(400, 450.0)
+        ref = math.exp(math.lgamma(201.0) - 200.0 * math.log(225.0)) * sp.jv(200, 450.0)
+        assert math.isfinite(a) and a == pytest.approx(ref, rel=1e-11)
+        for kernel in (a_norm, b_norm):
+            assert kernel(240, np.array([300.0]))[0] == kernel(240, 300.0)
+
+
+class TestMillerOrders:
+    """One downward pass gives every order nu + l at once, for the
+    sphere rule's error bound."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.5, 5.0])
+    def test_against_scipy(self, nu):
+        sp = pytest.importorskip("scipy.special")
+        for t in (1e-3, 0.7, 4.5, 12.0, 60.0, 120.0):
+            count = int(1.5 * t + 2.0 * nu) + 25
+            orders = nu + np.arange(count)
+            j = np.array(specfun._miller_orders(nu, t, -1.0, count))
+            assert np.max(np.abs(j - sp.jv(orders, t))) <= 1e-14
+            i = np.array(specfun._miller_orders(nu, t, 1.0, count))
+            assert np.max(np.abs(i / sp.ive(orders, t) / math.exp(t) - 1.0)
+                          [sp.ive(orders, t) > 1e-300]) <= 1e-12
+
+    def test_one_order_is_the_kernel_recurrence(self):
+        # count = 1 repeats _miller's pass bit for bit
+        for nu, t, sign in [(0.0, 20.0, -1.0), (3.0, 44.5, -1.0), (2.5, 100.0, 1.0), (1.0, 13.0, 1.0)]:
+            one = specfun._miller_orders(nu, t, sign)[0]
+            assert one == specfun._miller(nu, np.array([t]), sign)[0]

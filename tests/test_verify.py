@@ -27,6 +27,7 @@ from helmholtz_means.quadrature import (
     mean_rule,
     resolution,
 )
+from helmholtz_means.quadrature import _box_resolution
 from helmholtz_means.solutions import (
     membrane_eigenfunction,
     modified_radial_solution,
@@ -338,7 +339,10 @@ class TestResolutionFromLambdaR:
         rep = check_identity(u, p)
         assert rep.diagnostics["method"] == "box_gauss"
         assert abs(rep.rhs - exact) <= rep.error_bar + 1e-14
-        assert rep.error_bar <= 1e-13
+        assert abs(rep.rhs - exact) <= 1e-13
+        # the bar: the proved 1e-14 plus the rounding of cos at arguments
+        # up to lam |x| ~ 1.3 lam_side, (m + 4) ulp each
+        assert rep.error_bar <= 2e-14 + 2e-15 * lam_side
 
 
 class TestSharedRule:
@@ -407,8 +411,8 @@ class TestSharedRule:
 
         monkeypatch.setattr(verify, "check_identity", spy)
         disk, square = ball([0, 0], 1.0), box([-0.5, -0.5], [0.5, 0.5])
-        disk_size = lambda lam: math.prod(resolution(lam)[:2])
-        square_size = lambda lam: resolution(lam)[2] ** 2
+        disk_size = lambda lam: math.prod(resolution(2, lam))
+        square_size = lambda lam: _box_resolution(2, lam) ** 2
         for d, count in [(disk, disk_size), (square, square_size)]:
             size = count(1.5)
             p = make_problem(d, 1.5, [0, 0])
@@ -524,14 +528,15 @@ class TestCertifiedDifference:
         assert abs(est.value - exact) <= 1e-12
         assert est.abs_error_estimate <= 1e-12
         assert est.seed is None
-        box_nodes = resolution(7.3 * 2.0)[2] ** 2
-        disk_nodes = math.prod(resolution(7.3 * rho)[:2])
+        box_nodes = _box_resolution(2, 7.3 * 2.0) ** 2
+        disk_nodes = math.prod(resolution(2, 7.3 * rho))
         assert est.samples_or_nodes == box_nodes + disk_nodes
-        assert rule.mean(lambda p: np.ones(len(p))).value == 1.0
-        # a translate of the difference integrates the translated field
+        assert rule.mean(lambda p: np.ones(len(p)), bound=0.0).value == 1.0
+        # a translate of the difference integrates the translated field,
+        # whose bound is u's on the untranslated rule
         shifted = mean_rule(translate(self.BOX_MINUS_DISK, [0.3, -0.7]), 7.3)
-        back = shifted.mean(lambda p: u(p - np.array([0.3, -0.7])))
-        assert abs(back.value - exact) <= 1e-12
+        back = shifted.mean(lambda p: u(p - np.array([0.3, -0.7])), bound=rule.bound(u))
+        assert abs(back.value - exact) <= min(1e-12, back.abs_error_estimate)
 
     def test_plane_wave_on_ball_minus_cube(self):
         u = plane_wave(3, 5.1, [0.48, 0.6, 0.64], 1.1)
@@ -856,7 +861,7 @@ class TestProofDiscrepancy:
         rep = proof_discrepancy(p)
         assert rep.diagnostics["method"] == "box_gauss"
         assert rep.diagnostics["samples"] is None and rep.diagnostics["seed"] is None
-        assert rep.diagnostics["nodes_or_samples"] == resolution(1.0)[2] ** 2
+        assert rep.diagnostics["nodes_or_samples"] == _box_resolution(2, 1.0) ** 2
         assert rep.tolerance == pytest.approx(1e-8 * p.volume)
         assert rep.rhs == pytest.approx(p.volume * a_norm(2, p.r), rel=1e-15)
         removed = {"seed_g_e", "volume_g_i", "volume_g_e", "volume_gap",
@@ -1001,11 +1006,11 @@ class TestFluxIdentity:
         assert rep.lhs == pytest.approx(2.7649, abs=2e-4)
 
     def test_one_pass_per_sphere_level(self):
-        # the gradient is evaluated once on the fine directions and once on
-        # the coarse ones; the bar reuses the fine flux
+        # the gradient is evaluated once, on the volume rule's own sphere
+        # directions; the bar is proved, so no second pass forms it
         from dataclasses import replace
 
-        from helmholtz_means.quadrature import _ball_nodes, _coarse
+        from helmholtz_means.quadrature import _ball_nodes
 
         for m, lam, r in [(2, 1.0, 1.0), (3, 1.5, 0.8), (4, 1.0, 1.0)]:
             u = radial_solution(m, lam, np.zeros(m))
@@ -1013,8 +1018,8 @@ class TestFluxIdentity:
             counted = replace(u, gradient=lambda x, g=u.gradient: rows.append(len(x)) or g(x))
             rep = flux_identity_check(counted, np.zeros(m), r)
             angular = rep.diagnostics["angular_resolution"]
-            fine, coarse = _ball_nodes(m, 1, angular), _ball_nodes(m, 1, _coarse(angular))
-            assert rows == [fine, coarse]
+            assert angular == resolution(m, lam * r)[1]
+            assert rows == [_ball_nodes(m, 1, angular)]
             assert rep.verdict == PASS
 
     def test_zero_field_trivial_identity(self):
@@ -1031,6 +1036,19 @@ class TestFluxIdentity:
         rep = flux_identity_check(zero, [0, 0], 1.0)
         assert rep.verdict == PASS
         assert rep.lhs == 0.0 and rep.rhs == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_passes_at_the_size_condition_edge(self, m):
+        # at lambda r = j_{m/2,1} a_norm(m, lambda r) = 0, so both sides are
+        # about 1e-15; the tolerance is on the integrand's scale |D|
+        t = bessel_zero(0.5 * m, 1)
+        d = np.linspace(0.6, 0.8, m)
+        for u in (plane_wave(m, t, d / np.linalg.norm(d), 0.3),
+                  radial_solution(m, t, np.full(m, 0.2))):
+            rep = flux_identity_check(u, np.zeros(m), 1.0)
+            assert rep.verdict == PASS, (rep.lhs, rep.rhs, rep.tolerance, rep.error_bar)
+            assert abs(rep.lhs) <= 1e-13 and abs(rep.rhs) <= 1e-13
+            assert rep.tolerance == pytest.approx(1e-5 * ball(np.zeros(m), 1.0).analytic_volume)
 
 
 class TestTheorem1:
