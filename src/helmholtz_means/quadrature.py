@@ -10,11 +10,14 @@ minuend gets the signed sum of the two terms' rules,
 its minuend gets the minuend's rule.
 
 The spectral ball rule pairs Gauss-Legendre in radius (with the s^{m-1}
-Jacobian folded into the weights) with one sphere rule for S^{m-1} in
-every dimension m >= 2: the periodic trapezoid rule in the azimuth times
-a Gauss rule in the cosine of each further polar angle.  Means are
-computed as sum(w f) / sum(w), which makes M(1, D) exactly 1.0 and
-absorbs the volume normalization.
+Jacobian folded into the weights) with a sphere rule: the periodic
+trapezoid rule on the circle for m = 2, and for m >= 3 the meridian
+z a + sqrt(1 - z^2) e, z the n Gauss points of _polar_gauss(n, m), for
+an integrand symmetric about the line through the ball's center along
+a (SolutionField.axis, or axis= for a bare callable) and a unit e
+orthogonal to a, chosen from a alone.  Means are computed as
+sum(w f) / sum(w), which makes M(1, D) exactly 1.0 and absorbs the
+volume normalization.
 
 Each product rule has one level, sized by inverting a proved error
 bound: the fewest nodes whose bound is at most 1e-14 for a unit plane
@@ -36,12 +39,26 @@ field takes I in place of J and a factor e^{mu |c - c'|}.  The bounds:
   (m/2)((1+a_rho)/2)^{m-1} e^{t (rho - 1/rho)/4} there;
 * a box's tensor rule errs by at most the sum of its axes' 1-D bounds.
 
+The meridian rule keeps the sphere bound with L = 2n - 1.  On the
+sphere c + s theta, e^{i k w.x} = e^{i k w.c} sum_l coef_l C_l(w.theta),
+coef_l = Gamma(nu) (t/2)^{-nu} i^l (nu + l) J_{nu+l}(t), t = k s.  A
+field symmetric about a equals its average over the rotations R about
+a, which takes C_l(w.R theta) to C_l(w.a) C_l(a.theta) / C_l(1)
+(Funk-Hecke; DLMF 18.18), so a superposition of unit plane waves of
+mass at most 1 has degree-l part beta_l C_l(a.theta) / C_l(1) with
+|beta_l| <= |coef_l| C_l(1).  The rule is exact for polynomials in
+z = a.theta of degree <= 2n - 1, C_l has mean 0 for l >= 1, and
+|C_l(z)| <= C_l(1) with weights summing to 1: the error is at most
+sum_{l > 2n-1} |coef_l| C_l(1).  That covers plane waves (a = d), the
+radial fields about c' (a along c' - c; with I and e^{k |c - c'|} when
+modified) and the flux integrand grad u . n, the s-derivative.
+
 A mean's error bar is that bound at the field's own wavenumber, plus
 the field's own evaluation error (for a plane wave about
 lambda |x| 2^-52, since cos's error grows with its argument) and the
 rounding of the weighted sum.  A bare callable has no known bound: its
-caller states one.  A ball or box whose level would hold more than
-_NODE_BUDGET points is sampled instead.
+caller states one.  A box whose level would hold more than _NODE_BUDGET
+points is sampled instead.
 
 Monte Carlo estimates are rejection sampled over the bounding box with
 an explicit seed; a SampleRule makes one draw, on first use, and its
@@ -106,7 +123,7 @@ RESOLUTION_CAP = 120.0
 # Proved bound every product rule is sized to, for a unit plane wave at its lambda.
 _BOUND_TARGET = 1e-14
 _EPS = 2.0**-52
-# Most points a product rule may hold in any dimension; a larger ball or box is sampled.
+# Most points a box rule may hold in any dimension; a larger box is sampled.
 _NODE_BUDGET = 3_340_008
 
 
@@ -214,12 +231,6 @@ def _box_bound(tau: float, modified: bool = False, others: float = 0.0):
     return base + (math.log(0.5) + others + growth), u
 
 
-def _sphere_degree(m: int, angular: int) -> int:
-    """The degree to which the sphere rule of _sphere_shape is exact."""
-    polar = _sphere_shape(m, angular)[0] if m > 2 else angular
-    return min(int(angular) - 1, 2 * polar - 1)
-
-
 def _check_band(band: float) -> float:
     t = float(band)
     if not t <= RESOLUTION_CAP:
@@ -230,11 +241,11 @@ def _check_band(band: float) -> float:
 
 
 def resolution(m: int, band: float) -> tuple[int, int]:
-    """(radial nodes, azimuth count) of the m-D ball rule for band =
+    """(radial nodes, angular count) of the m-D ball rule for band =
     lambda r: the fewest nodes whose proved bound, half from the sphere
     rule and half from the radial rule, is at most 1e-14 for a unit
     plane wave at lambda.  For m >= 3 the sphere rule's degree is odd,
-    so its angular // 2 polar nodes reach it.  ValueError above
+    so its angular // 2 meridian nodes reach it.  ValueError above
     RESOLUTION_CAP."""
     t = _check_band(band)
     return _gauss_nodes(*_radial_bound(m, t), 0.5 * _BOUND_TARGET), _sphere_bound(m, t)[0] + 1
@@ -288,9 +299,10 @@ def _leggauss(nodes: int):
 
 @functools.lru_cache(maxsize=256)
 def _polar_gauss(nodes: int, k: int):
-    """Read-only z, sqrt(1 - z^2) and weights summing to 1 of the Gauss rule
-    on [-1, 1] for the weight (1 - z^2)^((k-3)/2): Legendre for k = 3, else
-    Golub-Welsch on the symmetric Jacobi recurrence."""
+    """Read-only meridian points (z, sqrt(1 - z^2)) and weights summing to 1
+    of the Gauss rule on [-1, 1] for the weight (1 - z^2)^((k-3)/2):
+    Legendre for k = 3, else Golub-Welsch on the symmetric Jacobi
+    recurrence."""
     if k == 3:
         z, w = _leggauss(nodes)
         w = 0.5 * w
@@ -299,41 +311,40 @@ def _polar_gauss(nodes: int, k: int):
         off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1)))
         z, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         w = v[0] ** 2
-    s = np.sqrt(1.0 - z * z)
-    for x in (z, s, w):
-        x.flags.writeable = False
-    return z, s, w
+    meridian = np.stack([z, np.sqrt(1.0 - z * z)], axis=1)
+    meridian.flags.writeable = w.flags.writeable = False
+    return meridian, w
 
 
-def _ball_nodes(m: int, radial: int, angular: int) -> int:
-    """Points of an m-D ball rule, or with radial = 1 of a sphere rule."""
-    return radial * math.prod(_sphere_shape(m, angular))
-
-
-def _sphere_shape(m: int, angular: int) -> tuple[int, ...]:
-    """Axes (z_m, ..., z_3, azimuth) of the sphere rule on S^{m-1}."""
-    return (max(int(angular) // 2, 4),) * (m - 2) + (int(angular),)
-
-
-def _sphere_directions(m: int, angular: int):
-    """Unit directions (n_dir, m) on S^{m-1}, m >= 2, in the row-major order
-    of _sphere_shape, and weights summing to 1: the periodic trapezoid rule
-    in the azimuth times _polar_gauss in z_k for k = 3..m, a direction of
-    S^{k-1} being (sqrt(1 - z_k^2) y, z_k) for y on S^{k-2}."""
+def _sphere_rule(m: int, angular: int):
+    """(points (k, 2), weights summing to 1, degree) of the sphere rule on
+    S^{m-1}: for m = 2 the trapezoid rule's angular directions, exact to
+    degree angular - 1; for m >= 3 the n = angular // 2 meridian points
+    (z, sqrt(1 - z^2)) of _polar_gauss(n, m), for _basis to orient."""
     if m < 2:
         raise ValueError(f"the sphere rule needs m >= 2, got {m}")
-    shape = _sphere_shape(m, angular)
-    phi = 2.0 * np.pi * np.arange(angular) / angular
-    dirs = np.empty(shape + (m,))
-    scale = w = 1.0  # products of sqrt(1 - z_k^2) and of weights over the axes so far
-    for k in range(m, 2, -1):
-        z, s, wz = _polar_gauss(shape[0], k)
-        axis = (1,) * (m - k) + (-1,) + (1,) * (k - 2)
-        np.multiply(z.reshape(axis), scale, out=dirs[..., k - 1])
-        scale, w = scale * s.reshape(axis), w * wz.reshape(axis)
-    dirs[..., 0] = np.cos(phi) * scale
-    dirs[..., 1] = np.sin(phi) * scale
-    return dirs.reshape(-1, m), np.full(shape, w / angular).reshape(-1)
+    if m == 2:
+        phi = 2.0 * np.pi * np.arange(angular) / angular
+        circle = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        return circle, np.full(angular, 1.0 / angular), angular - 1
+    n = max(int(angular) // 2, 1)
+    return _polar_gauss(n, m) + (2 * n - 1,)
+
+
+def _basis(axis, m: int) -> np.ndarray:
+    """The 2 x m matrix (a, e): a = axis / |axis| (scaled by its largest
+    entry first, so a tiny axis does not underflow), e the unit part
+    orthogonal to a of the first e_k with the smallest |a_k|."""
+    a = np.array(axis, dtype=float).reshape(-1)
+    big = float(np.max(np.abs(a))) if a.shape == (m,) else 0.0
+    if not (math.isfinite(big) and big > 0.0):
+        raise ValueError(f"axis must be a finite nonzero vector of length {m}, got {axis!r}")
+    a /= big
+    a /= float(np.linalg.norm(a))
+    k = int(np.argmin(np.abs(a)))
+    e = -a[k] * a
+    e[k] += 1.0
+    return np.stack([a, e / float(np.linalg.norm(e))])
 
 
 def _gauss(a: float, b: float, nodes: int):
@@ -345,18 +356,20 @@ def _gauss(a: float, b: float, nodes: int):
 class MeanRule:
     """The volume mean M(., D) of one domain at one resolution.
 
-    M is linear, so its nodes or samples do not depend on the integrand:
-    build the rule once and call mean(f) for every field.  A SampleRule
-    draws nothing before the first call that needs it.  method is
-    BALL_SPECTRAL or BOX_GAUSS (ProductRule), PRODUCT_DIFFERENCE
-    (DifferenceRule) or MONTE_CARLO (SampleRule).  bound(u) is the
-    rule's proved bound for a field u, before the rounding of its sum;
-    mean(f, bound) takes that bound stated for a bare callable f.
+    M is linear, so its nodes or samples do not depend on the integrand
+    (a ball rule's orientation in m >= 3 does): build the rule once and
+    call mean(f) for every field.  A SampleRule draws nothing before the
+    first call that needs it.  method is BALL_SPECTRAL or BOX_GAUSS
+    (ProductRule), PRODUCT_DIFFERENCE (DifferenceRule) or MONTE_CARLO
+    (SampleRule).  bound(u) is the rule's proved bound for a field u,
+    before the rounding of its sum; mean(f, bound, axis) takes that bound
+    stated for a bare callable f, and the direction along which f is
+    symmetric about each ball's center, which ball rules in m >= 3 need.
     """
 
     method: str
 
-    def mean(self, f, bound: float | None = None) -> MeanValueEstimate:
+    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
         raise NotImplementedError
 
     def bound(self, u: SolutionField) -> float:
@@ -367,24 +380,24 @@ class ProductRule(MeanRule):
     """A ball or box product rule with one level.
 
     The level is rows x columns, two (nodes, weights) pairs: a ball's
-    radial Gauss rule (Jacobian s^{m-1} in its weights) times the sphere
-    directions, or a box's Gauss rule on axis 0 times the tensor product
-    of its other axes.  place(rows, columns) maps slices of the two to
+    radial Gauss rule (Jacobian s^{m-1} in its weights) times its sphere
+    rule, or a box's Gauss rule on axis 0 times the tensor product of
+    its other axes.  place(rows, columns) maps slices of the two to
     their (rows * columns, m) points in row-major order.  Every point
-    lies within radius of center.  truncation(k, modified) is the proved
-    error bound for a unit plane wave of wavenumber k, and is kept per
-    (k, modified) once computed.  The error bar of mean(u) is bound(u)
-    plus the rounding of the weighted sum.  A ball's angular is the
-    azimuth count of its sphere directions, the columns; a box's is None.
+    lies within radius of center.  An axial rule, a ball in m >= 3, has
+    two-coordinate meridian points (z, sqrt(1 - z^2)) as its columns, and
+    each mean turns them onto the integrand's axis first.  truncation(k,
+    modified) is the proved error bound for a unit plane wave of
+    wavenumber k, and is kept per (k, modified) once computed.  The error
+    bar of mean(u) is bound(u) plus the rounding of the weighted sum.
     """
 
-    def __init__(self, method: str, place, level, center, radius: float, truncation,
-                 angular: int | None = None):
+    def __init__(self, method: str, place, level, center, radius: float, truncation):
         self.method, self._place, self.level = method, place, level
         self.center, self.radius = np.asarray(center, dtype=float), float(radius)
         self._truncation, self._truncations = truncation, {}
         self.nodes = math.prod(len(w) for _, w in level)
-        self.angular = angular
+        self.axial = level[1][0].shape[1] != self.center.size
 
     def bound(self, u: SolutionField) -> float:
         """The proved bound at u's wavenumber k times u's plane-wave mass
@@ -401,12 +414,19 @@ class ProductRule(MeanRule):
             scale = b_norm(u.dimension - 2, k * (gap + self.radius))  # the largest |u|
         return bound + _evaluation_error(u, self.center, self.radius, scale)
 
-    def mean(self, f, bound: float | None = None) -> MeanValueEstimate:
+    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
+        field = isinstance(f, SolutionField)
         if bound is None:
-            if not isinstance(f, SolutionField):
+            if not field:
                 raise TypeError("a product rule needs the error bound of a bare callable")
             bound = self.bound(f)
-        value, magnitude = _level_mean(self._place, f, self.level)
+        level = self.level
+        if self.axial:
+            axis = f.axis(self.center) if axis is None and field else axis
+            if axis is None:
+                raise TypeError("a ball rule in m >= 3 needs the symmetry axis of its integrand")
+            level = [level[0], (level[1][0] @ _basis(axis, self.center.size), level[1][1])]
+        value, magnitude = _level_mean(self._place, f, level)
         return MeanValueEstimate(value, bound + _rounding(self.nodes) * magnitude,
                                  self.method, self.nodes)
 
@@ -469,7 +489,7 @@ class SampleRule(MeanRule):
     def bound(self, u: SolutionField) -> float:
         return 0.0
 
-    def mean(self, f, bound: float | None = None) -> MeanValueEstimate:
+    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
         accepted = self.accepted
         n_acc = len(accepted)
         vals = np.empty(n_acc)
@@ -509,10 +529,10 @@ class DifferenceRule(MeanRule):
     def bound(self, u: SolutionField) -> float:
         return self._combine(self.rule_a.bound(u), self.rule_b.bound(u))
 
-    def mean(self, f, bound: float | None = None) -> MeanValueEstimate:
+    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
         va, vb = self.volume_a, self.volume_b
         terms = None if bound is None else 0.0
-        ea, eb = self.rule_a.mean(f, terms), self.rule_b.mean(f, terms)
+        ea, eb = self.rule_a.mean(f, terms, axis), self.rule_b.mean(f, terms, axis)
         return MeanValueEstimate(
             (va * ea.value - vb * eb.value) / self.volume,
             self._combine(ea.abs_error_estimate, eb.abs_error_estimate) + (bound or 0.0),
@@ -533,15 +553,15 @@ def _ball_place(center):
 
 def _ball_rule(center, r, radial_nodes, angular) -> ProductRule:
     m = center.size
-    degree = _sphere_degree(m, angular)
+    cols, w_cols, degree = _sphere_rule(m, angular)
 
     def truncation(k, modified):
         return (_sphere_bound(m, k * r, degree, modified)[1]
                 + _gauss_error(*_radial_bound(m, k * r, modified), radial_nodes))
 
     s, ws = _gauss(0.0, r, radial_nodes)
-    level = [(s, ws * s ** (m - 1)), _sphere_directions(m, angular)]
-    return ProductRule(BALL_SPECTRAL, _ball_place(center), level, center, r, truncation, angular)
+    level = [(s, ws * s ** (m - 1)), (cols, w_cols)]
+    return ProductRule(BALL_SPECTRAL, _ball_place(center), level, center, r, truncation)
 
 
 def _box_rule(low, high, nodes) -> ProductRule:
@@ -576,30 +596,32 @@ def _box_rule(low, high, nodes) -> ProductRule:
 def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) -> MeanRule:
     """The most accurate rule for d's structure at wavenumber lam: a ball
     (m >= 2) or a box, up to translation, gets its product rule, sized by
-    resolution(m, lam * radius) or for lam times its longest side, when
-    its level holds at most _NODE_BUDGET points; a difference certified
-    by geometry.certified_relation gets its terms' product rules, each
-    sized from its own size, when both terms have one within
+    resolution(m, lam * radius) or for lam times its longest side, a box
+    when its level holds at most _NODE_BUDGET points; a difference
+    certified by geometry.certified_relation gets its terms' product
+    rules, each sized from its own size, when both terms have one within
     RESOLUTION_CAP and the budget; any other domain Monte Carlo with
-    (samples, seed).  The bounds grow with the wavenumber, so the rule
-    serves every field up to lam."""
+    (samples, seed), if lam times its bounding box's half-diagonal is
+    within RESOLUTION_CAP (ValueError above it).  The bounds grow with the
+    wavenumber, so the rule serves every field up to lam."""
     rule = _product_rule(d, lam)
-    return SampleRule(d, samples, seed) if rule is None else rule
+    if rule is None:
+        lo, hi = d.bounding_box
+        _check_band(lam * 0.5 * float(np.linalg.norm(hi - lo)))
+        rule = SampleRule(d, samples, seed)
+    return rule
 
 
 def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
     """The product rule, or signed sum of them, of d shifted by shift;
-    None where only sampling serves, or where the level would hold more
-    than _NODE_BUDGET points (counted before any node is built).
+    None where only sampling serves, or where a box's level would hold
+    more than _NODE_BUDGET points (counted before any node is built).
     ValueError for a ball or box above RESOLUTION_CAP."""
     base, inner = _unwrap(d)
     shift = shift + inner
     m = d.dimension
     if isinstance(base, Ball) and m >= 2:
-        radial, angular = resolution(m, lam * base.r)
-        if _ball_nodes(m, radial, angular) > _NODE_BUDGET:
-            return None
-        return _ball_rule(base.center + shift, base.r, radial, angular)
+        return _ball_rule(base.center + shift, base.r, *resolution(m, lam * base.r))
     if isinstance(base, Box):
         nodes = _box_resolution(m, lam * float(np.max(base.high - base.low)))
         if nodes**m > _NODE_BUDGET:
@@ -621,15 +643,16 @@ def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
 
 
 def ball_mean(f, center, r: float, radial_nodes: int = 64, angular_resolution: int = 64,
-              bound: float | None = None) -> MeanValueEstimate:
+              bound: float | None = None, axis=None) -> MeanValueEstimate:
     """Volume mean of f over B_r(center), m >= 2, on the spectral product
-    rule with these counts; a bare callable f needs its bound stated."""
+    rule with these counts; a bare callable f needs its bound stated, and
+    in m >= 3 its symmetry axis through center."""
     center = np.asarray(center, dtype=float)
     r = float(r)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
     _require_counts(radial_nodes=radial_nodes, angular=angular_resolution)
-    return _ball_rule(center, r, int(radial_nodes), int(angular_resolution)).mean(f, bound)
+    return _ball_rule(center, r, int(radial_nodes), int(angular_resolution)).mean(f, bound, axis)
 
 
 def box_mean(f, low, high, nodes_per_axis: int = 32,
@@ -665,28 +688,25 @@ def mc_integral(f, d: Domain, samples: int = 2_000_000, seed: int = 0):
     return (integral, ierr3) + _hit_volume(d, int(np.count_nonzero(keep)), samples)
 
 
-def surface_flux(grad, center, r: float, angular_resolution: int = 256,
-                 directions=None) -> float:
+def surface_flux(grad, center, r: float, angular_resolution: int = 256, axis=None) -> float:
     """Outward flux int_{boundary of B_r(center)} grad . n dS of a vector
     field grad, (n, m) points to (n, m) values (a field's closed-form
-    gradient gives the flux of du/dn), on the sphere-direction rule with
-    this azimuth count, or on directions, the (directions, weights) a
-    ball rule's level already holds.  Circles and spheres only.
-    ValueError for m < 2, or for more than _NODE_BUDGET directions.
+    gradient gives the flux of du/dn), on the sphere rule with this
+    angular count: for m >= 3 its meridian turned onto axis, a direction
+    along which grad . n is symmetric about center (u.axis(center) for a
+    field u).  Circles and spheres only.  ValueError for m < 2, TypeError
+    for m >= 3 without an axis.
     """
     center, r = np.asarray(center, dtype=float), float(r)
     m, angular = center.size, int(angular_resolution)
     if r <= 0.0:
         raise ValueError(f"ball radius must be > 0, got {r}")
-    if directions is None:
-        _require_counts(angular_resolution=angular)
-        if _ball_nodes(m, 1, angular) > _NODE_BUDGET:
-            raise ValueError(f"surface_flux: {_ball_nodes(m, 1, angular)} directions in m = {m} "
-                             f"are above the node budget {_NODE_BUDGET}")
-        directions = _sphere_directions(m, angular)
-    level = [(np.array([r]), np.ones(1)), directions]
+    _require_counts(angular_resolution=angular)
+    cols, w, _ = _sphere_rule(m, angular)
+    level = [(np.array([r]), np.ones(1)), (cols, w)]
+    sphere = ProductRule(BALL_SPECTRAL, _ball_place(center), level, center, r, None)
     dn = lambda p: np.einsum("ij,ij->i", np.asarray(grad(p)), p - center) / r
-    return m * unit_ball_volume(m) * r ** (m - 1) * _level_mean(_ball_place(center), dn, level)[0]
+    return m * unit_ball_volume(m) * r ** (m - 1) * sphere.mean(dn, 0.0, axis).value
 
 
 def surface_flux_error(u: SolutionField, center, r: float, angular_resolution: int = 256) -> float:
@@ -701,7 +721,8 @@ def _flux_bound(u: SolutionField, center, r: float, angular: int) -> float:
     the rounding of the sum, each scaled by |grad u . n| <= lambda."""
     center, r, angular = np.asarray(center, dtype=float), float(r), int(angular)
     m, k = center.size, u.wavenumber
-    per_area = _sphere_bound(m, k * r, _sphere_degree(m, angular), flux=True)[1]
+    _, w, degree = _sphere_rule(m, angular)
+    per_area = _sphere_bound(m, k * r, degree, flux=True)[1]
     per_area += _evaluation_error(u, center, r, 1.0)
-    per_area += _rounding(_ball_nodes(m, 1, angular))
+    per_area += _rounding(len(w))
     return m * unit_ball_volume(m) * r ** (m - 1) * k * per_area

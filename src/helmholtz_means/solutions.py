@@ -60,6 +60,18 @@ class SolutionField:
         out = self.evaluate(pts)
         return float(out[0]) if single else out
 
+    def axis(self, center) -> np.ndarray | None:
+        """A direction a such that every rotation about the line through
+        center along a leaves u unchanged: a plane wave's d, a radial
+        field's c' - center (e1 where they coincide), or None (a membrane
+        mode, in m = 2, where no ball rule needs an axis)."""
+        if "direction" in self.params:
+            return np.asarray(self.params["direction"], dtype=float)
+        if "center" in self.params:
+            a = np.asarray(self.params["center"], dtype=float) - center
+            return a if np.any(a) else np.eye(self.dimension)[0]
+        return None
+
 
 def _check_wavenumber(k: float, name: str) -> float:
     k = float(k)

@@ -7,7 +7,8 @@ strategy for J_nu and I_nu:
   term count fixed from the largest t (the last term ratio <= 1e-20),
 * beyond that, Miller's downward recurrence for I and for integer-order
   J, and upward recurrence from the closed forms for half-integer-order
-  J; other orders are refused there.
+  J; other orders are refused there, and integer-order J past
+  t = BESSEL_J_MAX_T, as its pass runs 1.2 t steps.
 
 The normalized kernels are
 
@@ -50,6 +51,8 @@ _SERIES_BLOCK = 32768
 _SERIES_CUTOFF = 12.0
 # exp(t) must stay finite with headroom for the normalizing sums.
 BESSEL_I_MAX_T = 300.0
+# Miller's pass for integer-order J runs about 1.2 t steps: 12,040 here.
+BESSEL_J_MAX_T = 1e4
 # Rescale unnormalized recurrence values above this magnitude.
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
@@ -64,6 +67,7 @@ __all__ = [
     "b_norm",
     "bessel_zero",
     "BESSEL_I_MAX_T",
+    "BESSEL_J_MAX_T",
 ]
 
 
@@ -174,13 +178,21 @@ def _upward(l: int, t: np.ndarray) -> np.ndarray:
     return cur
 
 
+def _miller_start(t: float, sign: float) -> int:
+    """Where a downward pass at t starts; ValueError for J past BESSEL_J_MAX_T."""
+    if sign < 0 and not t <= BESSEL_J_MAX_T:
+        raise ValueError(f"bessel_j is limited to t <= {BESSEL_J_MAX_T:g} for integer orders "
+                         "past the series region (recurrence length guard)")
+    return int(1.2 * t) + 40
+
+
 def _miller(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
     """J_nu (sign=-1, integer nu) or I_nu (sign=+1, integer or
     half-integer nu) by Miller's downward recurrence, normalized by
     J_0 + 2*sum J_{2k} = 1, I_0 + 2*sum I_k = e^t or the exact
     I_{1/2} = sqrt(2/(pi t)) sinh t."""
     base = nu % 1  # 0 or 1/2: the recurrence ends at this order
-    start = int(1.2 * float(np.max(t))) + 40
+    start = _miller_start(float(np.max(t)), sign)
     if start % 2:
         start += 1
     above = np.zeros_like(t)  # unnormalized value at order k+1
@@ -216,7 +228,7 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
     normalized by the larger of J_{-1/2}, J_{1/2} =
     sqrt(2/(pi t)) (cos t, sin t)."""
     base = nu % 1
-    start = max(int(1.2 * t) + 40, int(nu) + count + 10)
+    start = max(_miller_start(t, sign), int(nu) + count + 10)
     if start % 2:
         start += 1
     low = int(nu) + 1  # the step to order nu
@@ -277,7 +289,8 @@ def bessel_j(nu: float, t):
     """Bessel function of the first kind J_nu(t), t >= 0, nu >= 0.
 
     Absolute error <= 1e-11 for t <= 50 and nu <= 6.  For t past the
-    series cutoff only integer and half-integer orders are supported.
+    series cutoff only integer and half-integer orders are supported, and
+    integer orders up to t = BESSEL_J_MAX_T.
     """
     return _dispatch_bessel(nu, t, "j")
 

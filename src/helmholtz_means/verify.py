@@ -32,7 +32,6 @@ from .geometry import (
 from .quadrature import (
     MONTE_CARLO,
     MeanRule,
-    ProductRule,
     SampleRule,
     _flux_bound,
     mean_rule,
@@ -511,9 +510,10 @@ def proof_discrepancy(p: CharacterizationProblem, equation: str = HELMHOLTZ) -> 
     came from the rule's draw, the sample error of the linearised
     estimator 1_D (U - U_r) |box| over all drawn points, U_r =
     K(m-2, lambda r) being U on the sphere of radius r, which carries the
-    |D| error through r; when |D| is analytic (a ball, box or certified
-    difference whose product rule is over the node budget or a term over
-    the resolution cap), |D| 3 sigma / sqrt(n_accepted).
+    |D| error through r; when |D| is analytic (a 1-D ball, a box whose
+    product rule is over the node budget, or a certified difference with
+    such a term or one over the resolution cap), |D| 3 sigma /
+    sqrt(n_accepted).
     samples and seed are reported on Monte Carlo only, None elsewhere.
 
     Verdict: pass when the predicted strict sign is resolved beyond the
@@ -684,7 +684,8 @@ def kuran_limit_check(
     u / lambda - (x1 - x0_1) at the smallest lambda (both sides are
     means on one rule), whose stated bound is u's over lambda since every
     product rule integrates the degree-1 x1 - x0_1 exactly, plus the
-    identity's volume_error_term / lambda.
+    identity's volume_error_term / lambda.  Both integrands depend on x1
+    alone, so each states e1 as its axis.
     Every lambda's identity runs on one make_problem at the first,
     largest, lambda.
     """
@@ -717,7 +718,7 @@ def kuran_limit_check(
     e1 = np.zeros(m)
     e1[0] = 1.0
     # x1 - x0_1 has degree 1, which every product rule integrates exactly
-    harmonic = p.rule.mean(lambda pts: pts[:, 0] - x0[0], bound=0.0)
+    harmonic = p.rule.mean(lambda pts: pts[:, 0] - x0[0], bound=0.0, axis=e1)
     id_rows = []
     for lam in lambdas:
         u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
@@ -731,7 +732,7 @@ def kuran_limit_check(
     # Both sides are means on one rule, so the sampling error of
     # scaled - (-harmonic) is that of the mean of u / lambda - (x1 - x0_1).
     gap = p.rule.mean(lambda pts: u(pts) / lam_min - (pts[:, 0] - x0[0]),
-                      bound=p.rule.bound(u) / lam_min)
+                      bound=p.rule.bound(u) / lam_min, axis=e1)
     identity_report = _report(
         "kuran_identity_limit",
         scaled,
@@ -757,20 +758,17 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     field (plane-wave mass at most 1), or to |lhs| or |rhs| where larger,
     so it holds where a_norm(m, lambda r) and both sides vanish.  The
     volume mean is mean_rule(B_r(center), lambda)'s, and the flux runs on
-    that rule's own sphere directions (on the ones resolution(m, lambda r)
-    sizes where the ball is sampled); the error bar adds the mean's bar
-    and the flux's proved bound over lambda^2."""
+    the sphere rule resolution(m, lambda r) sizes, turned onto u's axis;
+    the error bar adds the mean's bar and the flux's proved bound over
+    lambda^2."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the flux identity applies to Helmholtz fields")
     d = ball(center, r)
     lam = u.wavenumber
     rule = mean_rule(d, lam)
-    if isinstance(rule, ProductRule):
-        angular, directions = rule.angular, rule.level[1]
-    else:
-        angular, directions = resolution(d.dimension, lam * r)[1], None
+    angular = resolution(d.dimension, lam * r)[1]
     flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular,
-                        directions=directions)
+                        axis=u.axis(d.center))
     est = rule.mean(u)
     lhs = d.analytic_volume * est.value
     rhs = -flux / lam**2

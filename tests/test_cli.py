@@ -158,15 +158,16 @@ class TestReportsCommands:
             code, out, _ = run_cli(capsys, *args, *tol)
             assert code == 0
             assert json.loads(out)["verdict"] == "pass"
-        # a 4-D ball's rule at lambda r = 45 would hold more points than
-        # the node budget: it is sampled, and its bar covers the residual
+        # a 4-D ball at lambda r = 45, sampled while its tensor rule was
+        # over the node budget, has a meridian rule of radial x n points
         sol = '{"kind":"plane_wave","lambda":45.0,"direction":[0,0,0.6,0.8],"phase":0.3}'
         code, out, _ = run_cli(capsys, "mean-value", "--solution", sol, "--x0", "0,0,0,0",
                                "--r", "1")
         rep = json.loads(out)
-        assert code == 2 and rep["verdict"] == "inconclusive"
-        assert rep["diagnostics"]["method"] == "monte_carlo"
-        assert abs(rep["residual"]) <= rep["error_bar"]
+        assert code == 0 and rep["verdict"] == "pass"
+        assert rep["diagnostics"]["method"] == "ball_spectral"
+        assert rep["diagnostics"]["nodes_or_samples"] < 2000
+        assert abs(rep["residual"]) <= rep["error_bar"] <= 1e-12
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_balls_above_three_dimensions_pass(self, capsys, m):
@@ -386,9 +387,13 @@ class TestPlumbing:
         (("mean-value", "--solution",
           '{"kind":"plane_wave","lambda":130.0,"direction":[0,0,0.6,0.8],"phase":0.3}',
           "--x0", "0,0,0,0", "--r", "1"), "band lambda * size = 130 is above the resolution cap 120"),
-        # a sphere rule over the node budget is refused before the volume mean is sampled
-        (("flux", "--solution", '{"kind":"radial","lambda":100.0,"center":[0,0,0,0,0]}',
-          "--x0", "0,0,0,0,0", "--r", "1"), "74030112 directions in m = 5 are above the node budget"),
+        # a sampled domain's band is lambda times its bounding box's half-diagonal:
+        # a disk crossing the square's edge, refused before any draw
+        (("identity", "--domain",
+          '{"kind":"difference","a":{"kind":"box","low":[-1,-1],"high":[1,1]},'
+          '"b":{"kind":"ball","center":[0.9,0.1],"r":0.25}}', "--solution",
+          '{"kind":"radial","lambda":2000.0,"center":[0,0]}', "--x0", "0,0"),
+         "band lambda * size = 2828.43 is above the resolution cap 120"),
         # zeros are served up to n = 200
         (("specfun", "zeros", "--nu", "1", "--count", "201"), "requires 1 <= n <= 200, got 201"),
         # past t = 300 exp(t) nears overflow: I and b_norm refuse it
@@ -412,6 +417,9 @@ class TestPlumbing:
         # a kernel ratio whose t^2 underflows is refused
         (("kuran", "--domain", '{"kind":"ball","center":[0,0],"r":1}', "--x0", "0,0",
           "--lambdas", "1e-200"), "its square underflows"),
+        # integer-order J's downward recurrence runs 1.2 t steps: t is capped
+        (("specfun", "a", "--m", "2", "--t", "1e300"), "bessel_j is limited to t <= 10000"),
+        (("specfun", "j", "--nu", "0", "--t", "1e6"), "bessel_j is limited to t <= 10000"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:

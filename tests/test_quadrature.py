@@ -19,15 +19,15 @@ from helmholtz_means.quadrature import (
     RESOLUTION_CAP,
     ProductRule,
     SampleRule,
-    _ball_nodes,
     _ball_rule,
     _box_resolution,
     _box_rule,
     _gauss,
     _leggauss,
     _level_mean,
+    _basis,
     _polar_gauss,
-    _sphere_directions,
+    _sphere_rule,
     ball_mean,
     box_mean,
     mc_integral,
@@ -83,7 +83,7 @@ class TestBallMean:
         # exactly: its stated bound is 0, and its bar is rounding only
         one = lambda p: np.ones(len(p))
         assert ball_mean(one, [0, 0], 1.0, bound=0.0).value == 1.0
-        assert ball_mean(one, [0.5, -1, 2], 0.7, bound=0.0).value == 1.0
+        assert ball_mean(one, [0.5, -1, 2], 0.7, bound=0.0, axis=[0, 0, 1]).value == 1.0
         assert 0.0 < ball_mean(one, [0, 0], 1.0, bound=0.0).abs_error_estimate <= 1e-14
 
     def test_bare_callable_needs_a_stated_bound(self):
@@ -91,6 +91,35 @@ class TestBallMean:
             ball_mean(lambda p: np.ones(len(p)), [0, 0], 1.0)
         with pytest.raises(TypeError, match="error bound of a bare callable"):
             mean_rule(box([0, 0], [1, 1]), 1.0).mean(lambda p: p[:, 0])
+
+    @pytest.mark.parametrize("m", [3, 4, 12])
+    def test_bare_callable_needs_an_axis_from_three_dimensions(self, m):
+        # the meridian rule integrates only functions symmetric about an
+        # axis: a bare callable states it, or is refused before evaluation
+        calls = []
+
+        def f(p):
+            calls.append(len(p))
+            return p[:, 0]
+
+        rule = mean_rule(ball(np.zeros(m), 1.0), 2.0)
+        with pytest.raises(TypeError, match="needs the symmetry axis"):
+            rule.mean(f, bound=0.0)
+        with pytest.raises(TypeError, match="needs the symmetry axis"):
+            mean_rule(difference(ball(np.zeros(m), 1.0), ball(np.full(m, 0.1), 0.2)),
+                      2.0).mean(f, bound=0.0)
+        with pytest.raises(TypeError, match="needs the symmetry axis"):
+            surface_flux(lambda p: p, np.zeros(m), 1.0)
+        assert calls == []
+        # x1 is symmetric about e1 through every center: exact, with bar rounding only
+        est = rule.mean(f, bound=0.0, axis=np.eye(m)[0])
+        assert abs(est.value) <= 1e-16 and est.abs_error_estimate <= 1e-14
+        with pytest.raises(ValueError, match="axis must be a finite nonzero vector"):
+            rule.mean(f, bound=0.0, axis=np.zeros(m))
+        # a box rule and a circle need no axis
+        assert mean_rule(box(np.zeros(3), np.ones(3)), 1.0).mean(f, bound=0.0).value == \
+            pytest.approx(0.5, abs=1e-15)
+        assert ball_mean(f, [0.25, 0], 1.0, bound=0.0).value == pytest.approx(0.25, abs=1e-15)
 
     def test_radial_field_m2(self):
         # M(U, B_1) = a_norm(2, 1) = 2 J_1(1); DERIVED via 1-D Simpson oracle
@@ -140,18 +169,25 @@ class TestBallMean:
             assert b <= a / 4.0 or a <= 1e-12
 
     def test_exact_in_four_dimensions(self):
-        # over the unit ball of R^m: M(1) = 1, M(x_i^2) = 1/(m+2) and
-        # M(x_i^2 x_j^2) = 1/((m+2)(m+4)), i != j, from a coarse rule
+        # over the unit ball of R^m, z = a.(x - c) for a unit a: M(1) = 1,
+        # M(z^2) = 1/(m+2), M(z^4) = 3/((m+2)(m+4)) and M(z^2 |x - c|^2) =
+        # 1/(m+4), from a coarse rule turned onto a
         c = np.array([0.3, -0.1, 0.2, 0.5])
+        a = np.array([0.5, -0.5, 0.1, 0.7])
+        a /= np.linalg.norm(a)
+        z = lambda p: (p - c) @ a
         cases = [(lambda p: np.ones(len(p)), 1.0),
                  (lambda p: (p[:, 3] - c[3]) ** 2, 1.0 / 6.0),
-                 (lambda p: (p[:, 0] - c[0]) ** 2 * (p[:, 2] - c[2]) ** 2, 1.0 / 48.0)]
-        for f, exact in cases:
-            est = ball_mean(f, c, 1.0, radial_nodes=6, angular_resolution=8, bound=0.0)
+                 (lambda p: z(p) ** 2, 1.0 / 6.0),
+                 (lambda p: z(p) ** 4, 1.0 / 16.0),
+                 (lambda p: z(p) ** 2 * np.sum((p - c) ** 2, axis=1), 1.0 / 8.0)]
+        for i, (f, exact) in enumerate(cases):
+            axis = [0, 0, 0, 1] if i == 1 else a
+            est = ball_mean(f, c, 1.0, radial_nodes=6, angular_resolution=8, bound=0.0, axis=axis)
             assert est.method == "ball_spectral"
-            assert est.samples_or_nodes == 6 * 4 * 4 * 8
+            assert est.samples_or_nodes == 6 * 4
             assert est.value == pytest.approx(exact, abs=1e-15)
-        assert ball_mean(cases[0][0], c, 1.0, bound=0.0).value == 1.0
+        assert ball_mean(cases[0][0], c, 1.0, bound=0.0, axis=a).value == 1.0
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
@@ -314,42 +350,53 @@ class TestMeanRule:
             mc_mean(lambda p: p[:, 0], d, samples=0)
 
     def test_product_rule_evaluates_in_blocks(self):
-        # lambda r = 60 on a 3-D ball: about 1.8e5 nodes on one level,
-        # formed and evaluated at most 2^16 at a time
-        u = plane_wave(3, 60.0, [0.0, 0.6, 0.8], 0.3)
+        # lambda times the longest side 100 on a 3-D box: more than 2^16
+        # nodes on one level, formed and evaluated at most 2^16 at a time;
+        # the exact mean of cos(lam d.x + phi) is the real part of
+        # e^{i phi} times the product of the 1-D means of e^{i lam d_j x_j}
+        low, high = np.array([0.1, -0.4, -0.3]), np.array([1.1, 0.3, 0.5])
+        d = np.array([0.0, 0.6, 0.8])
+        u = plane_wave(3, 100.0, d, 0.3)
         calls = []
 
         def spy(pts):
             calls.append(len(pts))
             return u(pts)
 
-        radial, angular = resolution(3, 60.0)
-        rule = mean_rule(ball([0.1, 0.2, -0.3], 1.0), 60.0)
+        rule = mean_rule(box(low, high), 100.0)
         est = rule.mean(spy, bound=rule.bound(u))
-        assert est.samples_or_nodes == radial * angular * (angular // 2) == sum(calls)
-        assert len(calls) > 2 and max(calls) <= 2**16
-        assert abs(est.value - a_norm(3, 60.0) * u([0.1, 0.2, -0.3])) <= 1e-14
+        assert est.samples_or_nodes == _box_resolution(3, 100.0) ** 3 == sum(calls) > 2**16
+        assert len(calls) > 1 and max(calls) <= 2**16
+        w = 100.0 * d
+        exact = np.exp(0.3j) * np.prod([1.0 if k == 0 else
+                                        (np.exp(1j * k * b) - np.exp(1j * k * a)) / (1j * k * (b - a))
+                                        for k, a, b in zip(w, low, high)])
+        assert abs(est.value - exact.real) <= 1e-14
         # the bar is u's proved bound at lambda, at most 1e-14, and the
-        # rounding of cos at arguments up to 60 |x| <= 82: 7 x 82 ulp
-        assert est == rule.mean(u) and est.abs_error_estimate <= 1e-14 + 7 * 82 * 2.0**-52 + 1e-14
+        # rounding of cos at arguments up to 100 |x| <= 128: 7 x 128 ulp
+        assert est == rule.mean(u) and est.abs_error_estimate <= 1e-14 + 7 * 128 * 2.0**-52 + 1e-14
 
     @pytest.mark.parametrize("m, center, build", [
-        # rows of 500, 12168 and 4900 points do not divide a 2^16-point
-        # block, and no level's size is a multiple of 2^16; 520 angular
-        # nodes give 135200 directions, more than a block, on the fine level
+        # rows of 500, 260 and 4900 points do not divide a 2^16-point
+        # block, and no level's size is a multiple of 2^16; 70001 circle
+        # directions are more than a block
         (2, [0.1, -0.2], lambda c: _ball_rule(np.array(c), 0.8, 300, 500)),
-        (3, [0.1, 0.2, -0.3], lambda c: mean_rule(ball(c, 1.0), 60.0)),
+        (3, [0.1, 0.2, -0.3], lambda c: _ball_rule(np.array(c), 1.0, 300, 520)),
         (3, None, lambda c: _box_rule([0, -1, 0.5], [1, 1, 2], 70)),
-        (3, [0.1, 0.2, -0.3], lambda c: _ball_rule(np.array(c), 1.0, 6, 520)),
-    ], ids=["ball_2d", "ball_3d_lambda_r_60", "box_3d", "ball_3d_directions_above_a_block"])
+        (2, [0.1, -0.2], lambda c: _ball_rule(np.array(c), 1.0, 6, 70_001)),
+    ], ids=["ball_2d", "ball_3d_more_than_a_block", "box_3d", "ball_2d_directions_above_a_block"])
     def test_level_mean_matches_gathered_blocks(self, m, center, build):
         # reference: blocks of 2^16 // columns whole rows, or one row's
         # columns 2^16 at a time, each point gathered from its own (row,
-        # column) node pair and weighted w_row * w_column
+        # column) node pair and weighted w_row * w_column; a 3-D ball's
+        # meridian columns are turned onto the field's direction first
         rule = build(center)
-        u = plane_wave(m, 7.0, np.full(m, 1.0 / math.sqrt(m)), 0.3)
-        for level in [rule.level]:
-            (rows, w_rows), (cols, w_cols) = level
+        d = np.full(m, 1.0 / math.sqrt(m))
+        u = plane_wave(m, 7.0, d, 0.3)
+        (rows, w_rows), (cols, w_cols) = rule.level
+        if rule.axial:
+            cols = cols @ _basis(d, m)
+        for level in [[(rows, w_rows), (cols, w_cols)]]:
             n_rows, n_cols = len(w_rows), len(w_cols)
             total = n_rows * n_cols
             assert total > 2**16 and total % 2**16
@@ -402,8 +449,8 @@ class TestResolution:
             for lower, higher in zip(counts, counts[1:]):
                 assert all(a <= b for a, b in zip(lower, higher))
             assert all(isinstance(n, int) and n >= 1 for c in counts for n in c)
-            # the sphere rule's degree is odd past the circle, so its polar
-            # axes of angular // 2 nodes reach it
+            # the sphere rule's degree is odd past the circle, so its
+            # angular // 2 meridian nodes reach it
             assert all(c[1] % 2 == 0 for c in counts) or m == 2
 
     def test_counts_are_the_fewest_within_the_target(self):
@@ -431,51 +478,58 @@ class TestResolution:
             mean_rule(box([0, 0], [1, 3]), 41.0)
 
 
-def closed_form_sphere_directions(m, angular):
-    """The m in {2, 3} sphere rules as they were first written: the
-    trapezoid rule on the circle, and Gauss-Legendre(polar) x
-    trapezoid(azimuth) on the sphere."""
-    phi = 2.0 * np.pi * np.arange(angular) / angular
+def closed_form_sphere_rule(m, angular):
+    """The m in {2, 3} sphere rules in closed form: the trapezoid rule on
+    the circle, and the Gauss-Legendre meridian (z, sqrt(1 - z^2)) with
+    half the Legendre weights on the sphere."""
     if m == 2:
+        phi = 2.0 * np.pi * np.arange(angular) / angular
         return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(angular, 1.0 / angular)
-    z, wz = np.polynomial.legendre.leggauss(max(angular // 2, 4))
-    sz = np.sqrt(1.0 - z * z)
-    dirs = np.stack([np.outer(sz, np.cos(phi)), np.outer(sz, np.sin(phi)),
-                     np.outer(z, np.ones(angular))], axis=2)
-    return dirs.reshape(-1, 3), np.repeat(0.5 * wz, angular) / angular
+    z, wz = np.polynomial.legendre.leggauss(angular // 2)
+    return np.stack([z, np.sqrt(1.0 - z * z)], axis=1), 0.5 * wz
 
 
 class TestSphereRule:
     @pytest.mark.parametrize("m", [2, 3])
     def test_low_dimensions_match_the_closed_forms_bit_for_bit(self, m):
         for angular in (8, 9, 30, 77, 141, 282):
-            dirs, w = _sphere_directions(m, angular)
-            ref_dirs, ref_w = closed_form_sphere_directions(m, angular)
-            assert np.array_equal(dirs, ref_dirs) and np.array_equal(w, ref_w)
+            cols, w, degree = _sphere_rule(m, angular)
+            ref_cols, ref_w = closed_form_sphere_rule(m, angular)
+            assert np.array_equal(cols, ref_cols) and np.array_equal(w, ref_w)
+            assert degree == (angular - 1 if m == 2 else 2 * (angular // 2) - 1)
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_directions_integrate_sphere_moments(self, m):
-        # on S^{m-1}: E x_i^2 = 1/m, E x_i^4 = 3/(m(m+2)), E x_i^2 x_j^2 = 1/(m(m+2))
-        dirs, w = _sphere_directions(m, 12)
-        assert dirs.shape == (6 ** (m - 2) * 12, m)
+        # on S^{m-1}, z = a.theta: E z^2 = 1/m, E z^4 = 3/(m(m+2)),
+        # E z^6 = 15/(m(m+2)(m+4)); the meridian of 6 nodes turned onto a
+        # random axis a gives unit directions, exact to degree 11 in z
+        rng = np.random.default_rng(m)
+        cols, w, degree = _sphere_rule(m, 12)
+        a = rng.normal(size=m)
+        basis = _basis(a, m)
+        a /= np.linalg.norm(a)
+        dirs = cols @ basis
+        assert dirs.shape == (6, m) and degree == 11
+        assert np.max(np.abs(basis @ basis.T - np.eye(2))) <= 1e-15
         assert np.max(np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0)) <= 1e-15
         assert abs(w.sum() - 1.0) <= 1e-15
-        for i in range(m):
-            assert abs(w @ dirs[:, i] ** 2 - 1.0 / m) <= 1e-15
-            assert abs(w @ dirs[:, i] ** 4 - 3.0 / (m * (m + 2))) <= 1e-15
-            assert abs(w @ (dirs[:, i] * dirs[:, i - 1]) ** 2 - 1.0 / (m * (m + 2))) <= 1e-15
+        z = dirs @ a
+        assert abs(w @ z**2 - 1.0 / m) <= 1e-15
+        assert abs(w @ z**4 - 3.0 / (m * (m + 2))) <= 1e-15
+        assert abs(w @ z**6 - 15.0 / (m * (m + 2) * (m + 4))) <= 1e-15
 
     def test_polar_rule_for_s3_is_chebyshev_second_kind(self):
         # weight sqrt(1 - z^2): nodes cos(j pi / (n + 1)), weights
         # proportional to sin^2(j pi / (n + 1)); memoised and read-only
         n = 20
-        z, s, w = _polar_gauss(n, 4)
-        assert _polar_gauss(n, 4)[0] is z
+        cols, w = _polar_gauss(n, 4)
+        assert _polar_gauss(n, 4)[0] is cols
+        z, s = cols.T
         theta = np.arange(n, 0, -1) * math.pi / (n + 1)
         assert np.max(np.abs(z - np.cos(theta))) <= 1e-14
         assert np.max(np.abs(s - np.sin(theta))) <= 1e-14
         assert np.max(np.abs(w - 2.0 / (n + 1) * np.sin(theta) ** 2)) <= 1e-15
-        for arr in (z, s, w):
+        for arr in (cols, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -497,12 +551,12 @@ class TestSphereRule:
                 assert est.abs_error_estimate <= 1e-12 * scale
 
     def test_budget_is_the_3d_ball_rule_at_the_cap(self):
-        # the budget keeps the count the fitted rules had at the cap,
-        # 84 x 141 x 282; the bound-sized rule there is 53 x 87 x 174
+        # the box budget keeps the count the fitted 3-D ball rules had at
+        # the cap, 84 x 141 x 282; the meridian ball rule there is 53 x 87
         assert _NODE_BUDGET == 84 * 141 * 282 == 3_340_008
         radial, angular = resolution(3, RESOLUTION_CAP)
         rule = mean_rule(ball([0, 0, 0], 1.0), RESOLUTION_CAP)
-        assert rule.nodes == radial * (angular // 2) * angular == 53 * 87 * 174
+        assert rule.nodes == radial * (angular // 2) == 53 * 87
 
     def test_five_dimensional_balls_in_scope_are_spectral(self):
         # lambda r0 = j_{5/2,1}: the size condition's edge in m = 5
@@ -510,18 +564,25 @@ class TestSphereRule:
         rule = mean_rule(ball(np.zeros(5), 1.0), t)
         assert rule.method == "ball_spectral" and rule.nodes <= _NODE_BUDGET
 
-    def test_four_dimensional_ball_at_the_budget_edge(self):
-        # the first band whose 4-D ball rule is over the budget is sampled
-        def nodes(t):
-            return _ball_nodes(4, *resolution(4, t))
-        lo, hi = 1.0, 60.0
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if nodes(mid) <= _NODE_BUDGET else (lo, mid)
-        assert 20.0 < lo < 60.0
-        for t, spectral in ((lo, True), (hi, False)):
-            rule = mean_rule(ball([0.1, 0, 0, -0.1], 1.0), t, samples=1000, seed=1)
-            assert rule.method == ("ball_spectral" if spectral else "monte_carlo")
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_balls_are_spectral_to_the_cap_in_every_dimension(self, m):
+        # radial x n points: at most 5,225 at the cap for m <= 12, and the
+        # circle's radial x azimuth 9,116
+        rule = mean_rule(ball(np.full(m, 0.1), 1.0), RESOLUTION_CAP)
+        radial, angular = resolution(m, RESOLUTION_CAP)
+        assert rule.method == "ball_spectral" and rule.axial == (m > 2)
+        assert rule.nodes == radial * (angular if m == 2 else angular // 2)
+        assert rule.nodes <= (9116 if m == 2 else 5225)
+
+    def test_sampled_domains_are_capped_by_their_half_diagonal(self):
+        # a disk crossing the square's edge is sampled; its band is lambda
+        # times the bounding box's half-diagonal sqrt(2), refused before any draw
+        d = difference(box([-1, -1], [1, 1]), ball([0.9, 0.1], 0.25))
+        rule = mean_rule(d, RESOLUTION_CAP / math.sqrt(2.0) * (1.0 - 1e-12), samples=10)
+        assert rule.method == "monte_carlo" and "accepted" not in vars(rule)
+        with pytest.raises(ValueError, match="band lambda \\* size = 2828.43 is above the "
+                                             "resolution cap 120"):
+            mean_rule(d, 2000.0)
 
     def test_eight_dimensional_box_is_sampled(self):
         # 15^8 fine nodes at band 1: the rule is chosen before any is built
@@ -532,11 +593,17 @@ class TestSphereRule:
     def test_no_product_rule_exceeds_the_budget(self, m):
         for band in (0.5, 1.8, 1.9, 8.0, 8.1, 21.8, 21.9, 37.3, 37.4, 60.0, 120.0):
             for d in (ball(np.zeros(m), 1.0), box(np.zeros(m), np.ones(m))):
+                if d.kind == "box" and band * 0.5 * math.sqrt(m) > RESOLUTION_CAP:
+                    # over the budget, the box would be sampled, and its
+                    # half-diagonal band is over the cap
+                    with pytest.raises(ValueError, match="above the resolution cap"):
+                        mean_rule(d, band, samples=1000, seed=1)
+                    continue
                 rule = mean_rule(d, band, samples=1000, seed=1)
                 if isinstance(rule, ProductRule):
                     assert rule.nodes == math.prod(len(w) for _, w in rule.level) <= _NODE_BUDGET
                 else:
-                    assert m >= 4  # nothing in m <= 3 reaches the budget
+                    assert m >= 4 and d.kind == "box"  # no ball, nothing in m <= 3
 
 
 class TestSurfaceFlux:
@@ -548,7 +615,7 @@ class TestSurfaceFlux:
         u = radial_solution(3, 1.0, [0, 0, 0])
         for r in [1.0, math.pi]:
             expect = 4.0 * math.pi * r * r * ((r * math.cos(r) - math.sin(r)) / r**2)
-            got = surface_flux(u.gradient, [0, 0, 0], r)
+            got = surface_flux(u.gradient, [0, 0, 0], r, axis=u.axis([0, 0, 0]))
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_plane_wave_m2_divergence_theorem(self):
@@ -569,14 +636,14 @@ class TestSurfaceFlux:
             m = u.dimension
             vol = math.pi * r * r if m == 2 else 4.0 * math.pi * r**3 / 3.0
             lhs = vol * ball_mean(u, c, r).value
-            rhs = -surface_flux(u.gradient, c, r) / u.wavenumber**2
+            rhs = -surface_flux(u.gradient, c, r, axis=u.axis(np.asarray(c, float))) / u.wavenumber**2
             scale = max(abs(lhs), abs(rhs))
             assert abs(lhs - rhs) <= 1e-10 * scale
         # F(x) = x - c has divergence m, so its flux is m |B_r|
         for c, r in [([0.3, -0.2], 0.7), ([0.1, 0.2, -0.4], 1.3)]:
             m = len(c)
             vol = math.pi * r * r if m == 2 else 4.0 * math.pi * r**3 / 3.0
-            got = surface_flux(lambda p, c=np.array(c): p - c, c, r)
+            got = surface_flux(lambda p, c=np.array(c): p - c, c, r, axis=np.ones(m))
             assert got == pytest.approx(m * vol, rel=1e-13)
 
     def test_error_estimate_positive_and_small(self):
@@ -595,32 +662,31 @@ class TestSurfaceFlux:
         # |B_r| = pi^2 r^4 / 2 in R^4; F(x) = x - c has divergence 4
         c, r = np.array([0.1, -0.2, 0.3, 0.0]), 0.9
         vol = 0.5 * math.pi**2 * r**4
-        got = surface_flux(lambda p: p - c, c, r, angular_resolution=40)
+        got = surface_flux(lambda p: p - c, c, r, angular_resolution=40, axis=[0, 1, 0, 0])
         assert got == pytest.approx(4.0 * vol, rel=1e-14)
-        for u in (plane_wave(4, 2.5, [0.5, 0.5, 0.5, 0.5], 0.4), radial_solution(4, 3.0, c)):
+        for u in (plane_wave(4, 2.5, [0.5, 0.5, 0.5, 0.5], 0.4), radial_solution(4, 3.0, c),
+                  radial_solution(4, 3.0, c + 0.5)):
             lhs = vol * mean_rule(ball(c, r), u.wavenumber).mean(u).value
-            rhs = -surface_flux(u.gradient, c, r, angular_resolution=60) / u.wavenumber**2
+            rhs = -surface_flux(u.gradient, c, r, angular_resolution=60,
+                                axis=u.axis(c)) / u.wavenumber**2
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_gradient_is_evaluated_in_blocks(self):
-        # 40 x 40 x 80 = 128000 directions on S^3, two blocks of at most
-        # 2^16 points; F(x) = x - c has flux 4 |B_r| = 2 pi^2 r^4
-        c, r = np.array([0.1, -0.2, 0.3, 0.0]), 0.9
+        # 128000 directions on the circle, two blocks of at most 2^16
+        # points; F(x) = x - c has flux 2 |B_r| = 2 pi r^2
+        c, r = np.array([0.1, -0.2]), 0.9
         calls = []
 
         def grad(p):
             calls.append(len(p))
             return p - c
 
-        got = surface_flux(grad, c, r, angular_resolution=80)
+        got = surface_flux(grad, c, r, angular_resolution=128_000)
         assert sum(calls) == 128_000 and len(calls) == 2 and max(calls) <= 2**16
-        assert got == pytest.approx(2.0 * math.pi**2 * r**4, rel=1e-14)
+        assert got == pytest.approx(2.0 * math.pi * r**2, rel=1e-14)
 
-    def test_one_dimension_and_the_budget_are_usage_errors(self):
+    def test_one_dimension_is_a_usage_error(self):
         with pytest.raises(ValueError, match="the sphere rule needs m >= 2, got 1"):
             surface_flux(np.zeros_like, [0.0], 1.0)
         with pytest.raises(ValueError, match="the sphere rule needs m >= 2, got 1"):
             ball_mean(lambda p: np.ones(len(p)), [0.0], 1.0)
-        # 141^2 x 282 directions on S^3: refused before any is built
-        with pytest.raises(ValueError, match="5606442 directions in m = 4 are above the node budget"):
-            surface_flux(np.zeros_like, [0, 0, 0, 0], 1.0, angular_resolution=282)

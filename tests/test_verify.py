@@ -120,6 +120,23 @@ class TestMeanValueFormula:
         rep = check_mean_value_formula(u, [0, 0, 0.3], 1.5)
         assert rep.verdict == PASS and abs(rep.residual) <= 1e-9
 
+    @pytest.mark.parametrize("m", range(6, 13))
+    def test_passes_at_the_size_condition_edge_in_high_dimensions(self, m):
+        # lambda r = j_{m/2,1}: the meridian ball rule is spectral up to
+        # m = 12, so the formula and the radial identity pass there
+        rng = np.random.default_rng(m)
+        x = rng.uniform(-0.5, 0.5, m)
+        lam = bessel_zero(0.5 * m, 1)
+        d = rng.normal(size=m)
+        u = plane_wave(m, lam, d / np.linalg.norm(d), 0.3)
+        rep = check_mean_value_formula(u, x, 1.0)
+        assert rep.verdict == PASS and rep.diagnostics["method"] == "ball_spectral"
+        assert rep.error_bar <= 1e-12 and abs(rep.residual) <= rep.error_bar
+        radial = radial_solution(m, lam, x + rng.uniform(-0.5, 0.5, m))
+        rep = check_identity(radial, make_problem(ball(x, 1.0), lam, x))
+        assert rep.verdict == PASS and rep.diagnostics["method"] == "ball_spectral"
+        assert rep.error_bar <= 1e-12 and abs(rep.residual) <= rep.error_bar
+
     def test_rejects_modified_fields(self):
         from helmholtz_means.solutions import modified_radial_solution
 
@@ -1006,20 +1023,19 @@ class TestFluxIdentity:
         assert rep.lhs == pytest.approx(2.7649, abs=2e-4)
 
     def test_one_pass_per_sphere_level(self):
-        # the gradient is evaluated once, on the volume rule's own sphere
-        # directions; the bar is proved, so no second pass forms it
+        # the gradient is evaluated once, on the sphere rule the volume
+        # rule's band sizes (for m >= 3 its angular // 2 meridian points);
+        # the bar is proved, so no second pass forms it
         from dataclasses import replace
 
-        from helmholtz_means.quadrature import _ball_nodes
-
-        for m, lam, r in [(2, 1.0, 1.0), (3, 1.5, 0.8), (4, 1.0, 1.0)]:
+        for m, lam, r in [(2, 1.0, 1.0), (3, 1.5, 0.8), (4, 1.0, 1.0), (8, 2.0, 1.0)]:
             u = radial_solution(m, lam, np.zeros(m))
             rows = []
             counted = replace(u, gradient=lambda x, g=u.gradient: rows.append(len(x)) or g(x))
             rep = flux_identity_check(counted, np.zeros(m), r)
             angular = rep.diagnostics["angular_resolution"]
             assert angular == resolution(m, lam * r)[1]
-            assert rows == [_ball_nodes(m, 1, angular)]
+            assert rows == [angular if m == 2 else angular // 2]
             assert rep.verdict == PASS
 
     def test_zero_field_trivial_identity(self):
