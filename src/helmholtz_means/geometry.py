@@ -21,6 +21,7 @@ Custom domains, and any tree that contains one, have no description.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -81,7 +82,8 @@ class Domain:
     is False everywhere outside bounding_box = (low, high).
     circumradius(x0) is the exact sup of |y - x0| over the closure, or
     None where only sampling can answer; circumradius_upper(x0) bounds
-    it from above, or is None; analytic_volume is None where unknown.
+    it from above, or is None; analytic_volume is None where unknown,
+    and a node computes it once, at first use.
     """
 
     analytic_volume = None
@@ -137,7 +139,7 @@ class Ball(Domain):
     def bounding_box(self):
         return self.center - self.r, self.center + self.r
 
-    @property
+    @functools.cached_property
     def analytic_volume(self) -> float:
         return unit_ball_volume(self.center.size) * self.r**self.center.size
 
@@ -160,7 +162,7 @@ class Box(Domain):
     def bounding_box(self):
         return self.low, self.high
 
-    @property
+    @functools.cached_property
     def analytic_volume(self) -> float:
         return float(np.prod(self.high - self.low))
 
@@ -173,7 +175,8 @@ class Box(Domain):
 class Difference(Domain):
     """Set difference a \\ b, boxed by a.  Its volume is |a| when b
     misses a, |a| - |b| when b lies inside a (both as certified_relation
-    certifies them, both volumes analytic), and unknown otherwise."""
+    certifies them, both volumes analytic), and unknown otherwise; the
+    relation, like the volume, is computed once, at first use."""
 
     a: Domain
     b: Domain
@@ -186,13 +189,17 @@ class Difference(Domain):
     def bounding_box(self):
         return self.a.bounding_box
 
-    @property
+    @functools.cached_property
+    def relation(self) -> str | None:
+        """certified_relation(a, b), computed once."""
+        return certified_relation(self.a, self.b)
+
+    @functools.cached_property
     def analytic_volume(self) -> float | None:
-        relation = certified_relation(self.a, self.b)
         va, vb = self.a.analytic_volume, self.b.analytic_volume
-        if relation == DISJOINT:
+        if self.relation == DISJOINT:
             return va
-        if relation == INSIDE and va is not None and vb is not None:
+        if self.relation == INSIDE and va is not None and vb is not None:
             return va - vb
         return None
 

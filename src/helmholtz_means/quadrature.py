@@ -2,8 +2,11 @@
 sphere-surface flux integrals of closed-form gradients.
 
 A MeanRule is M(., D) for one domain at one resolution; mean_rule picks
-it from the domain's node type and sizes it for the wavenumber lambda,
-and ball_mean, box_mean and mc_mean are one-call wrappers over a rule.
+it from the domain's node type and sizes it for the wavenumber lambda.
+Build it once and call rule.means(fields): one pass places the nodes,
+evaluates every field once and reduces them all, and rule.mean(f) is
+its one-field case.  ball_mean, box_mean and mc_mean are one-call
+wrappers over a rule.
 A difference a \\ b whose subtrahend is certified to lie inside its
 minuend gets the signed sum of the two terms' rules,
 (|a| M(f, a) - |b| M(f, b)) / |a \\ b|, and one whose subtrahend misses
@@ -86,7 +89,6 @@ from .geometry import (
     _hit_volume,
     _require_counts,
     _unwrap,
-    certified_relation,
     unit_ball_volume,
 )
 from .solutions import HELMHOLTZ, SolutionField
@@ -115,8 +117,8 @@ PRODUCT_DIFFERENCE = "product_difference"
 MONTE_CARLO = "monte_carlo"
 
 _MIN_ACCEPTANCE = 1e-4
-_MEAN_BLOCK = 1 << 18  # accepted points per field evaluation in SampleRule.mean
-_PRODUCT_BLOCK = 1 << 16  # most points per field evaluation in _level_mean
+_MEAN_BLOCK = 1 << 18  # accepted points per field evaluation in a SampleRule mean
+_PRODUCT_BLOCK = 1 << 16  # most points per field evaluation in _level_means
 
 # Largest band lambda * size that resolution sizes a product rule for.
 RESOLUTION_CAP = 120.0
@@ -258,6 +260,12 @@ def _box_resolution(m: int, band: float) -> int:
     return _gauss_nodes(*_box_bound(0.5 * _check_band(band)), _BOUND_TARGET / m)
 
 
+def _norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) of a 1-D float array, by the same
+    arithmetic, sqrt(x.dot(x)), without its overhead."""
+    return math.sqrt(float(x.dot(x)))
+
+
 def _evaluation_error(u: SolutionField, center, radius: float, scale: float) -> float:
     """A bound on the error of evaluating u at a rule's points, all within
     radius of center: rounding of the point and of the argument
@@ -267,11 +275,11 @@ def _evaluation_error(u: SolutionField, center, radius: float, scale: float) -> 
     terms' magnitudes) and a few ulp past it.  scale bounds |u| there."""
     k, m = u.wavenumber, u.dimension
     source = np.asarray(u.params.get("center", np.zeros(m)), dtype=float)
-    reach = float(np.linalg.norm(center)) + radius  # the largest |x|
-    argument = k * (reach + float(np.linalg.norm(source))) + abs(u.params.get("phase", 0.0))
+    reach = _norm(center) + radius  # the largest |x|
+    argument = k * (reach + _norm(source)) + abs(u.params.get("phase", 0.0))
     err = _EPS * scale * (4.0 + (m + 4) * argument)
     if u.kind == "radial":
-        t = k * (float(np.linalg.norm(center - source)) + radius)
+        t = k * (_norm(center - source) + radius)
         err += _EPS * b_norm(m - 2, min(t, max(_SERIES_CUTOFF, m - 2.0)))
     return err
 
@@ -340,11 +348,14 @@ def _basis(axis, m: int) -> np.ndarray:
     if not (math.isfinite(big) and big > 0.0):
         raise ValueError(f"axis must be a finite nonzero vector of length {m}, got {axis!r}")
     a /= big
-    a /= float(np.linalg.norm(a))
+    a /= _norm(a)
     k = int(np.argmin(np.abs(a)))
-    e = -a[k] * a
+    basis = np.empty((2, m))
+    basis[0] = a
+    e = np.multiply(-a[k], a, basis[1])
     e[k] += 1.0
-    return np.stack([a, e / float(np.linalg.norm(e))])
+    e /= _norm(e)
+    return basis
 
 
 def _gauss(a: float, b: float, nodes: int):
@@ -358,18 +369,29 @@ class MeanRule:
 
     M is linear, so its nodes or samples do not depend on the integrand
     (a ball rule's orientation in m >= 3 does): build the rule once and
-    call mean(f) for every field.  A SampleRule draws nothing before the
-    first call that needs it.  method is BALL_SPECTRAL or BOX_GAUSS
-    (ProductRule), PRODUCT_DIFFERENCE (DifferenceRule) or MONTE_CARLO
-    (SampleRule).  bound(u) is the rule's proved bound for a field u,
-    before the rounding of its sum; mean(f, bound, axis) takes that bound
-    stated for a bare callable f, and the direction along which f is
+    call means(fields) for a whole family, which places the rule's nodes
+    once, evaluates each field once and reduces them all together.
+    mean(f, bound, axis) is its one-field case, for a bare callable f
+    too: it takes f's stated bound, and the direction along which f is
     symmetric about each ball's center, which ball rules in m >= 3 need.
+    A SampleRule draws nothing before the first call that needs it.
+    method is BALL_SPECTRAL or BOX_GAUSS (ProductRule), PRODUCT_DIFFERENCE
+    (DifferenceRule) or MONTE_CARLO (SampleRule).  bound(u) is the rule's
+    proved bound for a field u, before the rounding of its sum.
     """
 
     method: str
 
+    def means(self, fields) -> list[MeanValueEstimate]:
+        """M(u, D) for every SolutionField u in fields, in one pass."""
+        fields = list(fields)
+        unstated = [None] * len(fields)
+        return self._means(fields, unstated, unstated)
+
     def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
+        return self._means([f], [bound], [axis])[0]
+
+    def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
         raise NotImplementedError
 
     def bound(self, u: SolutionField) -> float:
@@ -385,11 +407,12 @@ class ProductRule(MeanRule):
     its other axes.  place(rows, columns) maps slices of the two to
     their (rows * columns, m) points in row-major order.  Every point
     lies within radius of center.  An axial rule, a ball in m >= 3, has
-    two-coordinate meridian points (z, sqrt(1 - z^2)) as its columns, and
-    each mean turns them onto the integrand's axis first.  truncation(k,
-    modified) is the proved error bound for a unit plane wave of
-    wavenumber k, and is kept per (k, modified) once computed.  The error
-    bar of mean(u) is bound(u) plus the rounding of the weighted sum.
+    two-coordinate meridian points (z, sqrt(1 - z^2)) as its columns,
+    turned onto each integrand's axis, so its nodes are placed once per
+    distinct axis among the fields.  truncation(k, modified) is the
+    proved error bound for a unit plane wave of wavenumber k, and is
+    kept per (k, modified) once computed.  The error bar of a field's
+    mean is bound(u) plus the rounding of the weighted sum.
     """
 
     def __init__(self, method: str, place, level, center, radius: float, truncation):
@@ -409,60 +432,79 @@ class ProductRule(MeanRule):
             self._truncations[k, modified] = self._truncation(k, modified)
         bound, scale = self._truncations[k, modified], 1.0
         if modified:
-            gap = float(np.linalg.norm(self.center - np.asarray(u.params["center"])))
+            gap = _norm(self.center - np.asarray(u.params["center"], dtype=float))
             bound *= math.exp(k * gap)
             scale = b_norm(u.dimension - 2, k * (gap + self.radius))  # the largest |u|
         return bound + _evaluation_error(u, self.center, self.radius, scale)
 
-    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
-        field = isinstance(f, SolutionField)
-        if bound is None:
-            if not field:
-                raise TypeError("a product rule needs the error bound of a bare callable")
-            bound = self.bound(f)
-        level = self.level
-        if self.axial:
-            axis = f.axis(self.center) if axis is None and field else axis
+    def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
+        bounds = [self._stated(f, b) for f, b in zip(fs, bounds)]
+        groups = self._orient(fs, axes) if self.axial else [(self.level[1][0], range(len(fs)))]
+        values, magnitudes = _level_means(self._place, fs, self.level, groups)
+        rounding = _rounding(self.nodes)
+        return [MeanValueEstimate(v, b + rounding * g, self.method, self.nodes)
+                for v, g, b in zip(values, magnitudes, bounds)]
+
+    def _stated(self, f, bound):
+        """The bound stated for f, or a field's own bound(f)."""
+        if bound is not None:
+            return bound
+        if not isinstance(f, SolutionField):
+            raise TypeError("a product rule needs the error bound of a bare callable")
+        return self.bound(f)
+
+    def _orient(self, fs, axes):
+        """(columns turned onto an axis, the indices of the fields symmetric
+        about it) for each distinct axis, in order of first use."""
+        turned = {}
+        for i, (f, axis) in enumerate(zip(fs, axes)):
+            if axis is None and isinstance(f, SolutionField):
+                axis = f.axis(self.center)
             if axis is None:
                 raise TypeError("a ball rule in m >= 3 needs the symmetry axis of its integrand")
-            level = [level[0], (level[1][0] @ _basis(axis, self.center.size), level[1][1])]
-        value, magnitude = _level_mean(self._place, f, level)
-        return MeanValueEstimate(value, bound + _rounding(self.nodes) * magnitude,
-                                 self.method, self.nodes)
+            basis = _basis(axis, self.center.size)
+            turned.setdefault(basis.tobytes(), (basis, []))[1].append(i)
+        return [(self.level[1][0] @ basis, members) for basis, members in turned.values()]
 
 
-def _level_mean(place, f, level) -> tuple[float, float]:
-    """sum(w f) / sum(w) and sum(w |f|) / sum(w) over a rows x columns
-    level, w = w_row w_column, in blocks of 2^16 // columns whole rows,
-    or one row's columns 2^16 at a time where they hold more, each freed
-    once f has read it; w f and w share their blocks, so f = 1 gives
-    exactly 1.0."""
-    (rows, w_rows), (cols, w_cols) = level
+def _level_means(place, fs, level, groups):
+    """sum(w f) / sum(w) and sum(w |f|) / sum(w) for every f in fs over a
+    rows x columns level, w = w_row w_column, in blocks of 2^16 // columns
+    whole rows, or one row's columns 2^16 at a time where they hold more.
+    groups pairs a column set with the indices of the fields that read
+    it: each block's points are placed once per group and each field
+    evaluated once, its w f written into one row of a (fields x points)
+    array whose rows numpy sums pairwise, as it would one field's w f;
+    f = 1 gives exactly 1.0."""
+    (rows, w_rows), (_, w_cols) = level
     step = max(_PRODUCT_BLOCK // len(w_cols), 1)  # rows per block
-    num = den = mag = 0.0
+    num, mag, den = [0.0] * len(fs), [0.0] * len(fs), 0.0
     for i in range(0, len(w_rows), step):
         for j in range(0, len(w_cols), _PRODUCT_BLOCK):  # one slice unless step is 1
             w = np.multiply.outer(w_rows[i : i + step], w_cols[j : j + _PRODUCT_BLOCK]).reshape(-1)
-            wf = w * np.asarray(f(place(rows[i : i + step], cols[j : j + _PRODUCT_BLOCK])),
-                                dtype=float)
-            num += float(np.sum(wf))
-            mag += float(np.sum(np.abs(wf, out=wf)))
-            den += float(np.sum(w))
-    return num / den, mag / den
+            wf = np.empty((len(fs), len(w)))
+            for cols, members in groups:
+                pts = place(rows[i : i + step], cols[j : j + _PRODUCT_BLOCK])
+                for n in members:
+                    np.multiply(w, fs[n](pts), wf[n])
+            num = [a + b for a, b in zip(num, np.add.reduce(wf, 1).tolist())]
+            mag = [a + b for a, b in zip(mag, np.add.reduce(np.abs(wf, wf), 1).tolist())]
+            den += float(np.add.reduce(w))
+    return [a / den for a in num], [a / den for a in mag]
 
 
 class SampleRule(MeanRule):
     """Rejection sampling over the bounding box from one seeded draw.
 
     The draw is made at the first call that needs it (accepted, volume()
-    or mean) and cached: it keeps the inside points, accepted, whose count
-    also gives |D|, and drops the rest.  It raises EstimationError when
-    the acceptance rate is below 1e-4 (bounding box too loose), so every
-    use of the draw fails the same way.  A mean is the sample mean over
-    the accepted points with error bar 3 sigma / sqrt(n_accepted), which
-    any stated bound leaves as it is, and bound(u) is 0; f is evaluated
-    over fixed blocks of 2^18 points, so it must act pointwise, and the
-    reductions run over all values at once.
+    or a mean) and cached: it keeps the inside points, accepted, whose
+    count also gives |D|, and drops the rest.  It raises EstimationError
+    when the acceptance rate is below 1e-4 (bounding box too loose), so
+    every use of the draw fails the same way.  A mean is the sample mean
+    over the accepted points with error bar 3 sigma / sqrt(n_accepted),
+    which any stated bound leaves as it is, and bound(u) is 0; each field
+    is evaluated over fixed blocks of 2^18 points, so it must act
+    pointwise, and its reductions run over all its values at once.
     """
 
     method = MONTE_CARLO
@@ -489,30 +531,34 @@ class SampleRule(MeanRule):
     def bound(self, u: SolutionField) -> float:
         return 0.0
 
-    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
+    def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
         accepted = self.accepted
         n_acc = len(accepted)
-        vals = np.empty(n_acc)
-        for i in range(0, n_acc, _MEAN_BLOCK):
-            vals[i : i + _MEAN_BLOCK] = f(accepted[i : i + _MEAN_BLOCK])
-        return MeanValueEstimate(
-            value=float(np.mean(vals)),
-            abs_error_estimate=3.0 * float(np.std(vals)) / math.sqrt(n_acc),
-            method=MONTE_CARLO,
-            samples_or_nodes=n_acc,
-            seed=self.seed,
-        )
+        out = []
+        for f in fs:
+            vals = np.empty(n_acc)
+            for i in range(0, n_acc, _MEAN_BLOCK):
+                vals[i : i + _MEAN_BLOCK] = f(accepted[i : i + _MEAN_BLOCK])
+            out.append(MeanValueEstimate(
+                value=float(np.mean(vals)),
+                abs_error_estimate=3.0 * float(np.std(vals)) / math.sqrt(n_acc),
+                method=MONTE_CARLO,
+                samples_or_nodes=n_acc,
+                seed=self.seed,
+            ))
+        return out
 
 
 class DifferenceRule(MeanRule):
     """The mean over a \\ b, b inside a, from the terms' rules.
 
-    mean is (|a| M(f, a) - |b| M(f, b)) / |a \\ b| with |a \\ b| = |a| - |b|,
-    so f = 1 gives exactly 1.0, and its error estimate is
-    (|a| err_a + |b| err_b) / |a \\ b|, plus a bound stated for the whole
-    difference, the terms then adding only their rounding; bound(u)
-    combines the terms' bounds the same way.  samples_or_nodes counts the
-    terms' nodes.
+    A mean is (|a| M(f, a) - |b| M(f, b)) / |a \\ b| with
+    |a \\ b| = |a| - |b|, so f = 1 gives exactly 1.0, and its error
+    estimate is (|a| err_a + |b| err_b) / |a \\ b|, plus a bound stated
+    for the whole difference, the terms then adding only their rounding;
+    bound(u) combines the terms' bounds the same way.  Each term makes
+    one pass over all the fields.  samples_or_nodes counts the terms'
+    nodes.
     """
 
     method = PRODUCT_DIFFERENCE
@@ -529,16 +575,16 @@ class DifferenceRule(MeanRule):
     def bound(self, u: SolutionField) -> float:
         return self._combine(self.rule_a.bound(u), self.rule_b.bound(u))
 
-    def mean(self, f, bound: float | None = None, axis=None) -> MeanValueEstimate:
+    def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
         va, vb = self.volume_a, self.volume_b
-        terms = None if bound is None else 0.0
-        ea, eb = self.rule_a.mean(f, terms, axis), self.rule_b.mean(f, terms, axis)
-        return MeanValueEstimate(
+        terms = [None if b is None else 0.0 for b in bounds]
+        pairs = zip(self.rule_a._means(fs, terms, axes), self.rule_b._means(fs, terms, axes))
+        return [MeanValueEstimate(
             (va * ea.value - vb * eb.value) / self.volume,
             self._combine(ea.abs_error_estimate, eb.abs_error_estimate) + (bound or 0.0),
             PRODUCT_DIFFERENCE,
             ea.samples_or_nodes + eb.samples_or_nodes,
-        )
+        ) for (ea, eb), bound in zip(pairs, bounds)]
 
 
 def _ball_place(center):
@@ -627,7 +673,7 @@ def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
         if nodes**m > _NODE_BUDGET:
             return None
         return _box_rule(base.low + shift, base.high + shift, nodes)
-    relation = certified_relation(base.a, base.b) if isinstance(base, Difference) else None
+    relation = base.relation if isinstance(base, Difference) else None
     if relation is None:
         return None
     try:

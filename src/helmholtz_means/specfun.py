@@ -4,7 +4,9 @@ Everything in this module is self-contained (numpy only).  Evaluation
 strategy for J_nu and I_nu:
 
 * ascending power series for t <= max(12, 2*nu), in Horner form with a
-  term count fixed from the largest t (the last term ratio <= 1e-20),
+  term count fixed from the largest t (the last term ratio <= 1e-20);
+  J's series is refused where its terms cancel past 1e-11, which only
+  orders above 6 reach,
 * beyond that, Miller's downward recurrence for I and for integer-order
   J, and upward recurrence from the closed forms for half-integer-order
   J; other orders are refused there, and integer-order J past
@@ -30,11 +32,11 @@ bessel_zero), independent of the evaluation code above.
 All functions accept scalar or ndarray arguments for t.  The one piece
 of state is a per-process cache of zeros: each (order, truncation size)
 eigenproblem is solved once and its zeros are kept read-only.  a_norm
-and b_norm at one float point run the array path's Horner steps, or
-past the series region its recurrence, on Python floats, so they return
-the same bits without array overhead.  _miller_orders gives J or I at
-every order nu + l from one downward pass, for quadrature's error
-bounds.
+and b_norm at one float point, or a one-point array, run the array
+path's Horner steps, or past the series region its recurrence, on
+Python floats, so they return the same bits without array overhead.
+_miller_orders gives J or I at every order nu + l from one downward
+pass, for quadrature's error bounds.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ import numpy as np
 
 # Power-series term-ratio stop, its term cap and the series/recurrence switch point.
 SERIES_RTOL = 1e-16
+# Largest rounding bound, absolute for J and relative to a_norm's scale, a J series may carry.
+SERIES_ATOL = 1e-11
 _SERIES_MAX_TERMS = 399
 _SERIES_BLOCK = 32768
 _SERIES_CUTOFF = 12.0
@@ -147,6 +151,34 @@ def _ascending_series(t: np.ndarray, nu: float, sign: float) -> np.ndarray:
     return total
 
 
+def _float_series(t: float, nu: float, sign: float) -> float:
+    """_ascending_series at one float t: its Horner steps, in the same
+    order, on Python floats, so it gives the same bits."""
+    q = 0.25 * t * t
+    total = 1.0
+    for c in _series_coeffs(q, nu, sign):
+        total = total * q * c + 1.0
+    return total
+
+
+def _check_cancellation(name: str, nu: float, t: float, absolute: bool) -> None:
+    """ValueError where the alternating series of J_nu may lose more
+    than SERIES_ATOL at t, its largest point: the rounding of its sum is
+    at most 2^-52 times the sum of its terms' magnitudes, which is the
+    same series with sign +1 and grows with t.  That bound is taken in
+    J's absolute scale, times (t/2)^nu / Gamma(nu + 1), when absolute,
+    else in a_norm's normalization.  Only orders above 6 carry the series
+    past t = 12; below, no call pays for the check."""
+    if t <= _SERIES_CUTOFF:
+        return
+    log_bound = math.log(_float_series(t, nu, 1.0)) - 52.0 * math.log(2.0)
+    if absolute:
+        log_bound += nu * math.log(0.5 * t) - math.lgamma(nu + 1.0)
+    if log_bound > math.log(SERIES_ATOL):
+        raise ValueError(f"{name}: the ascending series cancels at t = {t:g} for order {nu:g}: "
+                         f"its rounding bound is above {SERIES_ATOL:g}")
+
+
 def _power_over_gamma(nu: float, t, sign: float = 1.0):
     """(t/2)^nu / Gamma(nu + 1), or with sign = -1 its reciprocal, in log
     form, so neither factor overflows on its own; numpy's log and exp
@@ -186,33 +218,53 @@ def _miller_start(t: float, sign: float) -> int:
     return int(1.2 * t) + 40
 
 
+def _rescale_every(start: int, t: float) -> int:
+    """Steps between a downward pass's rescale checks.  One step from
+    order k multiplies a value by at most 2 k / t + 1 <= 2 start / t + 1;
+    where that is below 2100, 8 steps take a value below 1e250 to below
+    1e250 * 2100^8 < 4e276, so checking every 8 steps keeps it finite.
+    Past the series cutoff t > 12 and start <= 1.2 * 10^4 + 42, so the
+    growth is below 2100 and every pass there checks every 8 steps;
+    otherwise (small t, where the growth is large) every step."""
+    return 8 if 2.0 * start / t + 1.0 < 2100.0 else 1
+
+
 def _miller(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
     """J_nu (sign=-1, integer nu) or I_nu (sign=+1, integer or
     half-integer nu) by Miller's downward recurrence, normalized by
     J_0 + 2*sum J_{2k} = 1, I_0 + 2*sum I_k = e^t or the exact
-    I_{1/2} = sqrt(2/(pi t)) sinh t."""
+    I_{1/2} = sqrt(2/(pi t)) sinh t.  Each step is three in-place ufunc
+    calls on reused buffers; values are rescaled where they pass 1e250,
+    checked at the cadence _rescale_every gives, and the normalizing sum
+    is accumulated undoubled and doubled once, which is exact."""
     base = nu % 1  # 0 or 1/2: the recurrence ends at this order
     start = _miller_start(float(np.max(t)), sign)
     if start % 2:
         start += 1
+    every = _rescale_every(start, float(np.min(t)))
     above = np.zeros_like(t)  # unnormalized value at order k+1
     cur = np.full_like(t, 1e-30)  # unnormalized value at order k
-    norm = np.zeros_like(t)
+    coef = np.empty_like(t)
+    norm = np.zeros_like(t)  # half the normalizing sum, without order 0
     target = np.zeros_like(t)
     combine = np.subtract if sign < 0 else np.add
     for k in range(start, 0, -1):
-        above, cur = cur, combine((2.0 * (k + base) / t) * cur, above)
+        np.divide(2.0 * (k + base), t, out=coef)
+        coef *= cur
+        above, cur = cur, combine(coef, above, out=above)
         order = k - 1
         if order + base == nu:
             target = cur.copy()
         if not base and order > 0 and (sign > 0 or order % 2 == 0):
-            norm += 2.0 * cur
-        big = np.abs(cur) > _RESCALE_AT
-        if np.any(big):
-            for arr in (above, cur, norm, target):
-                arr[big] *= _RESCALE_BY
+            norm += cur
+        if k % every == 0:
+            big = np.abs(cur) > _RESCALE_AT
+            if np.any(big):
+                for arr in (above, cur, norm, target):
+                    arr[big] *= _RESCALE_BY
     if base:
         return target * (np.sqrt(2.0 / (np.pi * t)) * np.sinh(t) / cur)
+    norm *= 2.0
     norm += cur  # adds the unnormalized order 0
     return target / norm if sign < 0 else target * (np.exp(t) / norm)
 
@@ -222,27 +274,28 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
     nu integer or half-integer, at one float t > 0, by one downward pass
     on Python floats.  The pass starts at least 10 orders above the
     highest returned, and otherwise where _miller starts, so with
-    count = 1 it repeats _miller's steps, rescalings and normalization
-    and gives its one-point value bit for bit.  Half-integer J, which
-    _miller leaves to _upward, takes one more step to order -1/2 and is
-    normalized by the larger of J_{-1/2}, J_{1/2} =
+    count = 1 it repeats _miller's steps, rescale checks, rescalings and
+    normalization and gives its one-point value bit for bit.
+    Half-integer J, which _miller leaves to _upward, takes one more step
+    to order -1/2 and is normalized by the larger of J_{-1/2}, J_{1/2} =
     sqrt(2/(pi t)) (cos t, sin t)."""
     base = nu % 1
     start = max(_miller_start(t, sign), int(nu) + count + 10)
     if start % 2:
         start += 1
+    every = _rescale_every(start, t)
     low = int(nu) + 1  # the step to order nu
     high, big = low + count - 1, _RESCALE_AT
-    every = 0 if base else (1 if sign > 0 else 2)  # orders in the normalizing sum
+    summed = 0 if base else (1 if sign > 0 else 2)  # orders in the normalizing sum
     above, cur, norm = 0.0, 1e-30, 0.0
     out = []  # unnormalized values, highest order first
     for k in range(start, 0, -1):
         above, cur = cur, (2.0 * (k + base) / t) * cur + sign * above
         if low <= k <= high:
             out.append(cur)
-        if every and k > 1 and (every == 1 or k % 2):
-            norm += 2.0 * cur
-        if cur > big or -cur > big:
+        if summed and k > 1 and (summed == 1 or k % 2):
+            norm += cur
+        if (cur > big or -cur > big) and k % every == 0:
             above, cur, norm = above * _RESCALE_BY, cur * _RESCALE_BY, norm * _RESCALE_BY
             out = [v * _RESCALE_BY for v in out]
     out.reverse()
@@ -253,10 +306,10 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
         cos_t, sin_t = np.cos(t), np.sin(t)
         scale = c * cos_t / lower if abs(cos_t) > abs(sin_t) else c * sin_t / cur
     elif sign < 0:
-        norm += cur
+        norm = 2.0 * norm + cur
         return [v / norm for v in out]
     else:
-        norm += cur
+        norm = 2.0 * norm + cur
         scale = np.exp(t) / norm
     return [float(v * scale) for v in out]
 
@@ -273,6 +326,8 @@ def _dispatch_bessel(nu: float, t, kind: str):
     out = np.empty_like(tt)
     small = tt <= cutoff
     if np.any(small):
+        if sign < 0 and nu > 6.0:
+            _check_cancellation("bessel_j", nu, float(np.max(tt[small])), absolute=True)
         out[small] = _series_bessel(nu, tt[small], sign)
     if np.any(~small):
         if not (2.0 * nu).is_integer():
@@ -288,9 +343,12 @@ def _dispatch_bessel(nu: float, t, kind: str):
 def bessel_j(nu: float, t):
     """Bessel function of the first kind J_nu(t), t >= 0, nu >= 0.
 
-    Absolute error <= 1e-11 for t <= 50 and nu <= 6.  For t past the
-    series cutoff only integer and half-integer orders are supported, and
-    integer orders up to t = BESSEL_J_MAX_T.
+    Absolute error <= 1e-11 for t <= 50 and nu <= 6.  Above order 6 the
+    series runs past t = 12, where its alternating terms cancel: a call
+    whose series points reach a t where the rounding bound
+    2^-52 sum |terms| exceeds SERIES_ATOL = 1e-11 raises ValueError.
+    For t past the series cutoff only integer and half-integer orders are
+    supported, and integer orders up to t = BESSEL_J_MAX_T.
     """
     return _dispatch_bessel(nu, t, "j")
 
@@ -312,16 +370,15 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
     m = int(m)
     cutoff = max(_SERIES_CUTOFF, float(m))  # 2*nu = m
     nu = 0.5 * m
+    if isinstance(t, np.ndarray) and t.shape == (1,):
+        # One point in an array: the float paths below give its bits
+        return np.array([_norm_kernel(m, float(t[0]), sign, kind)])
     if isinstance(t, float) and 0.0 <= t <= cutoff:
-        # One point in the series region: the array path's Horner steps,
-        # in the same order, on Python floats.  NaN, inf and t < 0 fail
-        # the test and raise on the array path.
-        t = float(t)
-        q = 0.25 * t * t
-        total = 1.0
-        for c in _series_coeffs(q, nu, sign):
-            total = total * q * c + 1.0
-        return total
+        # One point in the series region, on Python floats.  NaN, inf and
+        # t < 0 fail the test and raise on the array path.
+        if sign < 0 and nu > 6.0:
+            _check_cancellation(f"a_norm(m = {m})", nu, t, absolute=False)
+        return _float_series(float(t), nu, sign)
     if isinstance(t, float) and cutoff < t < math.inf and (sign < 0 or t <= BESSEL_I_MAX_T):
         # One point past the cutoff: the array path's recurrence on floats
         t = float(t)
@@ -336,7 +393,9 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
         # Normalized even series: c_0 = 1, c_{k+1} = c_k * sign*(t/2)^2 / ((k+1)(k+1+m/2)).
         # Exact 1.0 at t = 0 and free of the 0/0 of the quotient form.
         ts = tt[small]
-        out[small] = _ascending_series(ts, 0.5 * m, sign)
+        if sign < 0 and nu > 6.0:
+            _check_cancellation(f"a_norm(m = {m})", nu, float(np.max(ts)), absolute=False)
+        out[small] = _ascending_series(ts, nu, sign)
     if np.any(~small):
         tl = tt[~small]
         f = bessel_j if kind == "a" else bessel_i
@@ -349,7 +408,10 @@ def a_norm(m: int, t):
 
     a_norm(m, 0) == 1.0 exactly; first sign change at the first positive
     zero of J_{m/2}.  Defined for all integer m >= 0 (m = 0 gives J_0,
-    m = 1 gives sin t / t).
+    m = 1 gives sin t / t).  For m > 12 the series runs past t = 12,
+    where its alternating terms cancel: a call whose series points reach
+    a t where the rounding bound 2^-52 sum |terms| exceeds 1e-11 (in this
+    normalization, b_norm(m, t) 2^-52) raises ValueError.
     """
     return _norm_kernel(m, t, -1.0, "a")
 

@@ -33,6 +33,7 @@ from .quadrature import (
     MONTE_CARLO,
     MeanRule,
     SampleRule,
+    _ball_rule,
     _flux_bound,
     mean_rule,
     resolution,
@@ -281,46 +282,65 @@ def check_identity(
     bar dominates; any other tolerance is relative to |lhs| for a
     modified field, as b_norm >= 1 grows like e^{mu r}.  volume_seed is
     the seed only where |D| came from a draw, None where |D| is exact.
+    This is the one-field case of _identity_reports.
     """
-    k = u.wavenumber
-    if k > p.lam + 1e-12 * max(1.0, p.lam):
-        raise ValueError(
-            f"field wavenumber {k} is above the problem's lambda {p.lam}, "
-            "for which its rule is sized"
-        )
-    kernel = a_norm if u.equation == HELMHOLTZ else b_norm
-    est = p.rule.mean(u)
-    m, t = p.domain.dimension, k * p.r
-    u0 = u(p.x0)
-    lhs = u0 * kernel(m, t)
-    volume_term = (abs(u0) * abs(t * kernel(m + 2, t) / (m + 2)) * k * p.r
-                   * p.volume_error / (m * p.volume)) if p.volume_error else 0.0
-    error_bar = est.abs_error_estimate + volume_term
-    scale = 1.0 if u.equation == HELMHOLTZ else abs(lhs)
-    if tolerance is None:
-        tolerance = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL * scale
-    else:
-        tolerance *= scale
-    return _report(
-        "identity",
-        lhs,
-        est.value,
-        tolerance,
-        error_bar,
-        {
-            "m": m,
-            "lambda": k,
-            "r": p.r,
-            "field": u.kind,
-            "method": est.method,
-            "nodes_or_samples": est.samples_or_nodes,
-            "volume_error_term": volume_term,
-            "seed": est.seed,
-            "volume_seed": p.seed if p.domain.analytic_volume is None else None,
-            "domain_kind": p.domain.kind,
-            "hypotheses": "complement connectedness assumed, not verified",
-        },
-    )
+    return _identity_reports([u], p, tolerance)[0]
+
+
+def _identity_reports(fields, p: CharacterizationProblem,
+                      tolerance: float | None = None) -> list[VerificationReport]:
+    """check_identity for every field, with every mean from one
+    p.rule.means pass and each kernel value computed once per
+    (equation, wavenumber)."""
+    for u in fields:
+        if u.wavenumber > p.lam + 1e-12 * max(1.0, p.lam):
+            raise ValueError(
+                f"field wavenumber {u.wavenumber} is above the problem's lambda {p.lam}, "
+                "for which its rule is sized"
+            )
+    m = p.domain.dimension
+    volume_seed = p.seed if p.domain.analytic_volume is None else None
+    kernels = {}  # (kernel, k) -> K(m, k r) and, where |D| has an error, |t K(m+2, t) / (m+2)|
+    reports = []
+    for u, est in zip(fields, p.rule.means(fields)):
+        k = u.wavenumber
+        kernel = a_norm if u.equation == HELMHOLTZ else b_norm
+        if (kernel, k) not in kernels:
+            t = k * p.r
+            kernels[kernel, k] = (kernel(m, t),
+                                  abs(t * kernel(m + 2, t) / (m + 2)) if p.volume_error else 0.0)
+        value, slope = kernels[kernel, k]
+        u0 = u(p.x0)
+        lhs = u0 * value
+        volume_term = (abs(u0) * slope * k * p.r * p.volume_error / (m * p.volume)
+                       if p.volume_error else 0.0)
+        error_bar = est.abs_error_estimate + volume_term
+        scale = 1.0 if u.equation == HELMHOLTZ else abs(lhs)
+        if tolerance is None:
+            tol = error_bar if est.method == MONTE_CARLO else IDENTITY_TOL_SPECTRAL * scale
+        else:
+            tol = tolerance * scale
+        reports.append(_report(
+            "identity",
+            lhs,
+            est.value,
+            tol,
+            error_bar,
+            {
+                "m": m,
+                "lambda": k,
+                "r": p.r,
+                "field": u.kind,
+                "method": est.method,
+                "nodes_or_samples": est.samples_or_nodes,
+                "volume_error_term": volume_term,
+                "seed": est.seed,
+                "volume_seed": volume_seed,
+                "domain_kind": p.domain.kind,
+                "hypotheses": "complement connectedness assumed, not verified",
+            },
+        ))
+    return reports
 
 
 def check_size_condition(p: CharacterizationProblem) -> VerificationReport:
@@ -436,7 +456,7 @@ def characterize(
         if abs(f.wavenumber - p.lam) > 1e-12 * max(1.0, p.lam):
             raise ValueError("all family members must share the problem's wavenumber")
 
-    member_reports = [check_identity(f, p, tolerance=tolerance) for f in fields]
+    member_reports = _identity_reports(fields, p, tolerance)
     size_rep = check_size_condition(p)
 
     failing = [(f, r) for f, r in zip(fields, member_reports) if r.verdict == FAIL]
@@ -719,13 +739,11 @@ def kuran_limit_check(
     e1[0] = 1.0
     # x1 - x0_1 has degree 1, which every product rule integrates exactly
     harmonic = p.rule.mean(lambda pts: pts[:, 0] - x0[0], bound=0.0, axis=e1)
-    id_rows = []
-    for lam in lambdas:
-        u = plane_wave(m, lam, e1, -0.5 * math.pi)  # sin(lambda x1)
-        rep = check_identity(u, p)
-        id_rows.append(
-            {"lambda": lam, "identity_residual": rep.residual, "scaled": rep.residual / lam}
-        )
+    waves = [plane_wave(m, lam, e1, -0.5 * math.pi) for lam in lambdas]  # sin(lambda x1)
+    reps = _identity_reports(waves, p)
+    id_rows = [{"lambda": lam, "identity_residual": rep.residual, "scaled": rep.residual / lam}
+               for lam, rep in zip(lambdas, reps)]
+    u, rep = waves[-1], reps[-1]
     lam_min = lambdas[-1]
     scaled = id_rows[-1]["scaled"]
     limit_tol = max(1e-6, 10.0 * lam_min * lam_min * max(1.0, abs(harmonic.value)))
@@ -756,17 +774,20 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     boundary flux of u's closed-form gradient; tolerance 1e-5 relative
     to the integrand's scale |D| sup|u|, sup|u| <= 1 for every Helmholtz
     field (plane-wave mass at most 1), or to |lhs| or |rhs| where larger,
-    so it holds where a_norm(m, lambda r) and both sides vanish.  The
-    volume mean is mean_rule(B_r(center), lambda)'s, and the flux runs on
-    the sphere rule resolution(m, lambda r) sizes, turned onto u's axis;
-    the error bar adds the mean's bar and the flux's proved bound over
-    lambda^2."""
+    so it holds where a_norm(m, lambda r) and both sides vanish.  One
+    resolution(m, lambda r) sizes both rules: the volume mean runs on the
+    ball rule mean_rule(B_r(center), lambda) builds, and the flux on its
+    sphere rule, turned onto u's axis; the error bar adds the mean's bar
+    and the flux's proved bound over lambda^2.  m >= 2, as the flux needs
+    a sphere."""
     if u.equation != HELMHOLTZ:
         raise ValueError("the flux identity applies to Helmholtz fields")
+    if u.dimension < 2:
+        raise ValueError(f"the flux identity needs a sphere, m >= 2, got m = {u.dimension}")
     d = ball(center, r)
     lam = u.wavenumber
-    rule = mean_rule(d, lam)
-    angular = resolution(d.dimension, lam * r)[1]
+    radial, angular = resolution(d.dimension, lam * d.r)
+    rule = _ball_rule(d.center, d.r, radial, angular)
     flux = surface_flux(u.gradient, d.center, r, angular_resolution=angular,
                         axis=u.axis(d.center))
     est = rule.mean(u)

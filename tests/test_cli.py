@@ -420,6 +420,12 @@ class TestPlumbing:
         # integer-order J's downward recurrence runs 1.2 t steps: t is capped
         (("specfun", "a", "--m", "2", "--t", "1e300"), "bessel_j is limited to t <= 10000"),
         (("specfun", "j", "--nu", "0", "--t", "1e6"), "bessel_j is limited to t <= 10000"),
+        # above order 6 J's ascending series runs past t = 12, where it cancels
+        (("specfun", "j", "--nu", "60", "--t", "100"), "series cancels at t = 100 for order 60"),
+        (("specfun", "a", "--m", "120", "--t", "110"), "series cancels at t = 110 for order 60"),
+        # the flux runs over a sphere, which a 1-D ball does not have
+        (("flux", "--solution", '{"kind":"plane_wave","lambda":1.0,"direction":[1],"phase":0.0}',
+          "--x0", "0", "--r", "1"), "the flux identity needs a sphere, m >= 2, got m = 1"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:

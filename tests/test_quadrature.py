@@ -24,7 +24,7 @@ from helmholtz_means.quadrature import (
     _box_rule,
     _gauss,
     _leggauss,
-    _level_mean,
+    _level_means,
     _basis,
     _polar_gauss,
     _sphere_rule,
@@ -420,11 +420,85 @@ class TestMeanRule:
                 blocks.append(pts.copy())
                 return u(pts)
 
-            assert _level_mean(rule._place, spy, level)[0] == num / den
+            assert _level_means(rule._place, [spy], level, [(cols, [0])])[0][0] == num / den
             assert max(len(b) for b in blocks) <= 2**16
             assert sum(len(b) for b in blocks) == total
             assert len(blocks) == len(ref_blocks)
             assert all(np.array_equal(a, b) for a, b in zip(blocks, ref_blocks))
+
+    @pytest.mark.parametrize("d, lam", [
+        (ball([0.1, -0.2], 1.3), 4.0),
+        (ball([0.1, -0.2, 0.3], 0.9), 5.0),
+        (box([0, -1, 0.5], [1, 1, 2]), 4.0),
+        (box([0, 0, 0], [1, 1, 1]), 100.0),  # 97,336 points: two 2^16-point blocks
+        (difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25)), 3.0),
+        (difference(ball([0, 0, 0], 1.0), box([-0.2, 0.1, -0.3], [0.3, 0.4, 0.1])), 3.0),
+        (difference(box([-1, -1, -1], [1, 1, 1]), ball([0.3, -0.2, 0.1], 0.4)), 3.0),
+    ], ids=["ball_2d", "ball_3d", "box_3d", "box_3d_two_blocks", "box_minus_disk",
+            "ball_3d_minus_box", "box_3d_minus_ball"])
+    def test_means_equal_one_field_means_bit_for_bit(self, d, lam):
+        # one pass over a family gives every member's one-field mean, bit for
+        # bit: the same points (a 3-D ball term's turned onto each axis), the
+        # same weighted products and the same pairwise sums per field
+        m = d.dimension
+        c = np.linspace(-0.1, 0.2, m)
+        e1, e2 = np.eye(m)[0], np.eye(m)[1]
+        fields = [radial_solution(m, lam, c), radial_solution(m, 0.5 * lam, np.zeros(m)),
+                  plane_wave(m, lam, e1, 0.0), plane_wave(m, lam, e1, 0.5 * math.pi),
+                  plane_wave(m, 0.3 * lam, e2, 1.0), modified_radial_solution(m, 0.7, c)]
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.normal(size=m)
+            fields.append(plane_wave(m, lam, v / np.linalg.norm(v), float(rng.uniform(0, 6))))
+        if d.kind == "box" and lam > 50:
+            fields = fields[:3]
+        rule = mean_rule(d, lam)
+        assert rule.method != "monte_carlo"
+        assert rule.means(fields) == [rule.mean(u) for u in fields]
+        assert rule.means([]) == []
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_means_place_the_nodes_once_per_axis(self, m):
+        # a 2-D rule places its nodes once for the whole family; a 3-D ball
+        # rule once per distinct axis among the fields
+        rule = mean_rule(ball(np.zeros(m), 1.0), 3.0)
+        calls = []
+        place = rule._place
+        rule._place = lambda rows, cols: calls.append(len(cols)) or place(rows, cols)
+        e1, e2 = np.eye(m)[0], np.eye(m)[1]
+        fields = [plane_wave(m, 3.0, e1, 0.0), plane_wave(m, 3.0, e1, 1.0),
+                  radial_solution(m, 3.0, np.zeros(m)),  # about the center: axis e1
+                  plane_wave(m, 2.0, e2, 0.0), plane_wave(m, 3.0, -e2, 0.5)]
+        ests = rule.means(fields)
+        assert len(calls) == (1 if m == 2 else 3)  # e1, e2 and -e2
+        rule._place = place
+        assert ests == [rule.mean(u) for u in fields]
+
+    def test_means_refuse_what_mean_refuses(self):
+        # means takes fields, whose bounds a rule knows; a 3-D ball rule also
+        # needs each one's axis, which a field without params does not state
+        import dataclasses
+
+        rule = mean_rule(ball([0, 0, 0], 1.0), 2.0)
+        wave = plane_wave(3, 2.0, [1, 0, 0], 0.0)
+        with pytest.raises(TypeError, match="error bound of a bare callable"):
+            rule.means([wave, lambda p: p[:, 0]])
+        with pytest.raises(TypeError, match="needs the symmetry axis"):
+            rule.means([wave, dataclasses.replace(wave, params={})])
+
+    def test_basis_is_numpy_norm_arithmetic(self):
+        # _basis normalizes by sqrt(x . x), the arithmetic of np.linalg.norm
+        rng = np.random.default_rng(3)
+        for m in (3, 4, 7):
+            for _ in range(50):
+                axis = rng.normal(size=m) * 10.0 ** rng.uniform(-200, 200)
+                a = axis / np.max(np.abs(axis))
+                a = a / np.linalg.norm(a)
+                k = int(np.argmin(np.abs(a)))
+                e = -a[k] * a
+                e[k] += 1.0
+                ref = np.stack([a, e / np.linalg.norm(e)])
+                assert np.array_equal(_basis(axis, m), ref)
 
     def test_gauss_nodes_are_memoised_read_only(self):
         x, w = _leggauss(24)

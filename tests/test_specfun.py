@@ -273,7 +273,9 @@ class TestKernels:
             for t in grid.tolist():
                 got = kernel(m, t)
                 assert type(got) is float
-                assert got == kernel(m, np.array([t]))[0] == kernel(m, np.array(t))
+                # t is the largest point, which fixes the series' term count
+                assert got == kernel(m, np.array([0.5 * t, t]))[1] == kernel(m, np.array(t))
+                assert kernel(m, np.array([t])).tolist() == [got]
                 assert kernel(m, np.float64(t)) == got
 
     @pytest.mark.parametrize("m", range(7))
@@ -286,7 +288,10 @@ class TestKernels:
             for t in grid:
                 got = kernel(m, t)
                 assert type(got) is float
-                assert got == kernel(m, np.array([t]))[0] == kernel(m, np.array(t))
+                # t is the largest point past the cutoff, where the recurrence starts
+                both = kernel(m, np.array([0.5 * (cutoff + t), t]))
+                assert got == both[1] == kernel(m, np.array(t))
+                assert kernel(m, np.array([t])).tolist() == [got]
 
     def test_domain_errors(self):
         for bad in (-0.1, float("nan"), float("inf")):
@@ -502,3 +507,92 @@ class TestMillerOrders:
         for nu, t, sign in [(0.0, 20.0, -1.0), (3.0, 44.5, -1.0), (2.5, 100.0, 1.0), (1.0, 13.0, 1.0)]:
             one = specfun._miller_orders(nu, t, sign)[0]
             assert one == specfun._miller(nu, np.array([t]), sign)[0]
+
+
+class TestMillerRescaling:
+    """Miller's array pass checks for rescaling every 8 steps past the
+    series cutoff; values stay finite and accurate where rescales fire:
+    J out to t = 10^4, and any array whose smallest t is far below its
+    largest, as every point's pass starts from the largest."""
+
+    @pytest.mark.parametrize("nu", range(8))
+    def test_integer_j_against_scipy(self, nu):
+        sp = pytest.importorskip("scipy.special")
+        cutoff = max(12.0, 2.0 * nu)
+        for top in (300.0, 1e4):
+            t = np.linspace(cutoff, top, 997)[1:]
+            assert np.max(np.abs(bessel_j(nu, t) - sp.jv(nu, t))) <= 1e-14
+
+    @pytest.mark.parametrize("nu", [0.5 * k for k in range(15)])
+    def test_i_against_scipy(self, nu):
+        sp = pytest.importorskip("scipy.special")
+        t = np.linspace(max(12.0, 2.0 * nu), 300.0, 997)[1:]
+        assert np.max(np.abs(bessel_i(nu, t) / sp.iv(nu, t) - 1.0)) <= 1e-13
+
+    def test_rescales_fire_in_these_ranges(self, monkeypatch):
+        # with the threshold out of reach the passes above give other bits
+        t = np.linspace(12.5, 1e4, 997)
+        j, i = bessel_j(3, t), bessel_i(3, t[t <= 300.0])
+        monkeypatch.setattr(specfun, "_RESCALE_AT", math.inf)
+        with np.errstate(all="ignore"):
+            assert not np.array_equal(bessel_j(3, t), j)
+            assert not np.array_equal(bessel_i(3, t[t <= 300.0]), i)
+
+    def test_one_order_repeats_the_array_pass_where_it_rescales(self):
+        # _miller_orders keeps _miller's cadence, rescalings and normalizing
+        # sum, so count = 1 gives a one-point pass's bits at any t
+        for t in np.linspace(12.5, 1e4, 41).tolist():
+            for nu in (0.0, 1.0, 7.0):
+                assert specfun._miller_orders(nu, t, -1.0)[0] == specfun._miller(
+                    nu, np.array([t]), -1.0)[0]
+        for t in np.linspace(12.5, 300.0, 41).tolist():
+            for nu in (0.0, 2.5, 7.0):
+                assert specfun._miller_orders(nu, t, 1.0)[0] == specfun._miller(
+                    nu, np.array([t]), 1.0)[0]
+
+    def test_cadence_bound(self):
+        # past the cutoff every pass checks every 8 steps: one step grows a
+        # value less than 2100-fold there; far below it, every step
+        for t in np.linspace(12.0 + 1e-9, 1e4, 101).tolist():
+            start = specfun._miller_start(t, -1.0) + 1
+            assert 2.0 * start / t + 1.0 < 2100.0
+            assert specfun._rescale_every(start, t) == 8
+        assert specfun._rescale_every(60, 1e-3) == 1
+
+
+class TestSeriesCancellation:
+    """J's ascending series is refused where 2^-52 sum |terms| at its
+    largest point exceeds 1e-11; only orders above 6 reach t > 12."""
+
+    @pytest.mark.parametrize("call, where", [
+        (lambda: bessel_j(60, 100.0), "t = 100 for order 60"),
+        (lambda: bessel_j(60, np.array([1.0, 100.0])), "t = 100 for order 60"),
+        (lambda: bessel_j(20, 39.0), "t = 39 for order 20"),
+        (lambda: a_norm(120, 110.0), "t = 110 for order 60"),
+        (lambda: a_norm(120, np.array([110.0])), "t = 110 for order 60"),
+        (lambda: a_norm(120, np.array([3.0, 110.0])), "t = 110 for order 60"),
+    ])
+    def test_cancelling_series_is_refused(self, call, where):
+        with pytest.raises(ValueError, match=f"series cancels at {where}"):
+            call()
+
+    def test_accepted_series_meet_the_contract(self):
+        # the checks' largest order and t, m <= 14 and t <= 14, and series
+        # points that stay at t <= 12 whatever the order
+        sp = pytest.importorskip("scipy.special")
+        for nu, t in [(7.0, 14.0), (6.5, 13.0), (20.0, 12.0), (60.0, 30.0)]:
+            assert abs(bessel_j(nu, t) - sp.jv(nu, t)) <= 1e-11
+        t = np.linspace(0.0, 14.0, 57)
+        ref = math.gamma(8.0) / (0.5 * t[1:]) ** 7 * sp.jv(7, t[1:])
+        assert np.max(np.abs(a_norm(14, t)[1:] - ref)) <= 1e-11
+        assert bessel_j(60, np.array([1.0, 150.0])).shape == (2,)  # 150 is past 2 nu
+        assert b_norm(120, 110.0) > 1.0  # I's series has no cancellation
+
+    def test_orders_up_to_six_pay_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked")
+
+        monkeypatch.setattr(specfun, "_check_cancellation", refuse)
+        t = np.linspace(0.0, 12.0, 9)
+        for m in range(13):
+            a_norm(m, t), a_norm(m, 12.0), bessel_j(0.5 * m, t), bessel_j(0.5 * m, 12.0)

@@ -416,31 +416,36 @@ class TestSharedRule:
     def test_make_problem_sizes_every_check(self, monkeypatch):
         # resolution(lambda * size) sizes ball rules (radial and angular)
         # and box rules (per axis), kuran's from its largest lambda; every
-        # identity a check runs reports the problem's rule
+        # identity a check runs reports the problem's rule, and characterize
+        # and kuran check their whole family in one pass over it
         import helmholtz_means.verify as verify
 
-        sizes = []
+        passes = []
+        family_check = verify._identity_reports
 
-        def spy(u, p, tolerance=None):
-            rep = check_identity(u, p, tolerance)
-            sizes.append(rep.diagnostics["nodes_or_samples"])
-            return rep
+        def spy(fields, p, tolerance=None):
+            reps = family_check(fields, p, tolerance)
+            passes.append([rep.diagnostics["nodes_or_samples"] for rep in reps])
+            return reps
 
-        monkeypatch.setattr(verify, "check_identity", spy)
+        monkeypatch.setattr(verify, "_identity_reports", spy)
         disk, square = ball([0, 0], 1.0), box([-0.5, -0.5], [0.5, 0.5])
         disk_size = lambda lam: math.prod(resolution(2, lam))
         square_size = lambda lam: _box_resolution(2, lam) ** 2
         for d, count in [(disk, disk_size), (square, square_size)]:
             size = count(1.5)
             p = make_problem(d, 1.5, [0, 0])
-            assert spy(radial_solution(2, 1.5, [0, 0]), p).diagnostics["nodes_or_samples"] == size
+            passes.clear()
+            assert check_identity(radial_solution(2, 1.5, [0, 0]), p).diagnostics[
+                "nodes_or_samples"] == size
+            assert passes == [[size]]
             assert proof_discrepancy(p).diagnostics["nodes_or_samples"] == size
-            sizes.clear()
+            passes.clear()
             rep = characterize(p)
-            assert sizes == [size] * rep.diagnostics["family_size"]
-            sizes.clear()
+            assert passes == [[size] * rep.diagnostics["family_size"]]
+            passes.clear()
             kuran_limit_check(d, [0, 0])
-            assert sizes == [count(0.3)] * 4
+            assert passes == [[count(0.3)] * 4]
 
     def test_problem_keeps_its_one_draw(self):
         # |D| needs the draw, so make_problem makes it; every later use
@@ -488,6 +493,26 @@ class TestCertifiedDifference:
     BOX_MINUS_DISK = difference(box([-1, -1], [1, 1]), ball([0.5, 0.2], 0.25))
     CUBE_LOW, CUBE_SIDE = np.array([0.2, -0.1, 0.1]), 0.4
     BALL_MINUS_CUBE = difference(ball([0, 0, 0], 1.0), box(CUBE_LOW, CUBE_LOW + CUBE_SIDE))
+
+    @pytest.mark.parametrize("d", [BOX_MINUS_DISK, BALL_MINUS_CUBE], ids=["2d", "3d"])
+    def test_relation_is_certified_once_per_problem(self, d, monkeypatch):
+        # a difference keeps its relation and its volume: make_problem reads
+        # the volume twice and sizes the rule from the relation, and every
+        # member of characterize's family reads the volume again
+        import helmholtz_means.geometry as geometry
+
+        calls = []
+        certify = geometry.certified_relation
+
+        def spy(a, b, strict=False):
+            calls.append(strict)
+            return certify(a, b, strict)
+
+        monkeypatch.setattr(geometry, "certified_relation", spy)
+        fresh = difference(d.a, d.b)
+        rep = characterize(make_problem(fresh, 2.0, np.zeros(d.dimension)))
+        assert rep.diagnostics["family_size"] > 1
+        assert calls.count(False) == 1
 
     def test_certification_table(self):
         disk = ball([0, 0], 1.0)
@@ -1052,6 +1077,32 @@ class TestFluxIdentity:
         rep = flux_identity_check(zero, [0, 0], 1.0)
         assert rep.verdict == PASS
         assert rep.lhs == 0.0 and rep.rhs == 0.0
+
+    def test_one_resolution_sizes_both_rules(self, monkeypatch):
+        # the volume mean's ball rule and the flux's sphere rule come from
+        # one resolution(m, lambda r)
+        import helmholtz_means.quadrature as quadrature
+        import helmholtz_means.verify as verify
+
+        bands = []
+        sized = quadrature.resolution
+
+        def spy(m, band):
+            bands.append(band)
+            return sized(m, band)
+
+        monkeypatch.setattr(quadrature, "resolution", spy)
+        monkeypatch.setattr(verify, "resolution", spy)
+        u = plane_wave(3, 2.0, [0.6, 0.0, 0.8], 0.3)
+        rep = flux_identity_check(u, [0.1, 0, 0], 1.5)
+        assert bands == [3.0]
+        assert rep.verdict == PASS
+        assert rep.diagnostics["angular_resolution"] == sized(3, 3.0)[1]
+
+    def test_one_dimension_is_refused_before_sizing(self):
+        u = plane_wave(1, 1.0, [1.0], 0.0)
+        with pytest.raises(ValueError, match="the flux identity needs a sphere, m >= 2, got m = 1"):
+            flux_identity_check(u, [0.0], 1.0)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_passes_at_the_size_condition_edge(self, m):
