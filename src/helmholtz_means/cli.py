@@ -2,6 +2,12 @@
 
 Output is JSON (default) or CSV, written to stdout or --out, with no
 timestamps, so identical flags and seeds give byte-identical output.
+JSON output is byte for byte json.dumps(obj, indent=2, sort_keys=True)
+plus a newline, where obj is a table's list of row objects or a report's
+report_to_dict (a list of them for a bundle); CSV floats are repr().
+Tables are written from their columns, one row template for every row,
+and reports by one writer that reads each report's fields and numpy
+values in place, without a copy.
 Exit codes: 0 pass, 1 any theorem-check fail, 2 inconclusive, 64 usage
 or validation error, a non-finite or overflowing value, or a sampled
 estimate that could not be formed.
@@ -20,6 +26,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -61,30 +68,99 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _json_float(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _write_json(x, out: list, nl: str):
+    """Append to out the text json.dumps(x, indent=2, sort_keys=True) gives
+    for x, reading numpy values by verify._jsonable's rule in place; nl is
+    the newline and indent of the line x starts on."""
+    t = type(x)
+    if t is float:
+        out.append(_json_float(x))
+    elif t is str:
+        out.append(_json_str(x))
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        if not all(type(k) is str for k in x):
+            x = {str(k): v for k, v in x.items()}
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            out.append(sep + _json_str(k) + ": ")
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    else:  # numpy values, then subclasses of JSON types, as json.dumps reads them
+        plain = verify._jsonable(x)
+        if type(plain) is not t:
+            _write_json(plain, out, nl)
+        elif isinstance(x, str):
+            out.append(_json_str(x))
+        elif isinstance(x, int):
+            out.append(int.__repr__(x))
+        elif isinstance(x, float):
+            out.append(_json_float(x))
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit_reports(reports, args) -> int:
     single = isinstance(reports, verify.VerificationReport)
     rep_list = [reports] if single else list(reports)
     for r in rep_list:
         r.diagnostics["cli"] = {"subcommand": args.subcommand, "format": args.format}
     if args.format == "json":
-        payload = report_obj = [verify.report_to_dict(r) for r in rep_list]
-        if single:
-            report_obj = payload[0]
-        _emit(json.dumps(report_obj, indent=2, sort_keys=True) + "\n", args.out)
+        # report_to_dict(r) is vars(r) with plain diagnostics; the writer
+        # reads the report's own fields instead of that copy
+        out = []
+        _write_json(vars(reports) if single else [vars(r) for r in rep_list], out, "\n")
+        out.append("\n")
+        _emit("".join(out), args.out)
     else:
         _emit(verify.reports_to_csv(rep_list), args.out)
     return max(_VERDICT_EXIT[r.verdict] for r in rep_list)
 
 
-def _emit_table(rows, header, args) -> int:
-    for row in rows:
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"non-finite value at {header[0]} = {row[0]!r}")
+def _emit_table(columns, header, args) -> int:
+    """Write equal-length columns (arrays or sequences of floats or ints)
+    as rows: JSON objects with sorted keys, or CSV in header order."""
+    finite = np.isfinite(np.array(columns, dtype=float)).all(axis=0)
+    cols = [np.asarray(c).tolist() for c in columns]
+    if not finite.all():
+        raise ValueError(f"non-finite value at {header[0]} = {cols[0][int(np.argmin(finite))]!r}")
     if args.format == "json":
-        objs = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(objs, indent=2, sort_keys=True) + "\n", args.out)
+        order = sorted(range(len(header)), key=header.__getitem__)
+        row = "  {\n" + ",\n".join(
+            f"    {_json_str(header[j]).replace('%', '%%')}: %r" for j in order) + "\n  }"
+        rows = ",\n".join(map(row.__mod__, zip(*(cols[j] for j in order))))
+        _emit(f"[\n{rows}\n]\n" if rows else "[]\n", args.out)
     else:
-        _emit(verify.csv_table(header, rows), args.out)
+        row = ",".join(["%r"] * len(header)) + "\n"
+        rows = "".join(map(row.__mod__, zip(*cols)))
+        _emit(verify.csv_table(header, ()) + rows, args.out)
     return 0
 
 
@@ -182,12 +258,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_count(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
+
+
+def _grid(args) -> np.ndarray:
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return np.linspace(args.t_min, args.t_max, args.count)
+
+
 def _cmd_specfun(args) -> int:
+    _check_count(args)
     if args.what == "zeros":
         if args.nu is None:
             raise ValueError("zeros needs --nu")
-        rows = [(n, bessel_zero(args.nu, n)) for n in range(1, args.count + 1)]
-        return _emit_table(rows, ("n", "value"), args)
+        ns = range(1, args.count + 1)
+        return _emit_table((ns, [bessel_zero(args.nu, n) for n in ns]), ("n", "value"), args)
     if args.what in ("a", "b"):
         if args.m is None:
             raise ValueError(f"kernel {args.what!r} needs --m")
@@ -198,20 +287,15 @@ def _cmd_specfun(args) -> int:
             raise ValueError(f"bessel {args.what!r} needs --nu")
         fn = bessel_j if args.what == "j" else bessel_i
         evaluate = lambda t: fn(args.nu, t)
-    if args.t is not None:
-        ts = np.array([args.t])
-    else:
-        ts = np.linspace(args.t_min, args.t_max, args.count)
-    rows = [(float(t), float(v)) for t, v in zip(ts, evaluate(ts))]
-    return _emit_table(rows, ("t", "value"), args)
+    ts = np.array([args.t]) if args.t is not None else _grid(args)
+    return _emit_table((ts, evaluate(ts)), ("t", "value"), args)
 
 
 def _cmd_sweep(args) -> int:
-    ts = np.linspace(args.t_min, args.t_max, args.count)
-    a_vals = a_norm(args.m, ts)
-    b_vals = b_norm(args.m, ts)
-    rows = [(float(t), float(a), float(b)) for t, a, b in zip(ts, a_vals, b_vals)]
-    return _emit_table(rows, ("t", f"a_{args.m}", f"b_{args.m}"), args)
+    _check_count(args)
+    ts = _grid(args)
+    return _emit_table((ts, a_norm(args.m, ts), b_norm(args.m, ts)),
+                       ("t", f"a_{args.m}", f"b_{args.m}"), args)
 
 
 def _run(args) -> int:

@@ -4,11 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helmholtz_means import cli
+from helmholtz_means import cli, verify
 from helmholtz_means.cli import main
+from helmholtz_means.specfun import a_norm, b_norm, bessel_i, bessel_j, bessel_zero
 
 
 def run_cli(capsys, *argv):
@@ -426,6 +432,18 @@ class TestPlumbing:
         # the flux runs over a sphere, which a 1-D ball does not have
         (("flux", "--solution", '{"kind":"plane_wave","lambda":1.0,"direction":[1],"phase":0.0}',
           "--x0", "0", "--r", "1"), "the flux identity needs a sphere, m >= 2, got m = 1"),
+        # every table refuses a negative count, zeros included
+        (("specfun", "zeros", "--nu", "1", "--count", "-3"), "--count must be >= 0, got -3"),
+        (("specfun", "a", "--m", "2", "--count", "-3"), "--count must be >= 0, got -3"),
+        (("specfun", "b", "--m", "2", "--count", "-3"), "--count must be >= 0, got -3"),
+        (("specfun", "j", "--nu", "1", "--count", "-3"), "--count must be >= 0, got -3"),
+        (("specfun", "i", "--nu", "1", "--count", "-3"), "--count must be >= 0, got -3"),
+        (("sweep", "--m", "2", "--count", "-1"), "--count must be >= 0, got -1"),
+        # a grid's ends are checked before the grid is formed
+        (("specfun", "a", "--m", "2", "--t-max", "inf", "--count", "3"),
+         "--t-max must be finite, got inf"),
+        (("specfun", "j", "--nu", "1", "--t-min", "nan"), "--t-min must be finite, got nan"),
+        (("sweep", "--m", "2", "--t-min=-inf"), "--t-min must be finite, got -inf"),
     ])
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:
@@ -440,11 +458,32 @@ class TestPlumbing:
 
     def test_table_refuses_non_finite_values(self, capsys):
         # no kernel reaches it within t <= 300 now, but a non-finite value
-        # would still be refused rather than printed as Infinity
-        args = cli._build_parser().parse_args(["specfun", "a", "--m", "2"])
-        with pytest.raises(ValueError, match="non-finite value at t = 1.0"):
-            cli._emit_table([(0.0, 1.0), (1.0, math.inf)], ("t", "value"), args)
+        # would still be refused rather than printed as Infinity; the message
+        # names the t of the first row that holds one, in either column
+        cases = [
+            ([0.0, 0.5, 1.0, 1.5], [1.0, 2.0, 3.0, math.inf], "1.5"),
+            # a NaN in a middle row comes before an infinity in a later one
+            ([0.0, 0.5, 1.0, 1.5], [1.0, math.nan, -math.inf, 4.0], "0.5"),
+            ([0.0, 0.5, math.nan, 1.5], [1.0, 2.0, 3.0, 4.0], "nan"),
+        ]
+        for fmt in ("json", "csv"):
+            args = cli._build_parser().parse_args(["specfun", "a", "--m", "2", "--format", fmt])
+            for ts, values, t in cases:
+                with pytest.raises(ValueError, match=f"^non-finite value at t = {t}$"):
+                    cli._emit_table((np.array(ts), np.array(values)), ("t", "value"), args)
         assert capsys.readouterr().out == ""
+
+    def test_non_finite_grid_end_prints_no_warning(self):
+        # the ends are checked before np.linspace, which would warn on inf
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "helmholtz_means", "specfun", "a", "--m", "2",
+             "--t-max", "inf", "--count", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert proc.stderr == "helmholtz-means: error: --t-max must be finite, got inf\n"
 
     def test_nodes_flag_is_usage_error(self, capsys):
         # node counts follow from lambda * size; no subcommand takes --nodes
@@ -494,3 +533,145 @@ class TestPlumbing:
         code, out, _ = run_cli(capsys, "membrane", "--a", "1", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert all(len(r) == len(rows[0]) for r in rows)
+
+
+def old_table(header, rows, fmt) -> str:
+    """A table as the CLI wrote it from rows: the reference for its bytes."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+    return verify.csv_table(header, rows)
+
+
+def old_reports(reports) -> str:
+    """Reports as the CLI wrote them from report_to_dict: the reference."""
+    if isinstance(reports, verify.VerificationReport):
+        obj = verify.report_to_dict(reports)
+    else:
+        obj = [verify.report_to_dict(r) for r in reports]
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_table(argv) -> str:
+    """The table argv asks for, built row by row from the library as the
+    table subcommands built it: a tuple of float()s per row."""
+    args = cli._build_parser().parse_args(list(argv))
+    grid = lambda: np.linspace(args.t_min, args.t_max, args.count)
+    if args.subcommand == "sweep":
+        ts = grid()
+        header = ("t", f"a_{args.m}", f"b_{args.m}")
+        rows = [(float(t), float(a), float(b))
+                for t, a, b in zip(ts, a_norm(args.m, ts), b_norm(args.m, ts))]
+    elif args.what == "zeros":
+        header = ("n", "value")
+        rows = [(n, bessel_zero(args.nu, n)) for n in range(1, args.count + 1)]
+    else:
+        fn = {"a": a_norm, "b": b_norm, "j": bessel_j, "i": bessel_i}[args.what]
+        order = args.m if args.what in ("a", "b") else args.nu
+        ts = np.array([args.t]) if args.t is not None else grid()
+        header = ("t", "value")
+        rows = [(float(t), float(v)) for t, v in zip(ts, fn(order, ts))]
+    return old_table(header, rows, args.format)
+
+
+class TestOutputBytes:
+    """Tables written from columns and reports written without a copy give
+    the bytes of the row-by-row and report_to_dict formulations."""
+
+    BOX = '{"kind":"box","low":[-0.5,-0.5],"high":[0.5,0.5]}'
+    DISK = '{"kind":"ball","center":[0,0],"r":1.0}'
+    BOX_MINUS_DISK = ('{"kind":"difference","a":{"kind":"box","low":[-1,-1],"high":[1,1]},'
+                      '"b":{"kind":"ball","center":[0.9,0.1],"r":0.25}}')
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ("specfun", "a", "--m", "3", "--t-max", "50", "--count", "201"),
+        ("specfun", "b", "--m", "4", "--t-min", "0.5", "--t-max", "20", "--count", "31"),
+        ("specfun", "j", "--nu", "0.5", "--t-min", "0.1", "--t-max", "5", "--count", "5"),
+        ("specfun", "i", "--nu", "2", "--t-max", "30", "--count", "7"),
+        ("specfun", "a", "--m", "2", "--count", "0"),
+        ("specfun", "j", "--nu", "1", "--count", "1"),
+        ("specfun", "b", "--m", "3", "--t", "2.5"),
+        ("specfun", "i", "--nu", "0", "--t", "0"),
+        ("specfun", "zeros", "--nu", "1", "--count", "5"),
+        ("specfun", "zeros", "--nu", "2.5", "--count", "1"),
+        ("specfun", "zeros", "--nu", "0", "--count", "0"),
+        ("sweep", "--m", "2", "--t-max", "50", "--count", "41"),
+        ("sweep", "--m", "11", "--t-min", "1", "--count", "1"),
+        ("sweep", "--m", "3", "--count", "0"),
+    ])
+    def test_tables_match_rows_formulation(self, capsys, argv, fmt):
+        argv = argv + ("--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == reference_table(argv)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_of_extreme_values_and_an_int_column(self, capsys, fmt):
+        args = cli._build_parser().parse_args(["specfun", "a", "--m", "2", "--format", fmt])
+        ts = np.array([-0.0, 5e-324, 1e300, -1e300, 0.1])
+        values = np.array([1e300, -0.0, 5e-324, 0.0, -2.5e-310])
+        ns = range(1, 6)
+        for columns, header in (((ts, values), ("t", "value")),
+                                ((ns, list(values)), ("n", "value")),
+                                ((ts, values, ns), ("t", "b_%d", "a\u03bb\"2"))):
+            assert cli._emit_table(columns, header, args) == 0
+            rows = list(zip(*(np.asarray(c).tolist() for c in columns)))
+            assert capsys.readouterr().out == old_table(header, rows, fmt)
+
+    @pytest.mark.parametrize("argv", [
+        ("mean-value", "--solution", '{"kind":"plane_wave","lambda":1.0,"direction":[1,0],'
+         '"phase":0.0}', "--x0", "0,0", "--r", "1"),
+        ("identity", "--domain", BOX, "--solution", '{"kind":"radial","lambda":1.5,"center":[0,0]}',
+         "--x0", "0,0"),
+        ("characterize", "--domain", BOX_MINUS_DISK, "--lambda", "1.5", "--x0", "0,0",
+         "--samples", "20000", "--seed", "3"),
+        ("discrepancy", "--domain", BOX, "--lambda", "1.0", "--x0", "0,0",
+         "--samples", "20000", "--seed", "5"),
+        ("membrane", "--a", "1"),
+        ("flux", "--solution", '{"kind":"radial","lambda":1.0,"center":[0,0,0]}',
+         "--x0", "0,0,0", "--r", "1"),
+        ("kuran", "--domain", DISK, "--x0", "0,0", "--lambdas", "0.3,0.1"),
+        ("theorem1", "--m", "3", "--mu", "1.0", "--x0", "0,0,0", "--r", "1"),
+    ])
+    def test_reports_match_report_to_dict(self, capsys, monkeypatch, argv):
+        seen = []
+        emit = cli._emit_reports
+        monkeypatch.setattr(cli, "_emit_reports",
+                            lambda reports, args: seen.append(reports) or emit(reports, args))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1, 2) and len(seen) == 1
+        assert out == old_reports(seen[0])
+
+    @staticmethod
+    def hand_built_report(**diagnostics):
+        return verify.VerificationReport(
+            name="hand built \u00e9", lhs=math.nan, rhs=-math.inf, residual=math.inf,
+            tolerance=1e-8, error_bar=0.0, verdict=verify.INCONCLUSIVE, diagnostics=diagnostics,
+        )
+
+    def test_hand_built_reports_match_report_to_dict(self, capsys):
+        args = cli._build_parser().parse_args(["membrane"])
+        rep = self.hand_built_report(**{
+            "f32": np.float32(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
+            "grid": np.arange(6.0).reshape(2, 3), "bools": np.array([True, False]),
+            "pair": (1, "two", None, False, np.float64(-0.0)), "empty_dict": {}, "empty_list": [],
+            "text": "\u03a9 \u2265 0, \"quoted\"\n\ttab", "np_text": np.str_("x\u00b2"),
+            "nested": {"b": [{"z": -math.inf, "y": math.nan}, ()], 3: "int key", "a": {}},
+            "sides": {"lhs": math.nan, "residual": -math.inf},
+        })
+        assert cli._emit_reports(rep, args) == 2
+        assert capsys.readouterr().out == old_reports(rep)
+        # a list of reports, one of them empty of diagnostics
+        reps = [rep, self.hand_built_report()]
+        assert cli._emit_reports(reps, args) == 2
+        assert capsys.readouterr().out == old_reports(reps)
+
+    def test_value_json_refuses_is_a_type_error(self, capsys):
+        args = cli._build_parser().parse_args(["membrane"])
+        for value in (1j, object(), np.longdouble(1.0)):
+            rep = self.hand_built_report(deep=[{"value": value}])
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                old_reports(rep)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                cli._emit_reports(rep, args)
+            assert capsys.readouterr().out == ""
