@@ -16,7 +16,11 @@ size-condition check, and its failure is the point of the
 counterexample.
 
 The parser is built once per process and reused by every main() call;
-each call parses into a fresh namespace.
+each call parses into a fresh namespace.  An argv that starts with a
+subcommand goes straight to that subcommand's parser, and any words it
+leaves are refused by the top-level parser, so usage messages, help
+and exit codes are those of the top-level parse; every other argv (none,
+--help, an unknown subcommand) takes the top-level parser.
 """
 
 from __future__ import annotations
@@ -173,6 +177,7 @@ def _add_common(p):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="helmholtz-means", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    parser.subcommands = sub.choices  # name -> that subcommand's parser
 
     p = sub.add_parser("specfun", help="tabulate kernels, Bessel values, or zeros")
     p.add_argument("what", choices=("a", "b", "j", "i", "zeros"))
@@ -348,9 +353,24 @@ def _run(args) -> int:
     raise ValueError(f"unknown subcommand {args.subcommand!r}")  # unreachable
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """parser.parse_args(argv), with an argv that starts with a subcommand
+    parsed by that subcommand's parser alone: the same namespace, and
+    leftover words refused by the top-level parser, as parse_args would."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
     try:
         return _run(args)
     except (ValueError, OverflowError, OSError, EstimationError) as exc:

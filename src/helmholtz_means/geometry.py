@@ -68,7 +68,7 @@ def _vec(x, m: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a coordinate vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("coordinates must be finite")
     if m is not None and v.size != m:
         raise ValueError(f"dimension mismatch: expected {m}, got {v.size}")
@@ -272,12 +272,12 @@ def certified_relation(a: Domain, b: Domain, strict: bool = False) -> str | None
     None when neither is certified.
     """
     (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box, b.bounding_box
-    if np.any(hi_a <= lo_b) or np.any(hi_b <= lo_a):
+    if (hi_a <= lo_b).any() or (hi_b <= lo_a).any():
         return DISJOINT
     within = np.less if strict else np.less_equal
     base, shift = _unwrap(a)
     if isinstance(base, Box):
-        return INSIDE if np.all(within(lo_a, lo_b)) and np.all(within(hi_b, hi_a)) else None
+        return INSIDE if within(lo_a, lo_b).all() and within(hi_b, hi_a).all() else None
     if isinstance(base, Ball):
         center = base.center + shift
         b_base, b_shift = _unwrap(b)
@@ -309,7 +309,7 @@ def box(low, high) -> Box:
     """Open axis-aligned box with low < high componentwise."""
     lo = _vec(low)
     hi = _vec(high, lo.size)
-    if not np.all(hi > lo):
+    if not (hi > lo).all():
         raise ValueError("box requires low < high componentwise")
     return Box(lo.copy(), hi.copy())
 
@@ -329,7 +329,7 @@ def translate(d: Domain, by) -> Translate:
 def custom_domain(dimension, indicator, bounding_box, analytic_volume=None) -> CustomDomain:
     lo = _vec(bounding_box[0], dimension)
     hi = _vec(bounding_box[1], dimension)
-    if not np.all(hi > lo):
+    if not (hi > lo).all():
         raise ValueError("bounding box must be nondegenerate")
     return CustomDomain(indicator, (lo, hi), analytic_volume)
 

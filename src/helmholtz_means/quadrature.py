@@ -10,7 +10,9 @@ wrappers over a rule.
 A difference a \\ b whose subtrahend is certified to lie inside its
 minuend gets the signed sum of the two terms' rules,
 (|a| M(f, a) - |b| M(f, b)) / |a \\ b|, and one whose subtrahend misses
-its minuend gets the minuend's rule.
+its minuend gets the minuend's rule.  The signed sum makes one pass:
+each field is evaluated once per block over both terms' nodes, and each
+term's sums are read from its own part of the block.
 
 The spectral ball rule pairs Gauss-Legendre in radius (with the s^{m-1}
 Jacobian folded into the weights) with a sphere rule: the periodic
@@ -24,10 +26,12 @@ volume normalization.
 
 Each product rule has one level, sized by inverting a proved error
 bound: the fewest nodes whose bound is at most 1e-14 for a unit plane
-wave e^{i lambda d.x}.  Every Helmholtz field in solutions (plane waves,
-the radial field, membrane modes) is a superposition of such waves with
-total mass at most 1, so it inherits the bound; the modified radial
-field takes I in place of J and a factor e^{mu |c - c'|}.  The bounds:
+wave e^{i lambda d.x}; a ball rule keeps the bound its sizing proved,
+which serves every field at lambda.  Every Helmholtz field in solutions
+(plane waves, the radial field, membrane modes) is a superposition of
+such waves with total mass at most 1, so it inherits the bound; the
+modified radial field takes I in place of J and a factor
+e^{mu |c - c'|}.  The bounds:
 
 * sphere rule exact to degree L, by Gegenbauer's expansion of a plane
   wave (DLMF 10.23(ii)), nu = (m - 2)/2, t = lambda r:
@@ -223,12 +227,14 @@ def _radial_bound(m: int, t: float, modified: bool = False):
     return (base + math.log(0.5 * m)) + ((m - 1) * log_half + growth), u
 
 
-def _box_bound(tau: float, modified: bool = False, others: float = 0.0):
+def _box_bound(tau, modified: bool = False, others=0.0):
     """(ln bound without its -2 (n - 1) u, u) of a box axis's Gauss rule,
     for the mean over [-1, 1] of e^{i tau x} (e^{tau x} when modified,
     a_rho = 2 half - 1), tau = k h_j; a modified field also carries the
-    largest values of the other axes' factors, e^others."""
+    largest values of the other axes' factors, e^others.  For arrays
+    tau and others, one row per axis."""
     u, sinh, half, _, base = _ellipse()
+    tau, others = np.asarray(tau)[..., None], np.asarray(others)[..., None]
     growth = tau * (2.0 * half - 1.0) if modified else tau * sinh
     return base + (math.log(0.5) + others + growth), u
 
@@ -249,8 +255,18 @@ def resolution(m: int, band: float) -> tuple[int, int]:
     plane wave at lambda.  For m >= 3 the sphere rule's degree is odd,
     so its angular // 2 meridian nodes reach it.  ValueError above
     RESOLUTION_CAP."""
+    return _ball_sizing(m, band)[:2]
+
+
+def _ball_sizing(m: int, band: float) -> tuple[int, int, float]:
+    """resolution's counts and the bound they prove at band, the sphere
+    tail at the degree picked plus the radial Gauss bound from the same
+    arrays: the ball rule's truncation at lambda, bit for bit."""
     t = _check_band(band)
-    return _gauss_nodes(*_radial_bound(m, t), 0.5 * _BOUND_TARGET), _sphere_bound(m, t)[0] + 1
+    log_bound, u = _radial_bound(m, t)
+    radial = _gauss_nodes(log_bound, u, 0.5 * _BOUND_TARGET)
+    degree, tail = _sphere_bound(m, t)
+    return radial, degree + 1, tail + _gauss_error(log_bound, u, radial)
 
 
 def _box_resolution(m: int, band: float) -> int:
@@ -266,16 +282,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x.dot(x)))
 
 
-def _evaluation_error(u: SolutionField, center, radius: float, scale: float) -> float:
+def _evaluation_error(u: SolutionField, center, radius: float, reach: float,
+                      scale: float) -> float:
     """A bound on the error of evaluating u at a rule's points, all within
-    radius of center: rounding of the point and of the argument
-    k <d, x> + phase (or k |x - c'|), which grows with it, (m + 4) ulp of
-    its largest value, and for the radial field a_norm's own error, at
-    most 2^-52 b_norm(m-2, t) on its series region (the sum of its
-    terms' magnitudes) and a few ulp past it.  scale bounds |u| there."""
+    radius of center, so within reach = |center| + radius of 0: rounding
+    of the point and of the argument k <d, x> + phase (or k |x - c'|),
+    which grows with it, (m + 4) ulp of its largest value, and for the
+    radial field a_norm's own error, at most 2^-52 b_norm(m-2, t) on its
+    series region (the sum of its terms' magnitudes) and a few ulp past
+    it.  scale bounds |u| there."""
     k, m = u.wavenumber, u.dimension
     source = np.asarray(u.params.get("center", np.zeros(m)), dtype=float)
-    reach = _norm(center) + radius  # the largest |x|
     argument = k * (reach + _norm(source)) + abs(u.params.get("phase", 0.0))
     err = _EPS * scale * (4.0 + (m + 4) * argument)
     if u.kind == "radial":
@@ -344,12 +361,12 @@ def _basis(axis, m: int) -> np.ndarray:
     entry first, so a tiny axis does not underflow), e the unit part
     orthogonal to a of the first e_k with the smallest |a_k|."""
     a = np.array(axis, dtype=float).reshape(-1)
-    big = float(np.max(np.abs(a))) if a.shape == (m,) else 0.0
+    big = float(np.abs(a).max()) if a.shape == (m,) else 0.0
     if not (math.isfinite(big) and big > 0.0):
         raise ValueError(f"axis must be a finite nonzero vector of length {m}, got {axis!r}")
     a /= big
     a /= _norm(a)
-    k = int(np.argmin(np.abs(a)))
+    k = int(np.abs(a).argmin())
     basis = np.empty((2, m))
     basis[0] = a
     e = np.multiply(-a[k], a, basis[1])
@@ -377,7 +394,10 @@ class MeanRule:
     A SampleRule draws nothing before the first call that needs it.
     method is BALL_SPECTRAL or BOX_GAUSS (ProductRule), PRODUCT_DIFFERENCE
     (DifferenceRule) or MONTE_CARLO (SampleRule).  bound(u) is the rule's
-    proved bound for a field u, before the rounding of its sum.
+    proved bound for a field u, before the rounding of its sum.  A
+    product rule, or a difference of them, makes one pass over its terms'
+    nodes (_level_means), in which each field is evaluated once per
+    block over every term's points in it.
     """
 
     method: str
@@ -392,6 +412,15 @@ class MeanRule:
         return self._means([f], [bound], [axis])[0]
 
     def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
+        terms, finish = self._parts(fs, bounds, axes)
+        return finish(iter(_level_means(fs, terms)))
+
+    def _parts(self, fs, bounds, axes):
+        """(terms, finish): the product rules this rule sums, each as the
+        (place, level, groups) _level_means reads, and the function that
+        takes their (values, magnitudes), in order, from an iterator and
+        forms the estimates.  Stated bounds and axes are checked here,
+        before any field is evaluated."""
         raise NotImplementedError
 
     def bound(self, u: SolutionField) -> float:
@@ -411,13 +440,15 @@ class ProductRule(MeanRule):
     turned onto each integrand's axis, so its nodes are placed once per
     distinct axis among the fields.  truncation(k, modified) is the
     proved error bound for a unit plane wave of wavenumber k, and is
-    kept per (k, modified) once computed.  The error bar of a field's
-    mean is bound(u) plus the rounding of the weighted sum.
+    kept per (k, modified) once computed; a ball rule sized for lambda
+    starts with the bound its sizing proved there.  The error bar of a
+    field's mean is bound(u) plus the rounding of the weighted sum.
     """
 
     def __init__(self, method: str, place, level, center, radius: float, truncation):
         self.method, self._place, self.level = method, place, level
         self.center, self.radius = np.asarray(center, dtype=float), float(radius)
+        self._reach = _norm(self.center) + self.radius  # the largest |x| at a node
         self._truncation, self._truncations = truncation, {}
         self.nodes = math.prod(len(w) for _, w in level)
         self.axial = level[1][0].shape[1] != self.center.size
@@ -435,15 +466,19 @@ class ProductRule(MeanRule):
             gap = _norm(self.center - np.asarray(u.params["center"], dtype=float))
             bound *= math.exp(k * gap)
             scale = b_norm(u.dimension - 2, k * (gap + self.radius))  # the largest |u|
-        return bound + _evaluation_error(u, self.center, self.radius, scale)
+        return bound + _evaluation_error(u, self.center, self.radius, self._reach, scale)
 
-    def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
+    def _parts(self, fs, bounds, axes):
         bounds = [self._stated(f, b) for f, b in zip(fs, bounds)]
         groups = self._orient(fs, axes) if self.axial else [(self.level[1][0], range(len(fs)))]
-        values, magnitudes = _level_means(self._place, fs, self.level, groups)
-        rounding = _rounding(self.nodes)
-        return [MeanValueEstimate(v, b + rounding * g, self.method, self.nodes)
-                for v, g, b in zip(values, magnitudes, bounds)]
+
+        def finish(sums):
+            values, magnitudes = next(sums)
+            rounding = _rounding(self.nodes)
+            return [MeanValueEstimate(v, b + rounding * g, self.method, self.nodes)
+                    for v, g, b in zip(values, magnitudes, bounds)]
+
+        return [(self._place, self.level, groups)], finish
 
     def _stated(self, f, bound):
         """The bound stated for f, or a field's own bound(f)."""
@@ -455,42 +490,85 @@ class ProductRule(MeanRule):
 
     def _orient(self, fs, axes):
         """(columns turned onto an axis, the indices of the fields symmetric
-        about it) for each distinct axis, in order of first use."""
-        turned = {}
+        about it) for each distinct axis, in order of first use; _basis
+        runs once per distinct axis given."""
+        bases, turned = {}, {}
         for i, (f, axis) in enumerate(zip(fs, axes)):
             if axis is None and isinstance(f, SolutionField):
                 axis = f.axis(self.center)
             if axis is None:
                 raise TypeError("a ball rule in m >= 3 needs the symmetry axis of its integrand")
-            basis = _basis(axis, self.center.size)
+            key = np.asarray(axis, dtype=float).tobytes()
+            if key not in bases:
+                bases[key] = _basis(axis, self.center.size)
+            basis = bases[key]
             turned.setdefault(basis.tobytes(), (basis, []))[1].append(i)
         return [(self.level[1][0] @ basis, members) for basis, members in turned.values()]
 
 
-def _level_means(place, fs, level, groups):
-    """sum(w f) / sum(w) and sum(w |f|) / sum(w) for every f in fs over a
-    rows x columns level, w = w_row w_column, in blocks of 2^16 // columns
-    whole rows, or one row's columns 2^16 at a time where they hold more.
+def _level_means(fs, terms):
+    """[(values, magnitudes)] per term: sum(w f) / sum(w) and
+    sum(w |f|) / sum(w) for every f in fs over the term's rows x
+    columns level, w = w_row w_column.  terms are (place, level, groups);
     groups pairs a column set with the indices of the fields that read
-    it: each block's points are placed once per group and each field
-    evaluated once, its w f written into one row of a (fields x points)
-    array whose rows numpy sums pairwise, as it would one field's w f;
+    it.  A term is laid out in blocks of 2^16 // columns whole rows, or
+    one row's columns 2^16 at a time where they hold more, unless all
+    its points fit in the room the block in progress has left, which it
+    then joins whole.  Each block's points are placed once per term and
+    group, and each field evaluated once over all of them, the terms'
+    points in turn, its w f written into one row of a (fields x points)
+    array; a term's sums read its own columns of it, whose rows numpy
+    sums pairwise, as it would one field's w f, so each term's sums are
+    those of its own pass wherever f's values do not depend on the other
+    points evaluated with them (a_norm past t = 12 sizes its recurrence
+    from the largest t given, which can move a value's last bits).
     f = 1 gives exactly 1.0."""
-    (rows, w_rows), (_, w_cols) = level
-    step = max(_PRODUCT_BLOCK // len(w_cols), 1)  # rows per block
-    num, mag, den = [0.0] * len(fs), [0.0] * len(fs), 0.0
-    for i in range(0, len(w_rows), step):
-        for j in range(0, len(w_cols), _PRODUCT_BLOCK):  # one slice unless step is 1
-            w = np.multiply.outer(w_rows[i : i + step], w_cols[j : j + _PRODUCT_BLOCK]).reshape(-1)
-            wf = np.empty((len(fs), len(w)))
-            for cols, members in groups:
-                pts = place(rows[i : i + step], cols[j : j + _PRODUCT_BLOCK])
-                for n in members:
-                    np.multiply(w, fs[n](pts), wf[n])
-            num = [a + b for a, b in zip(num, np.add.reduce(wf, 1).tolist())]
-            mag = [a + b for a, b in zip(mag, np.add.reduce(np.abs(wf, wf), 1).tolist())]
-            den += float(np.add.reduce(w))
-    return [a / den for a in num], [a / den for a in mag]
+    blocks, room = [], 0  # blocks: [(term index, row slice, column slice)]
+    for t, (_, ((_, w_rows), (_, w_cols)), _) in enumerate(terms):
+        size = len(w_rows) * len(w_cols)
+        if size <= room:
+            blocks[-1].append((t, slice(None), slice(None)))
+            room -= size
+            continue
+        step = max(_PRODUCT_BLOCK // len(w_cols), 1)  # rows per block
+        for i in range(0, len(w_rows), step):
+            for j in range(0, len(w_cols), _PRODUCT_BLOCK):  # one slice unless step is 1
+                blocks.append([(t, slice(i, i + step), slice(j, j + _PRODUCT_BLOCK))])
+        room = _PRODUCT_BLOCK - len(w_rows[i : i + step]) * len(w_cols[j : j + _PRODUCT_BLOCK])
+    reads = []  # reads[t][n]: the group of term t whose columns field n reads
+    for _, _, groups in terms:
+        reads.append([0] * len(fs))
+        for g, (_, members) in enumerate(groups):
+            for n in members:
+                reads[-1][n] = g
+    keyed = {}  # the fields that read the same group of every term
+    for n, key in enumerate(zip(*reads)):
+        keyed.setdefault(key, []).append(n)
+    num = [[0.0] * len(fs) for _ in terms]
+    mag = [[0.0] * len(fs) for _ in terms]
+    den = [0.0] * len(terms)
+    for block in blocks:
+        ws, placed, spans = [], [], []
+        for t, rs, cs in block:
+            place, ((rows, w_rows), (_, w_cols)), groups = terms[t]
+            ws.append(np.multiply.outer(w_rows[rs], w_cols[cs]).reshape(-1))
+            placed.append([place(rows[rs], cols[cs]) for cols, _ in groups])
+            start = spans[-1].stop if spans else 0
+            spans.append(slice(start, start + len(ws[-1])))  # the term's columns
+        w = ws[0] if len(ws) == 1 else np.concatenate(ws)
+        wf = np.empty((len(fs), len(w)))
+        for key, members in keyed.items():
+            parts = [p[key[t]] for p, (t, _, _) in zip(placed, block)]
+            pts = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for n in members:
+                np.multiply(w, fs[n](pts), wf[n])
+        totals = [np.add.reduce(wf[:, span], 1).tolist() for span in spans]
+        np.abs(wf, wf)
+        for (t, _, _), span, total in zip(block, spans, totals):
+            num[t] = [a + b for a, b in zip(num[t], total)]
+            mag[t] = [a + b for a, b in zip(mag[t], np.add.reduce(wf[:, span], 1).tolist())]
+            den[t] += float(np.add.reduce(w[span]))
+    return [([a / d for a in nm], [a / d for a in mg]) for nm, mg, d in zip(num, mag, den)]
 
 
 class SampleRule(MeanRule):
@@ -556,9 +634,11 @@ class DifferenceRule(MeanRule):
     |a \\ b| = |a| - |b|, so f = 1 gives exactly 1.0, and its error
     estimate is (|a| err_a + |b| err_b) / |a \\ b|, plus a bound stated
     for the whole difference, the terms then adding only their rounding;
-    bound(u) combines the terms' bounds the same way.  Each term makes
-    one pass over all the fields.  samples_or_nodes counts the terms'
-    nodes.
+    bound(u) combines the terms' bounds the same way.  Both terms share
+    one pass: each field is evaluated once per block over both terms'
+    nodes, and each term's mean, magnitude and rounding are those its
+    own pass gives (see _level_means for the one exception, in the last
+    bits).  samples_or_nodes counts the terms' nodes.
     """
 
     method = PRODUCT_DIFFERENCE
@@ -575,24 +655,30 @@ class DifferenceRule(MeanRule):
     def bound(self, u: SolutionField) -> float:
         return self._combine(self.rule_a.bound(u), self.rule_b.bound(u))
 
-    def _means(self, fs, bounds, axes) -> list[MeanValueEstimate]:
+    def _parts(self, fs, bounds, axes):
         va, vb = self.volume_a, self.volume_b
-        terms = [None if b is None else 0.0 for b in bounds]
-        pairs = zip(self.rule_a._means(fs, terms, axes), self.rule_b._means(fs, terms, axes))
-        return [MeanValueEstimate(
-            (va * ea.value - vb * eb.value) / self.volume,
-            self._combine(ea.abs_error_estimate, eb.abs_error_estimate) + (bound or 0.0),
-            PRODUCT_DIFFERENCE,
-            ea.samples_or_nodes + eb.samples_or_nodes,
-        ) for (ea, eb), bound in zip(pairs, bounds)]
+        stated = [None if b is None else 0.0 for b in bounds]
+        terms_a, finish_a = self.rule_a._parts(fs, stated, axes)
+        terms_b, finish_b = self.rule_b._parts(fs, stated, axes)
+
+        def finish(sums):
+            pairs = zip(finish_a(sums), finish_b(sums))
+            return [MeanValueEstimate(
+                (va * ea.value - vb * eb.value) / self.volume,
+                self._combine(ea.abs_error_estimate, eb.abs_error_estimate) + (bound or 0.0),
+                PRODUCT_DIFFERENCE,
+                ea.samples_or_nodes + eb.samples_or_nodes,
+            ) for (ea, eb), bound in zip(pairs, bounds)]
+
+        return terms_a + terms_b, finish
 
 
 def _ball_place(center):
-    """place for a ball level: center + s * direction, formed as one flat
-    outer product plus the center tiled along it."""
+    """place for a ball level: center + s * direction, formed as one
+    (rows, columns, m) outer product with the center added in place."""
     def place(s, dirs):
-        pts = np.multiply.outer(s, dirs.reshape(-1))
-        pts += np.tile(center, len(dirs))
+        pts = np.multiply.outer(s, dirs)
+        pts += center
         return pts.reshape(-1, center.size)
     return place
 
@@ -613,7 +699,7 @@ def _ball_rule(center, r, radial_nodes, angular) -> ProductRule:
 def _box_rule(low, high, nodes) -> ProductRule:
     lo = np.asarray(low, dtype=float)
     hi = np.asarray(high, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
+    if lo.shape != hi.shape or lo.ndim != 1 or not (hi > lo).all():
         raise ValueError("box requires low < high componentwise")
     _require_counts(nodes=nodes)
     n = int(nodes)
@@ -627,14 +713,24 @@ def _box_rule(low, high, nodes) -> ProductRule:
     def truncation(k, modified):
         tau = 0.5 * k * (hi - lo)
         others = float(np.sum(tau)) - tau if modified else np.zeros_like(tau)
-        return sum(_gauss_error(*_box_bound(a, modified, b), n) for a, b in zip(tau, others))
+        # every axis's _gauss_error, summed in axis order
+        log_bound, u = _box_bound(tau, modified, others)
+        least = np.min(log_bound - (2.0 * (n - 1)) * u, axis=1)
+        return sum(math.exp(v) for v in least.tolist())
 
-    first, *others = [_gauss(a, b, n) for a, b in zip(lo, hi)]
-    # columns: the tensor product of axes 1..m-1, as points whose axis 0
-    # (0 here) place fills from the rows; for m = 1 one point of weight 1
-    cols = np.stack(np.meshgrid(np.zeros(1), *(x for x, _ in others), indexing="ij"), -1)
-    w = functools.reduce(np.multiply.outer, [wx for _, wx in others], np.ones(1))
-    level = [first, (cols.reshape(-1, lo.size), w.reshape(-1))]
+    # the Gauss rule on every axis, one row each; columns: the tensor
+    # product of axes 1..m-1, as points whose axis 0 (0 here) place fills
+    # from the rows, and for m = 1 one point of weight 1
+    x, w = _leggauss(n)
+    half_side = 0.5 * (hi - lo)
+    xs = np.multiply.outer(half_side, x + 1.0) + lo[:, None]
+    ws = np.multiply.outer(half_side, w)
+    m = lo.size
+    cols = np.zeros((n,) * (m - 1) + (m,))
+    for j in range(1, m):
+        cols[..., j] = xs[j].reshape((n,) + (1,) * (m - 1 - j))
+    w_cols = functools.reduce(np.multiply.outer, ws[1:], np.ones(1))
+    level = [(xs[0], ws[0]), (cols.reshape(-1, m), w_cols.reshape(-1))]
     return ProductRule(BOX_GAUSS, place, level, 0.5 * (lo + hi),
                        0.5 * float(np.linalg.norm(hi - lo)), truncation)
 
@@ -667,7 +763,10 @@ def _product_rule(d: Domain, lam: float, shift=0.0) -> MeanRule | None:
     shift = shift + inner
     m = d.dimension
     if isinstance(base, Ball) and m >= 2:
-        return _ball_rule(base.center + shift, base.r, *resolution(m, lam * base.r))
+        radial, angular, proved = _ball_sizing(m, lam * base.r)
+        rule = _ball_rule(base.center + shift, base.r, radial, angular)
+        rule._truncations[lam, False] = proved  # the truncation at lam, k r = lam r
+        return rule
     if isinstance(base, Box):
         nodes = _box_resolution(m, lam * float(np.max(base.high - base.low)))
         if nodes**m > _NODE_BUDGET:
@@ -769,6 +868,6 @@ def _flux_bound(u: SolutionField, center, r: float, angular: int) -> float:
     m, k = center.size, u.wavenumber
     _, w, degree = _sphere_rule(m, angular)
     per_area = _sphere_bound(m, k * r, degree, flux=True)[1]
-    per_area += _evaluation_error(u, center, r, 1.0)
+    per_area += _evaluation_error(u, center, r, _norm(center) + r, 1.0)
     per_area += _rounding(len(w))
     return m * unit_ball_volume(m) * r ** (m - 1) * k * per_area

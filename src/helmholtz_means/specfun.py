@@ -5,12 +5,13 @@ strategy for J_nu and I_nu:
 
 * ascending power series for t <= max(12, 2*nu), in Horner form with a
   term count fixed from the largest t (the last term ratio <= 1e-20);
-  J's series is refused where its terms cancel past 1e-11, which only
-  orders above 6 reach,
+  where J's terms cancel past 1e-11, which only orders above 6 reach,
+  its integer and half-integer orders take Miller's downward recurrence
+  instead, and other orders are refused,
 * beyond that, Miller's downward recurrence for I and for integer-order
   J, and upward recurrence from the closed forms for half-integer-order
-  J; other orders are refused there, and integer-order J past
-  t = BESSEL_J_MAX_T, as its pass runs 1.2 t steps.
+  J; other orders are refused there, and J's downward pass past
+  t = BESSEL_J_MAX_T, as it runs 1.2 t steps.
 
 The normalized kernels are
 
@@ -106,7 +107,7 @@ def gamma_fn(x: float) -> float:
 
 def _as_t_array(t, name: str):
     t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t < 0.0):
+    if (~np.isfinite(t)).any() or (t < 0.0).any():
         raise ValueError(f"{name} requires finite t >= 0")
     return t
 
@@ -161,22 +162,44 @@ def _float_series(t: float, nu: float, sign: float) -> float:
     return total
 
 
-def _check_cancellation(name: str, nu: float, t: float, absolute: bool) -> None:
-    """ValueError where the alternating series of J_nu may lose more
-    than SERIES_ATOL at t, its largest point: the rounding of its sum is
-    at most 2^-52 times the sum of its terms' magnitudes, which is the
-    same series with sign +1 and grows with t.  That bound is taken in
-    J's absolute scale, times (t/2)^nu / Gamma(nu + 1), when absolute,
-    else in a_norm's normalization.  Only orders above 6 carry the series
-    past t = 12; below, no call pays for the check."""
+def _series_refused(nu: float, t: float, absolute: bool) -> bool:
+    """Whether the alternating series of J_nu may lose more than
+    SERIES_ATOL at t: the rounding of its sum is at most 2^-52 times the
+    sum of its terms' magnitudes, which is the same series with sign +1
+    and grows with t.  That bound is taken in J's absolute scale, times
+    (t/2)^nu / Gamma(nu + 1), when absolute, else in a_norm's
+    normalization.  Only orders above 6 carry the series past t = 12;
+    below, no call pays for the check."""
     if t <= _SERIES_CUTOFF:
-        return
+        return False
     log_bound = math.log(_float_series(t, nu, 1.0)) - 52.0 * math.log(2.0)
     if absolute:
         log_bound += nu * math.log(0.5 * t) - math.lgamma(nu + 1.0)
-    if log_bound > math.log(SERIES_ATOL):
-        raise ValueError(f"{name}: the ascending series cancels at t = {t:g} for order {nu:g}: "
-                         f"its rounding bound is above {SERIES_ATOL:g}")
+    return log_bound > math.log(SERIES_ATOL)
+
+
+def _series_points(name: str, nu: float, t: np.ndarray, absolute: bool) -> np.ndarray:
+    """The mask of the points t, all in J's series region, whose series
+    _series_refused accepts: every point when it accepts their largest,
+    else, for an integer or half-integer order, those up to the largest
+    t it accepts (found by bisection, as the bound grows with t), the
+    rest being left to the downward recurrence.  For any other order a
+    refused series raises ValueError."""
+    top = float(t.max())
+    if not _series_refused(nu, top, absolute):
+        return np.ones(t.shape, dtype=bool)
+    if not (2.0 * nu).is_integer():
+        raise ValueError(f"{name}: the ascending series cancels at t = {top:g} for order "
+                         f"{nu:g}: its rounding bound is above {SERIES_ATOL:g}")
+    ts = np.unique(t[t > _SERIES_CUTOFF])  # sorted; its last is refused
+    accepted, refused = -1, len(ts) - 1
+    while refused - accepted > 1:
+        mid = (accepted + refused) // 2
+        if _series_refused(nu, float(ts[mid]), absolute):
+            refused = mid
+        else:
+            accepted = mid
+    return t <= (ts[accepted] if accepted >= 0 else _SERIES_CUTOFF)
 
 
 def _power_over_gamma(nu: float, t, sign: float = 1.0):
@@ -213,8 +236,8 @@ def _upward(l: int, t: np.ndarray) -> np.ndarray:
 def _miller_start(t: float, sign: float) -> int:
     """Where a downward pass at t starts; ValueError for J past BESSEL_J_MAX_T."""
     if sign < 0 and not t <= BESSEL_J_MAX_T:
-        raise ValueError(f"bessel_j is limited to t <= {BESSEL_J_MAX_T:g} for integer orders "
-                         "past the series region (recurrence length guard)")
+        raise ValueError(f"bessel_j is limited to t <= {BESSEL_J_MAX_T:g} on its downward "
+                         "recurrence (recurrence length guard)")
     return int(1.2 * t) + 40
 
 
@@ -230,15 +253,18 @@ def _rescale_every(start: int, t: float) -> int:
 
 
 def _miller(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
-    """J_nu (sign=-1, integer nu) or I_nu (sign=+1, integer or
-    half-integer nu) by Miller's downward recurrence, normalized by
-    J_0 + 2*sum J_{2k} = 1, I_0 + 2*sum I_k = e^t or the exact
-    I_{1/2} = sqrt(2/(pi t)) sinh t.  Each step is three in-place ufunc
-    calls on reused buffers; values are rescaled where they pass 1e250,
-    checked at the cadence _rescale_every gives, and the normalizing sum
-    is accumulated undoubled and doubled once, which is exact."""
+    """J_nu (sign=-1) or I_nu (sign=+1), integer or half-integer nu, by
+    Miller's downward recurrence from at least 10 orders above nu,
+    normalized by J_0 + 2*sum J_{2k} = 1, I_0 + 2*sum I_k = e^t, the
+    exact I_{1/2} = sqrt(2/(pi t)) sinh t, or for half-integer J the
+    larger of the exact J_{-1/2}, J_{1/2} = sqrt(2/(pi t)) (cos t, sin t)
+    at each point.  Each step is three in-place ufunc calls on reused
+    buffers; values are rescaled where they pass 1e250, checked at the
+    cadence _rescale_every gives, and the normalizing sum is accumulated
+    undoubled and doubled once, which is exact.  _miller_orders repeats
+    it on one float."""
     base = nu % 1  # 0 or 1/2: the recurrence ends at this order
-    start = _miller_start(float(np.max(t)), sign)
+    start = max(_miller_start(float(np.max(t)), sign), int(nu) + 11)
     if start % 2:
         start += 1
     every = _rescale_every(start, float(np.min(t)))
@@ -259,11 +285,15 @@ def _miller(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
             norm += cur
         if k % every == 0:
             big = np.abs(cur) > _RESCALE_AT
-            if np.any(big):
+            if big.any():
                 for arr in (above, cur, norm, target):
                     arr[big] *= _RESCALE_BY
-    if base:
+    if base and sign > 0:
         return target * (np.sqrt(2.0 / (np.pi * t)) * np.sinh(t) / cur)
+    if base:  # cur is J_{1/2}, and one more step gives J_{-1/2}, unnormalized
+        c, lower = np.sqrt(2.0 / (np.pi * t)), cur / t - above
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        return target * np.where(np.abs(cos_t) > np.abs(sin_t), c * cos_t / lower, c * sin_t / cur)
     norm *= 2.0
     norm += cur  # adds the unnormalized order 0
     return target / norm if sign < 0 else target * (np.exp(t) / norm)
@@ -276,9 +306,8 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
     highest returned, and otherwise where _miller starts, so with
     count = 1 it repeats _miller's steps, rescale checks, rescalings and
     normalization and gives its one-point value bit for bit.
-    Half-integer J, which _miller leaves to _upward, takes one more step
-    to order -1/2 and is normalized by the larger of J_{-1/2}, J_{1/2} =
-    sqrt(2/(pi t)) (cos t, sin t)."""
+    Half-integer J takes one more step to order -1/2 and is normalized
+    by the larger of J_{-1/2}, J_{1/2} = sqrt(2/(pi t)) (cos t, sin t)."""
     base = nu % 1
     start = max(_miller_start(t, sign), int(nu) + count + 10)
     if start % 2:
@@ -319,24 +348,30 @@ def _dispatch_bessel(nu: float, t, kind: str):
     tt = _as_t_array(t, f"bessel_{kind}")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt).astype(float)
-    if kind == "i" and np.any(tt > BESSEL_I_MAX_T):
+    if kind == "i" and (tt > BESSEL_I_MAX_T).any():
         raise ValueError(f"bessel_i is limited to t <= {BESSEL_I_MAX_T} (overflow guard)")
     sign = -1.0 if kind == "j" else 1.0
     cutoff = max(_SERIES_CUTOFF, 2.0 * nu)
     out = np.empty_like(tt)
     small = tt <= cutoff
-    if np.any(small):
-        if sign < 0 and nu > 6.0:
-            _check_cancellation("bessel_j", nu, float(np.max(tt[small])), absolute=True)
+    if sign < 0 and nu > 6.0 and small.any():
+        small[small] = _series_points("bessel_j", nu, tt[small], absolute=True)
+    if small.any():
         out[small] = _series_bessel(nu, tt[small], sign)
-    if np.any(~small):
+    if (~small).any():
         if not (2.0 * nu).is_integer():
             raise ValueError(
                 f"bessel_{kind}: order {nu} not supported for t > {cutoff} "
                 "(only integer and half-integer orders)"
             )
-        tl = tt[~small]
-        out[~small] = _upward(int(nu), tl) if nu % 1 and sign < 0 else _miller(nu, tl, sign)
+        down = ~small
+        if nu % 1 and sign < 0:  # half-integer J past the cutoff, where nu < t: upward
+            up = tt > cutoff
+            if up.any():
+                out[up] = _upward(int(nu), tt[up])
+            down &= ~up
+        if down.any():
+            out[down] = _miller(nu, tt[down], sign)
     return float(out[0]) if scalar else out
 
 
@@ -344,11 +379,14 @@ def bessel_j(nu: float, t):
     """Bessel function of the first kind J_nu(t), t >= 0, nu >= 0.
 
     Absolute error <= 1e-11 for t <= 50 and nu <= 6.  Above order 6 the
-    series runs past t = 12, where its alternating terms cancel: a call
-    whose series points reach a t where the rounding bound
-    2^-52 sum |terms| exceeds SERIES_ATOL = 1e-11 raises ValueError.
-    For t past the series cutoff only integer and half-integer orders are
-    supported, and integer orders up to t = BESSEL_J_MAX_T.
+    series runs past t = 12, where its alternating terms cancel: at the
+    points where the rounding bound 2^-52 sum |terms| exceeds
+    SERIES_ATOL = 1e-11, an integer or half-integer order takes Miller's
+    downward recurrence from at least 10 orders above nu (absolute error
+    within 1e-11 there, about 1e-15 in tests against scipy), and any
+    other order raises ValueError.  For t past the series cutoff only
+    integer and half-integer orders are supported, and the downward
+    pass up to t = BESSEL_J_MAX_T.
     """
     return _dispatch_bessel(nu, t, "j")
 
@@ -373,33 +411,40 @@ def _norm_kernel(m: int, t, sign: float, kind: str):
     if isinstance(t, np.ndarray) and t.shape == (1,):
         # One point in an array: the float paths below give its bits
         return np.array([_norm_kernel(m, float(t[0]), sign, kind)])
-    if isinstance(t, float) and 0.0 <= t <= cutoff:
+    if isinstance(t, float) and 0.0 <= t <= cutoff and not (
+            sign < 0 and nu > 6.0 and _series_refused(nu, t, absolute=False)):
         # One point in the series region, on Python floats.  NaN, inf and
         # t < 0 fail the test and raise on the array path.
-        if sign < 0 and nu > 6.0:
-            _check_cancellation(f"a_norm(m = {m})", nu, t, absolute=False)
         return _float_series(float(t), nu, sign)
-    if isinstance(t, float) and cutoff < t < math.inf and (sign < 0 or t <= BESSEL_I_MAX_T):
-        # One point past the cutoff: the array path's recurrence on floats
+    if isinstance(t, float) and _SERIES_CUTOFF < t < math.inf and (
+            sign < 0 or t <= BESSEL_I_MAX_T):
+        # One point past the series, past the cutoff or where J's series
+        # is refused: the array path's recurrence on floats
         t = float(t)
-        z = _upward(int(nu), t) if nu % 1 and sign < 0 else _miller_orders(nu, t, sign)[0]
+        z = (_upward(int(nu), t) if nu % 1 and sign < 0 and t > cutoff
+             else _miller_orders(nu, t, sign)[0])
         return float(_power_over_gamma(nu, t, -1.0) * z)
     tt = _as_t_array(t, f"{kind}_norm")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt).astype(float)
     out = np.empty_like(tt)
     small = tt <= cutoff
-    if np.any(small):
+    refused = np.zeros_like(small)  # series-region points J's series leaves to _miller
+    if sign < 0 and nu > 6.0 and small.any():
+        refused[small] = ~_series_points(f"a_norm(m = {m})", nu, tt[small], absolute=False)
+        small &= ~refused
+    if small.any():
         # Normalized even series: c_0 = 1, c_{k+1} = c_k * sign*(t/2)^2 / ((k+1)(k+1+m/2)).
         # Exact 1.0 at t = 0 and free of the 0/0 of the quotient form.
-        ts = tt[small]
-        if sign < 0 and nu > 6.0:
-            _check_cancellation(f"a_norm(m = {m})", nu, float(np.max(ts)), absolute=False)
-        out[small] = _ascending_series(ts, nu, sign)
-    if np.any(~small):
-        tl = tt[~small]
+        out[small] = _ascending_series(tt[small], nu, sign)
+    if refused.any():
+        tr = tt[refused]
+        out[refused] = _power_over_gamma(nu, tr, -1.0) * _miller(nu, tr, sign)
+    past = tt > cutoff
+    if past.any():
+        tl = tt[past]
         f = bessel_j if kind == "a" else bessel_i
-        out[~small] = _power_over_gamma(nu, tl, -1.0) * f(nu, tl)
+        out[past] = _power_over_gamma(nu, tl, -1.0) * f(nu, tl)
     return float(out[0]) if scalar else out
 
 
@@ -409,9 +454,12 @@ def a_norm(m: int, t):
     a_norm(m, 0) == 1.0 exactly; first sign change at the first positive
     zero of J_{m/2}.  Defined for all integer m >= 0 (m = 0 gives J_0,
     m = 1 gives sin t / t).  For m > 12 the series runs past t = 12,
-    where its alternating terms cancel: a call whose series points reach
-    a t where the rounding bound 2^-52 sum |terms| exceeds 1e-11 (in this
-    normalization, b_norm(m, t) 2^-52) raises ValueError.
+    where its alternating terms cancel: at the points where the rounding
+    bound 2^-52 sum |terms| exceeds 1e-11 (in this normalization,
+    b_norm(m, t) 2^-52), J_{m/2} comes from Miller's downward recurrence
+    instead, as m/2 is an integer or half-integer, so the absolute error
+    stays within 1e-11 up to the length guard BESSEL_J_MAX_T.  A float t
+    and a one-point array give the same bits.
     """
     return _norm_kernel(m, t, -1.0, "a")
 

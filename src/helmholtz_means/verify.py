@@ -15,6 +15,7 @@ computable here and are recorded as "assumed" in diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -814,6 +815,14 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     )
 
 
+@functools.cache
+def _kernel_increasing(m: int) -> bool:
+    """Whether b_norm(m, .) strictly increases on the _MONOTONE_GRID-point
+    grid on [0, 10], computed once per m per process."""
+    grid = np.linspace(0.0, 10.0, _MONOTONE_GRID)
+    return bool(np.all(np.diff(b_norm(m, grid)) > 0.0))
+
+
 def theorem1_identity_check(
     mu: float,
     x0,
@@ -829,8 +838,7 @@ def theorem1_identity_check(
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     u = modified_radial_solution(m, mu, x0)
     rep = check_identity(u, make_problem(ball(x0, r), u.wavenumber, x0), tolerance)
-    grid = np.linspace(0.0, 10.0, _MONOTONE_GRID)
-    monotone = bool(np.all(np.diff(b_norm(m, grid)) > 0.0))
+    monotone = _kernel_increasing(m)
     rep.name = "theorem1_ball_identity"
     rep.diagnostics.update(kernel_strictly_increasing=monotone, grid_points=_MONOTONE_GRID)
     if not monotone:

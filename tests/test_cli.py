@@ -14,6 +14,7 @@ import pytest
 
 from helmholtz_means import cli, verify
 from helmholtz_means.cli import main
+from helmholtz_means.geometry import EstimationError
 from helmholtz_means.specfun import a_norm, b_norm, bessel_i, bessel_j, bessel_zero
 
 
@@ -35,6 +36,20 @@ class TestSpecfun:
         assert code == 0
         values = [row["value"] for row in json.loads(out)]
         assert len(values) == 6 and values[3] > 12.0
+
+    @pytest.mark.parametrize("what, order, t", [
+        ("j", "60", "100"), ("j", "20", "30"), ("j", "20.5", "30"), ("j", "200", "400"),
+        ("a", "120", "110"),
+    ])
+    def test_orders_past_the_series_cancellation_are_answered(self, capsys, what, order, t):
+        # J's series cancels there (these exited 64); the downward recurrence answers
+        sp = pytest.importorskip("scipy.special")
+        flag = "--nu" if what == "j" else "--m"
+        code, out, _ = run_cli(capsys, "specfun", what, flag, order, "--t", t)
+        assert code == 0
+        nu, x = (float(order) if what == "j" else 0.5 * float(order)), float(t)
+        scale = 1.0 if what == "j" else math.exp(math.lgamma(nu + 1.0) - nu * math.log(0.5 * x))
+        assert abs(json.loads(out)[0]["value"] - scale * sp.jv(nu, x)) <= 1e-11
 
     def test_kernel_a_at_zero(self, capsys):
         code, out, _ = run_cli(capsys, "specfun", "a", "--m", "2", "--t", "0", "--format", "csv")
@@ -359,7 +374,7 @@ class TestPlumbing:
         assert rep["diagnostics"]["size_condition"]["verdict"] == "pass"
         assert rep["diagnostics"]["size_condition"]["method"] == "exact"
 
-    @pytest.mark.parametrize("argv, message", [
+    USAGE_ERRORS = [
         (("identity", "--domain", BOX_MINUS_DISK, "--solution", RADIAL, "--x0", "0,0",
           "--samples", "0"), "samples must be >= 1"),
         # the size condition reads the problem's draw; it takes no sample count
@@ -426,9 +441,12 @@ class TestPlumbing:
         # integer-order J's downward recurrence runs 1.2 t steps: t is capped
         (("specfun", "a", "--m", "2", "--t", "1e300"), "bessel_j is limited to t <= 10000"),
         (("specfun", "j", "--nu", "0", "--t", "1e6"), "bessel_j is limited to t <= 10000"),
-        # above order 6 J's ascending series runs past t = 12, where it cancels
-        (("specfun", "j", "--nu", "60", "--t", "100"), "series cancels at t = 100 for order 60"),
-        (("specfun", "a", "--m", "120", "--t", "110"), "series cancels at t = 110 for order 60"),
+        # above order 6 J's ascending series runs past t = 12, where it cancels;
+        # only orders that are neither integer nor half-integer are refused there
+        (("specfun", "j", "--nu", "60.25", "--t", "100"),
+         "series cancels at t = 100 for order 60.25"),
+        (("specfun", "j", "--nu", "60.25", "--t", "110"),
+         "series cancels at t = 110 for order 60.25"),
         # the flux runs over a sphere, which a 1-D ball does not have
         (("flux", "--solution", '{"kind":"plane_wave","lambda":1.0,"direction":[1],"phase":0.0}',
           "--x0", "0", "--r", "1"), "the flux identity needs a sphere, m >= 2, got m = 1"),
@@ -444,7 +462,9 @@ class TestPlumbing:
          "--t-max must be finite, got inf"),
         (("specfun", "j", "--nu", "1", "--t-min", "nan"), "--t-min must be finite, got nan"),
         (("sweep", "--m", "2", "--t-min=-inf"), "--t-min must be finite, got -inf"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
     def test_failed_estimate_is_usage_error(self, capsys, argv, message):
         try:
             code, out, err = run_cli(capsys, *argv)
@@ -455,6 +475,38 @@ class TestPlumbing:
         assert out == ""
         assert err.startswith("helmholtz-means: error: ") and err.count("\n") == 1
         assert message in err
+
+    @staticmethod
+    def top_level_main(argv):
+        """main as the top-level parser alone parses argv: the oracle for
+        the subcommand-first dispatch."""
+        args = cli._build_parser().parse_args(argv)
+        try:
+            return cli._run(args)
+        except (ValueError, OverflowError, OSError, EstimationError) as exc:
+            print(f"helmholtz-means: error: {exc}", file=sys.stderr)
+            return cli.USAGE_ERROR
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv, _ in USAGE_ERRORS] + [
+        [], ["--help"], ["identity", "--help"], ["specfun", "-h"], ["bogus", "--m", "2"],
+        ["identity", "--domain", '{"kind":"ball","center":[0,0],"r":1.0}', "--solution",
+         '{"kind":"plane_wave","lambda":1.0,"direction":[1,0],"phase":0.0}', "--x0", "0,0",
+         "--bogus", "1"],
+        ["specfun", "a", "--m", "2", "--t", "1", "extra", "--x"],
+        ["sweep", "--m", "2", "--count", "3", "--", "--m"],
+        ["--format", "csv", "sweep", "--m", "2"],
+        ["membrane", "--a", "1.5", "--format", "csv"],
+    ])
+    def test_subcommand_first_dispatch_matches_the_top_level_parse(self, capsys, argv):
+        def outcome(entry):
+            try:
+                code = entry(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        assert outcome(main) == outcome(self.top_level_main)
 
     def test_table_refuses_non_finite_values(self, capsys):
         # no kernel reaches it within t <= 300 now, but a non-finite value

@@ -420,7 +420,7 @@ class TestMeanRule:
                 blocks.append(pts.copy())
                 return u(pts)
 
-            assert _level_means(rule._place, [spy], level, [(cols, [0])])[0][0] == num / den
+            assert _level_means([spy], [(rule._place, level, [(cols, [0])])])[0][0][0] == num / den
             assert max(len(b) for b in blocks) <= 2**16
             assert sum(len(b) for b in blocks) == total
             assert len(blocks) == len(ref_blocks)
@@ -473,6 +473,91 @@ class TestMeanRule:
         assert len(calls) == (1 if m == 2 else 3)  # e1, e2 and -e2
         rule._place = place
         assert ests == [rule.mean(u) for u in fields]
+
+    @staticmethod
+    def per_term(rule, fs, bounds=None, axes=None):
+        """The oracle: each term of a certified difference in its own pass,
+        (|a| M(f, a) - |b| M(f, b)) / |D| with the error estimate
+        (|a| err_a + |b| err_b) / |D| plus a bound stated for f."""
+        bounds, axes = bounds or [None] * len(fs), axes or [None] * len(fs)
+        out = []
+        for f, bound, axis in zip(fs, bounds, axes):
+            term = None if bound is None else 0.0
+            ea, eb = (r.mean(f, term, axis) for r in (rule.rule_a, rule.rule_b))
+            out.append(((rule.volume_a * ea.value - rule.volume_b * eb.value) / rule.volume,
+                        (rule.volume_a * ea.abs_error_estimate
+                         + rule.volume_b * eb.abs_error_estimate) / rule.volume + (bound or 0.0)))
+        return out
+
+    @pytest.mark.parametrize("d, lam, x0, members", [
+        (difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25)), 1.5, [0, 0], 13),
+        (difference(ball([0, 0, 0], 1.0), box([0.2, -0.1, 0.1], [0.6, 0.3, 0.5])), 2.0,
+         [0, 0, 0], 15),
+        (translate(difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25)), [0.3, -0.7]),
+         1.5, [0.3, -0.7], 13),
+        (difference(box([0, 0, 0], [1, 1, 1]), ball([0.5, 0.4, 0.6], 0.3)), 100.0,
+         [0.1, 0.2, 0.1], 15),
+    ], ids=["box_minus_disk", "ball_3d_minus_box", "translated", "box_3d_band_100_minus_ball"])
+    def test_difference_pass_equals_per_term_passes(self, d, lam, x0, members):
+        # one evaluation of each field per block over both terms' nodes
+        # gives each term's sums as its own pass does, bit for bit
+        from helmholtz_means.verify import default_family, make_problem
+
+        p = make_problem(d, lam, np.array(x0, dtype=float))
+        rule = p.rule
+        assert rule.method == "product_difference"
+        family = default_family(p)
+        assert len(family) == members
+        if d.dimension == 3 and lam < 50:  # the ball term turns onto 11 distinct axes
+            assert len({_basis(u.axis(rule.rule_a.center), 3).tobytes() for u in family}) == 11
+        if lam > 50:  # the box term spans two blocks, and the ball joins the second
+            assert rule.rule_a.nodes > 2**16
+            assert rule.rule_a.nodes + rule.rule_b.nodes < 2 * 2**16
+        got = [(e.value, e.abs_error_estimate) for e in rule.means(family)]
+        assert got == self.per_term(rule, family)
+
+    def test_difference_pass_of_a_radial_field_past_the_series(self):
+        # past t = 12 a_norm takes Miller's pass, whose length is fixed from
+        # the largest t it is given, so over both terms' nodes at once a
+        # term's values may move in their last bits; the move stays far
+        # inside the rounding term of the error bar
+        d = difference(box([-1, -1], [1, 1]), ball([0.3, -0.2], 0.4))
+        rule = mean_rule(d, 14.0)
+        fields = [radial_solution(2, 14.0, c) for c in ([0, 0], [0.9, 0.9], [-0.7, 0.2])]
+        for est, (value, error) in zip(rule.means(fields), self.per_term(rule, fields)):
+            assert abs(est.value - value) <= 1e-15 <= error
+            assert abs(est.abs_error_estimate - error) <= 1e-12 * error
+
+    def test_difference_pass_of_a_bare_callable(self):
+        d = difference(ball([0, 0, 0], 1.0), box([0.2, -0.1, 0.1], [0.6, 0.3, 0.5]))
+        rule = mean_rule(d, 2.0)
+        axis = np.array([0.6, 0.0, 0.8])
+        f = lambda p: np.cos(2.0 * (p @ axis))
+        est = rule.mean(f, 1e-12, axis)
+        assert [(est.value, est.abs_error_estimate)] == self.per_term(rule, [f], [1e-12], [axis])
+        with pytest.raises(TypeError, match="error bound of a bare callable"):
+            rule.mean(f, None, axis)
+        with pytest.raises(TypeError, match="needs the symmetry axis"):
+            rule.mean(f, 1e-12)
+
+    @pytest.mark.parametrize("lam, blocks", [(1.5, 1), (100.0, 2)])
+    def test_difference_evaluates_each_field_once_per_block(self, monkeypatch, lam, blocks):
+        from helmholtz_means.solutions import SolutionField
+
+        if lam > 50:
+            d = difference(box([0, 0, 0], [1, 1, 1]), ball([0.5, 0.4, 0.6], 0.3))
+            fields = [plane_wave(3, lam, [0, 0.6, 0.8], 0.3), plane_wave(3, lam, [1, 0, 0], 0.0)]
+        else:
+            d = difference(box([-1, -1], [1, 1]), ball([0.5, 0.1], 0.25))
+            fields = [radial_solution(2, lam, [0, 0]), plane_wave(2, lam, [0.6, 0.8], 0.2)]
+        rule = mean_rule(d, lam)
+        calls = []
+        call = SolutionField.__call__
+        monkeypatch.setattr(SolutionField, "__call__",
+                            lambda u, pts: calls.append((id(u), len(pts))) or call(u, pts))
+        rule.means(fields)
+        assert sorted(c[0] for c in calls) == sorted([id(u) for u in fields] * blocks)
+        assert sum(n for _, n in calls) == len(fields) * (rule.rule_a.nodes + rule.rule_b.nodes)
 
     def test_means_refuse_what_mean_refuses(self):
         # means takes fields, whose bounds a rule knows; a 3-D ball rule also
@@ -540,6 +625,30 @@ class TestResolution:
                           _ball_rule(np.zeros(m), 1.0, radial, angular - (1 if m == 2 else 2))):
                 assert fewer.bound(u) - rule.bound(u) > 0.0
                 assert fewer._truncation(band, False) > 0.5e-14
+
+    def test_sizing_hands_over_the_bound_it_proved(self):
+        # the truncation a ball rule would compute at lambda, bit for bit
+        from helmholtz_means.quadrature import (
+            _ball_sizing, _gauss_error, _radial_bound, _sphere_bound)
+
+        for m in range(2, 13):
+            for t in [1e-9, 1e-3, 0.37] + list(np.linspace(0.0, RESOLUTION_CAP, 61)[1:]):
+                radial, angular, proved = _ball_sizing(m, t)
+                assert (radial, angular) == resolution(m, t)
+                degree = angular - 1
+                assert proved == (_sphere_bound(m, t, degree)[1]
+                                  + _gauss_error(*_radial_bound(m, t), radial))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_seeded_bound_equals_a_computed_one(self, m):
+        lam, r, c = 7.3, 0.8, np.linspace(-0.2, 0.3, m)
+        seeded = mean_rule(ball(c, r), lam)
+        assert (lam, False) in seeded._truncations
+        e = np.eye(m)[0]
+        for u in (plane_wave(m, lam, e, 0.3), radial_solution(m, lam, c + 0.1),
+                  plane_wave(m, 0.5 * lam, e, 0.0), modified_radial_solution(m, lam, c)):
+            empty = _ball_rule(c, r, *resolution(m, lam * r))
+            assert seeded.bound(u) == empty.bound(u)
 
     @pytest.mark.parametrize("band", [120.5, 1e6, float("inf"), float("nan")])
     def test_cap_names_the_band(self, band):

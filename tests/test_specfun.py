@@ -562,15 +562,17 @@ class TestMillerRescaling:
 
 class TestSeriesCancellation:
     """J's ascending series is refused where 2^-52 sum |terms| at its
-    largest point exceeds 1e-11; only orders above 6 reach t > 12."""
+    largest point exceeds 1e-11; only orders above 6 reach t > 12.  An
+    integer or half-integer order takes the downward recurrence there
+    (TestRefusedSeriesRecurrence); any other order is refused."""
 
     @pytest.mark.parametrize("call, where", [
-        (lambda: bessel_j(60, 100.0), "t = 100 for order 60"),
-        (lambda: bessel_j(60, np.array([1.0, 100.0])), "t = 100 for order 60"),
-        (lambda: bessel_j(20, 39.0), "t = 39 for order 20"),
-        (lambda: a_norm(120, 110.0), "t = 110 for order 60"),
-        (lambda: a_norm(120, np.array([110.0])), "t = 110 for order 60"),
-        (lambda: a_norm(120, np.array([3.0, 110.0])), "t = 110 for order 60"),
+        (lambda: bessel_j(60.25, 100.0), "t = 100 for order 60.25"),
+        (lambda: bessel_j(60.25, np.array([1.0, 100.0])), "t = 100 for order 60.25"),
+        (lambda: bessel_j(20.25, 39.0), "t = 39 for order 20.25"),
+        (lambda: bessel_j(60.25, 110.0), "t = 110 for order 60.25"),
+        (lambda: bessel_j(60.25, np.array([110.0])), "t = 110 for order 60.25"),
+        (lambda: bessel_j(60.25, np.array([3.0, 110.0])), "t = 110 for order 60.25"),
     ])
     def test_cancelling_series_is_refused(self, call, where):
         with pytest.raises(ValueError, match=f"series cancels at {where}"):
@@ -592,7 +594,61 @@ class TestSeriesCancellation:
         def refuse(*args, **kwargs):
             raise AssertionError("checked")
 
-        monkeypatch.setattr(specfun, "_check_cancellation", refuse)
+        monkeypatch.setattr(specfun, "_series_refused", refuse)
         t = np.linspace(0.0, 12.0, 9)
         for m in range(13):
             a_norm(m, t), a_norm(m, 12.0), bessel_j(0.5 * m, t), bessel_j(0.5 * m, 12.0)
+
+
+class TestRefusedSeriesRecurrence:
+    """Where J's series would be refused, an integer or half-integer order
+    takes the downward recurrence from at least 10 orders above nu."""
+
+    ORDERS = [7.0, 20.0, 20.5, 60.0, 200.0]
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_bessel_j_matches_scipy_up_to_twice_the_order(self, nu):
+        sp = pytest.importorskip("scipy.special")
+        t = np.linspace(12.0, 2.0 * nu, 301)[1:]
+        assert np.max(np.abs(bessel_j(nu, t) - sp.jv(nu, t))) <= 1e-11
+        for x in t[::20]:
+            assert abs(bessel_j(nu, float(x)) - sp.jv(nu, x)) <= 1e-11
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_a_norm_matches_scipy_up_to_twice_the_order(self, nu):
+        # in a_norm's normalization, Gamma(nu + 1) J_nu(t) / (t/2)^nu
+        sp = pytest.importorskip("scipy.special")
+        m = int(2.0 * nu)
+        t = np.linspace(12.0, 2.0 * nu, 301)[1:]
+        ref = np.exp(math.lgamma(nu + 1.0) - nu * np.log(0.5 * t)) * sp.jv(nu, t)
+        assert np.max(np.abs(a_norm(m, t) - ref)) <= 1e-11
+        for x, r in zip(t[::20], ref[::20]):
+            assert abs(a_norm(m, float(x)) - r) <= 1e-11
+
+    def test_the_recurrence_takes_only_refused_points(self):
+        # the points the series accepts keep its bits in a batch that also
+        # holds refused ones, and a batch the series accepts is unchanged
+        nu, t = 20.0, np.linspace(0.0, 40.0, 161)
+        accepted = np.array([not specfun._series_refused(nu, float(x), True) for x in t])
+        assert 0 < accepted.sum() < len(t) and not accepted[np.argmax(~accepted):].any()
+        series = specfun._series_bessel(nu, t[accepted], -1.0)
+        assert np.array_equal(bessel_j(nu, t)[accepted], series)
+        assert np.array_equal(bessel_j(nu, t[accepted]), series)
+        assert np.array_equal(bessel_j(nu, t)[~accepted], specfun._miller(nu, t[~accepted], -1.0))
+
+    @pytest.mark.parametrize("nu", [20.0, 20.5, 60.0])
+    def test_float_and_one_point_paths_give_the_same_bits(self, nu):
+        m = int(2.0 * nu)
+        for x in np.linspace(12.0, 2.0 * nu, 41)[1:]:
+            assert a_norm(m, float(x)) == a_norm(m, np.array([x]))[0]
+            assert bessel_j(nu, float(x)) == bessel_j(nu, np.array([x]))[0]
+            # _miller_orders repeats the array pass on one float, half-integer J included
+            assert specfun._miller_orders(nu, float(x), -1.0)[0] == specfun._miller(
+                nu, np.array([x]), -1.0)[0]
+
+    def test_the_pass_starts_ten_orders_above_nu(self):
+        # at t = 13 a pass of length 1.2 t + 40 would start below order 120
+        sp = pytest.importorskip("scipy.special")
+        for miller in (specfun._miller(120.0, np.array([13.0]), -1.0)[0],
+                       specfun._miller_orders(120.0, 13.0, -1.0)[0]):
+            assert abs(miller / sp.jv(120, 13.0) - 1.0) <= 1e-12

@@ -1165,3 +1165,24 @@ class TestTheorem1:
 
     def test_monotone_kernel_values(self):
         assert b_norm(3, 2.0) > b_norm(3, 1.0) > 1.0
+
+    def test_monotone_grid_is_evaluated_once_per_m(self, monkeypatch):
+        from helmholtz_means import verify
+
+        grids = []
+
+        def spy(m, t):
+            if np.ndim(t) == 1 and len(t) == 10_000:
+                grids.append(m)
+            return b_norm(m, t)
+
+        verify._kernel_increasing.cache_clear()
+        monkeypatch.setattr(verify, "b_norm", spy)
+        first = theorem1_identity_check(1.0, [0, 0, 0], 1.0, 3)
+        second = theorem1_identity_check(2.0, [0.1, 0, 0], 0.5, 3)
+        assert grids == [3]
+        for rep in (first, second):
+            assert rep.diagnostics["kernel_strictly_increasing"] is True
+            assert rep.diagnostics["grid_points"] == 10_000
+        theorem1_identity_check(1.0, [0, 0], 1.0, 2)
+        assert grids == [3, 2]
