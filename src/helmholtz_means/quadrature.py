@@ -96,7 +96,7 @@ from .geometry import (
     unit_ball_volume,
 )
 from .solutions import HELMHOLTZ, SolutionField
-from .specfun import _SERIES_CUTOFF, _miller_orders, b_norm
+from .specfun import _miller_orders, _series_top, b_norm
 
 __all__ = [
     "MeanValueEstimate",
@@ -254,7 +254,9 @@ def resolution(m: int, band: float) -> tuple[int, int]:
     rule and half from the radial rule, is at most 1e-14 for a unit
     plane wave at lambda.  For m >= 3 the sphere rule's degree is odd,
     so its angular // 2 meridian nodes reach it.  ValueError above
-    RESOLUTION_CAP."""
+    RESOLUTION_CAP, and for m < 2, whose ball is sampled."""
+    if m < 2:
+        raise ValueError(f"resolution needs m >= 2, got {m}")
     return _ball_sizing(m, band)[:2]
 
 
@@ -297,7 +299,7 @@ def _evaluation_error(u: SolutionField, center, radius: float, reach: float,
     err = _EPS * scale * (4.0 + (m + 4) * argument)
     if u.kind == "radial":
         t = k * (_norm(center - source) + radius)
-        err += _EPS * b_norm(m - 2, min(t, max(_SERIES_CUTOFF, m - 2.0)))
+        err += _EPS * b_norm(m - 2, min(t, _series_top(0.5 * (m - 2), -1.0)))
     return err
 
 

@@ -1,43 +1,31 @@
 """Bessel functions of real order and the normalized mean-value kernels.
 
-Everything in this module is self-contained (numpy only).  Evaluation
-strategy for J_nu and I_nu:
-
-* ascending power series for t <= max(12, 2*nu), in Horner form with a
-  term count fixed from the largest t (the last term ratio <= 1e-20);
-  where J's terms cancel past 1e-11, which only orders above 6 reach,
-  its integer and half-integer orders take Miller's downward recurrence
-  instead, and other orders are refused,
-* beyond that, Miller's downward recurrence for I and for integer-order
-  J, and upward recurrence from the closed forms for half-integer-order
-  J; other orders are refused there, and J's downward pass past
-  t = BESSEL_J_MAX_T, as it runs 1.2 t steps.
-
-The normalized kernels are
+Everything in this module is self-contained (numpy only).  bessel_j,
+bessel_i, a_norm and b_norm each check their own order and reach one
+dispatcher, _evaluate, whose one region policy takes the ascending
+series up to t = 12 for J of integer or half-integer order and up to
+max(12, 2*nu) otherwise, and past it Miller's downward recurrence, or
+for half-integer J past 2*nu the upward one.  The normalized kernels are
 
     a_norm(m, t) = Gamma(m/2 + 1) * J_{m/2}(t) / (t/2)^{m/2}
     b_norm(m, t) = Gamma(m/2 + 1) * I_{m/2}(t) / (t/2)^{m/2}
 
-with the removable singularity at t = 0 handled by their even power
-series, so a_norm(m, 0) == b_norm(m, 0) == 1.0 exactly.  Past the
-series region, and in the series of J and I, the factor
-Gamma(nu + 1) / (t/2)^nu or its reciprocal is formed in log form, so a
-finite value is returned finite at any order.  a_norm is the
-ratio between a Helmholtz solution's value at a ball's center and its
-volume mean over that ball; b_norm is the analogous monotone kernel for
-the modified equation.
+The series gives the kernel, so a_norm(m, 0) == b_norm(m, 0) == 1.0
+exactly, and a recurrence the Bessel value; the factor that scales each
+to the other is formed in log form, so a finite value is returned finite
+at any order.  a_norm is the ratio between a Helmholtz solution's value
+at a ball's center and its volume mean over that ball; b_norm is the
+analogous monotone kernel for the modified equation.
 
 The zeros j_{nu,n} come from a symmetric tridiagonal eigenproblem (see
 bessel_zero), independent of the evaluation code above.
 
-All functions accept scalar or ndarray arguments for t.  The one piece
-of state is a per-process cache of zeros: each (order, truncation size)
-eigenproblem is solved once and its zeros are kept read-only.  a_norm
-and b_norm at one float point, or a one-point array, run the array
-path's Horner steps, or past the series region its recurrence, on
-Python floats, so they return the same bits without array overhead.
-_miller_orders gives J or I at every order nu + l from one downward
-pass, for quadrature's error bounds.
+All functions accept scalar or ndarray arguments for t; a float, or a
+one-point array, takes the array route's steps on Python floats, with
+the same bits.  The one piece of state is a per-process cache of zeros:
+each (order, truncation size) eigenproblem is solved once and its zeros
+are kept read-only.  _miller_orders gives J or I at every order nu + l
+from one downward pass, for quadrature's error bounds.
 """
 
 from __future__ import annotations
@@ -49,7 +37,7 @@ import numpy as np
 
 # Power-series term-ratio stop, its term cap and the series/recurrence switch point.
 SERIES_RTOL = 1e-16
-# Largest rounding bound, absolute for J and relative to a_norm's scale, a J series may carry.
+# Largest rounding bound, in J's or a_norm's scale, a J series past t = 12 may carry.
 SERIES_ATOL = 1e-11
 _SERIES_MAX_TERMS = 399
 _SERIES_BLOCK = 32768
@@ -168,8 +156,9 @@ def _series_refused(nu: float, t: float, absolute: bool) -> bool:
     sum of its terms' magnitudes, which is the same series with sign +1
     and grows with t.  That bound is taken in J's absolute scale, times
     (t/2)^nu / Gamma(nu + 1), when absolute, else in a_norm's
-    normalization.  Only orders above 6 carry the series past t = 12;
-    below, no call pays for the check."""
+    normalization.  Only orders above 6 that are neither integer nor
+    half-integer, or above 240, carry the series past t = 12; no other
+    call pays for the check."""
     if t <= _SERIES_CUTOFF:
         return False
     log_bound = math.log(_float_series(t, nu, 1.0)) - 52.0 * math.log(2.0)
@@ -178,28 +167,17 @@ def _series_refused(nu: float, t: float, absolute: bool) -> bool:
     return log_bound > math.log(SERIES_ATOL)
 
 
-def _series_points(name: str, nu: float, t: np.ndarray, absolute: bool) -> np.ndarray:
-    """The mask of the points t, all in J's series region, whose series
-    _series_refused accepts: every point when it accepts their largest,
-    else, for an integer or half-integer order, those up to the largest
-    t it accepts (found by bisection, as the bound grows with t), the
-    rest being left to the downward recurrence.  For any other order a
-    refused series raises ValueError."""
-    top = float(t.max())
-    if not _series_refused(nu, top, absolute):
-        return np.ones(t.shape, dtype=bool)
-    if not (2.0 * nu).is_integer():
-        raise ValueError(f"{name}: the ascending series cancels at t = {top:g} for order "
-                         f"{nu:g}: its rounding bound is above {SERIES_ATOL:g}")
-    ts = np.unique(t[t > _SERIES_CUTOFF])  # sorted; its last is refused
-    accepted, refused = -1, len(ts) - 1
-    while refused - accepted > 1:
-        mid = (accepted + refused) // 2
-        if _series_refused(nu, float(ts[mid]), absolute):
-            refused = mid
-        else:
-            accepted = mid
-    return t <= (ts[accepted] if accepted >= 0 else _SERIES_CUTOFF)
+def _series_top(nu: float, sign: float) -> float:
+    """The largest t the ascending series serves at order nu: 12 for J of
+    integer or half-integer order, except above order 240 the t where
+    (t/2)^nu / Gamma(nu + 1) = e^-650, below which |J_nu(t)| is too close
+    to underflow for the recurrence and a_norm's e^650 scale; otherwise
+    max(12, 2 nu)."""
+    if sign > 0 or not (2.0 * nu).is_integer():
+        return max(_SERIES_CUTOFF, 2.0 * nu)
+    if nu <= 6.0:
+        return _SERIES_CUTOFF
+    return max(_SERIES_CUTOFF, 2.0 * math.exp((math.lgamma(nu + 1.0) - 650.0) / nu))
 
 
 def _power_over_gamma(nu: float, t, sign: float = 1.0):
@@ -210,11 +188,6 @@ def _power_over_gamma(nu: float, t, sign: float = 1.0):
         return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
     with np.errstate(divide="ignore"):  # t = 0: (t/2)^nu = 0
         return np.exp(sign * (nu * np.log(0.5 * t) - math.lgamma(nu + 1.0)))
-
-
-def _series_bessel(nu: float, t: np.ndarray, sign: float) -> np.ndarray:
-    """Ascending series of J_nu (sign=-1) or I_nu (sign=+1)."""
-    return _power_over_gamma(nu, t) * _ascending_series(t, nu, sign)
 
 
 def _upward(l: int, t: np.ndarray) -> np.ndarray:
@@ -343,52 +316,74 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
     return [float(v * scale) for v in out]
 
 
-def _dispatch_bessel(nu: float, t, kind: str):
-    nu = _check_order(nu)
-    tt = _as_t_array(t, f"bessel_{kind}")
+def _evaluate(nu: float, t, sign: float, kernel: bool, name: str):
+    """J_nu (sign=-1) or I_nu (sign=+1) at t, or with kernel the
+    normalized Gamma(nu + 1) (t/2)^-nu times it: the ascending series up
+    to _series_top, refused for J past t = 12 where _series_refused
+    refuses its largest point in the caller's scale; past it, integer and
+    half-integer orders only, Miller's downward recurrence, or for
+    half-integer J past max(12, 2 nu), where nu < t, the upward one.  The
+    series gives the kernel and a recurrence the Bessel value;
+    _power_over_gamma scales each to the other.  A float, or a one-point
+    array, takes the same steps on Python floats; anything that raises
+    takes the array route."""
+    if isinstance(t, np.ndarray) and t.shape == (1,):
+        return np.array([_evaluate(nu, float(t[0]), sign, kernel, name)])
+    integral = (2.0 * nu).is_integer()
+    cutoff = max(_SERIES_CUTOFF, 2.0 * nu)
+    top = _series_top(nu, sign)
+    if isinstance(t, float):
+        # J's series past t = 12 (refusal test), NaN, inf and t < 0 take the array route
+        if 0.0 <= t <= (top if sign > 0 else _SERIES_CUTOFF):
+            value = _float_series(t, nu, sign)
+            return value if kernel else float(_power_over_gamma(nu, t) * value)
+        if integral and top < t < math.inf and (sign < 0 or t <= BESSEL_I_MAX_T):
+            value = (_upward(int(nu), t) if sign < 0 and nu % 1 and t > cutoff
+                     else _miller_orders(nu, t, sign)[0])
+            return float(_power_over_gamma(nu, t, -1.0) * value if kernel else value)
+    tt = _as_t_array(t, name)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt).astype(float)
-    if kind == "i" and (tt > BESSEL_I_MAX_T).any():
-        raise ValueError(f"bessel_i is limited to t <= {BESSEL_I_MAX_T} (overflow guard)")
-    sign = -1.0 if kind == "j" else 1.0
-    cutoff = max(_SERIES_CUTOFF, 2.0 * nu)
     out = np.empty_like(tt)
-    small = tt <= cutoff
-    if sign < 0 and nu > 6.0 and small.any():
-        small[small] = _series_points("bessel_j", nu, tt[small], absolute=True)
-    if small.any():
-        out[small] = _series_bessel(nu, tt[small], sign)
-    if (~small).any():
-        if not (2.0 * nu).is_integer():
-            raise ValueError(
-                f"bessel_{kind}: order {nu} not supported for t > {cutoff} "
-                "(only integer and half-integer orders)"
-            )
-        down = ~small
-        if nu % 1 and sign < 0:  # half-integer J past the cutoff, where nu < t: upward
-            up = tt > cutoff
-            if up.any():
-                out[up] = _upward(int(nu), tt[up])
-            down &= ~up
+    series = tt <= top
+    if series.any():
+        ts = tt[series]
+        if sign < 0 and top > _SERIES_CUTOFF and _series_refused(nu, float(ts.max()), not kernel):
+            raise ValueError(f"{name}: the ascending series cancels at t = {ts.max():g} for "
+                             f"order {nu:g}: its rounding bound is above {SERIES_ATOL:g}")
+        value = _ascending_series(ts, nu, sign)
+        out[series] = value if kernel else _power_over_gamma(nu, ts) * value
+    if not series.all():
+        if not integral:
+            raise ValueError(f"{name}: order {nu} not supported for t > {cutoff} "
+                             "(only integer and half-integer orders)")
+        tr = tt[~series]
+        if sign > 0 and (tr > BESSEL_I_MAX_T).any():
+            raise ValueError(f"bessel_i is limited to t <= {BESSEL_I_MAX_T} (overflow guard)")
+        down = tr <= cutoff if sign < 0 and nu % 1 else np.ones(tr.shape, dtype=bool)
+        value = np.empty_like(tr)
         if down.any():
-            out[down] = _miller(nu, tt[down], sign)
+            value[down] = _miller(nu, tr[down], sign)
+        if not down.all():
+            value[~down] = _upward(int(nu), tr[~down])
+        out[~series] = _power_over_gamma(nu, tr, -1.0) * value if kernel else value
     return float(out[0]) if scalar else out
 
 
 def bessel_j(nu: float, t):
     """Bessel function of the first kind J_nu(t), t >= 0, nu >= 0.
 
-    Absolute error <= 1e-11 for t <= 50 and nu <= 6.  Above order 6 the
-    series runs past t = 12, where its alternating terms cancel: at the
-    points where the rounding bound 2^-52 sum |terms| exceeds
-    SERIES_ATOL = 1e-11, an integer or half-integer order takes Miller's
-    downward recurrence from at least 10 orders above nu (absolute error
-    within 1e-11 there, about 1e-15 in tests against scipy), and any
-    other order raises ValueError.  For t past the series cutoff only
-    integer and half-integer orders are supported, and the downward
-    pass up to t = BESSEL_J_MAX_T.
+    Absolute error <= 1e-11 for t <= 50 and nu <= 6.  The ascending
+    series serves t <= 12 (above order 240, on to _series_top); past it
+    integer and half-integer orders take Miller's downward recurrence
+    from at least 10 orders above nu, up to t = BESSEL_J_MAX_T, or for
+    half-integer orders past 2 nu the upward one (within 7.4e-15 of
+    scipy over orders 6.5 to 106 and 12 < t <= 2 nu).  Other orders
+    above 6 keep the series up to 2 nu, and are refused where its
+    rounding bound 2^-52 sum |terms| exceeds SERIES_ATOL = 1e-11; past
+    max(12, 2 nu) they are refused.
     """
-    return _dispatch_bessel(nu, t, "j")
+    return _evaluate(_check_order(nu), t, -1.0, False, "bessel_j")
 
 
 def bessel_i(nu: float, t):
@@ -399,53 +394,17 @@ def bessel_i(nu: float, t):
     normalization against overflow.  Past the series cutoff only integer
     and half-integer orders are supported.
     """
-    return _dispatch_bessel(nu, t, "i")
+    nu = _check_order(nu)
+    if (_as_t_array(t, "bessel_i") > BESSEL_I_MAX_T).any():
+        raise ValueError(f"bessel_i is limited to t <= {BESSEL_I_MAX_T} (overflow guard)")
+    return _evaluate(nu, t, 1.0, False, "bessel_i")
 
 
-def _norm_kernel(m: int, t, sign: float, kind: str):
+def _check_dimension(m: int, name: str) -> float:
+    """The kernel's order m/2, for an integer m >= 0."""
     if m != int(m) or m < 0:
-        raise ValueError(f"{kind}_norm requires integer m >= 0, got {m}")
-    m = int(m)
-    cutoff = max(_SERIES_CUTOFF, float(m))  # 2*nu = m
-    nu = 0.5 * m
-    if isinstance(t, np.ndarray) and t.shape == (1,):
-        # One point in an array: the float paths below give its bits
-        return np.array([_norm_kernel(m, float(t[0]), sign, kind)])
-    if isinstance(t, float) and 0.0 <= t <= cutoff and not (
-            sign < 0 and nu > 6.0 and _series_refused(nu, t, absolute=False)):
-        # One point in the series region, on Python floats.  NaN, inf and
-        # t < 0 fail the test and raise on the array path.
-        return _float_series(float(t), nu, sign)
-    if isinstance(t, float) and _SERIES_CUTOFF < t < math.inf and (
-            sign < 0 or t <= BESSEL_I_MAX_T):
-        # One point past the series, past the cutoff or where J's series
-        # is refused: the array path's recurrence on floats
-        t = float(t)
-        z = (_upward(int(nu), t) if nu % 1 and sign < 0 and t > cutoff
-             else _miller_orders(nu, t, sign)[0])
-        return float(_power_over_gamma(nu, t, -1.0) * z)
-    tt = _as_t_array(t, f"{kind}_norm")
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt).astype(float)
-    out = np.empty_like(tt)
-    small = tt <= cutoff
-    refused = np.zeros_like(small)  # series-region points J's series leaves to _miller
-    if sign < 0 and nu > 6.0 and small.any():
-        refused[small] = ~_series_points(f"a_norm(m = {m})", nu, tt[small], absolute=False)
-        small &= ~refused
-    if small.any():
-        # Normalized even series: c_0 = 1, c_{k+1} = c_k * sign*(t/2)^2 / ((k+1)(k+1+m/2)).
-        # Exact 1.0 at t = 0 and free of the 0/0 of the quotient form.
-        out[small] = _ascending_series(tt[small], nu, sign)
-    if refused.any():
-        tr = tt[refused]
-        out[refused] = _power_over_gamma(nu, tr, -1.0) * _miller(nu, tr, sign)
-    past = tt > cutoff
-    if past.any():
-        tl = tt[past]
-        f = bessel_j if kind == "a" else bessel_i
-        out[past] = _power_over_gamma(nu, tl, -1.0) * f(nu, tl)
-    return float(out[0]) if scalar else out
+        raise ValueError(f"{name} requires integer m >= 0, got {m}")
+    return 0.5 * int(m)
 
 
 def a_norm(m: int, t):
@@ -453,15 +412,16 @@ def a_norm(m: int, t):
 
     a_norm(m, 0) == 1.0 exactly; first sign change at the first positive
     zero of J_{m/2}.  Defined for all integer m >= 0 (m = 0 gives J_0,
-    m = 1 gives sin t / t).  For m > 12 the series runs past t = 12,
-    where its alternating terms cancel: at the points where the rounding
-    bound 2^-52 sum |terms| exceeds 1e-11 (in this normalization,
-    b_norm(m, t) 2^-52), J_{m/2} comes from Miller's downward recurrence
-    instead, as m/2 is an integer or half-integer, so the absolute error
-    stays within 1e-11 up to the length guard BESSEL_J_MAX_T.  A float t
-    and a one-point array give the same bits.
+    m = 1 gives sin t / t).  Its series serves t <= 12, where its
+    rounding bound 2^-52 b_norm(m, t) is at most 2^-52 b_norm(0, 12);
+    past it J_{m/2} comes from bessel_j's recurrence, as m/2 is an integer
+    or half-integer, up to the length guard BESSEL_J_MAX_T (within
+    5.3e-14 of scipy over m = 13 to 212 and 12 < t <= m).  Above m = 480
+    the series runs on to _series_top, and a call whose series there
+    would lose more than SERIES_ATOL (from m = 1256) is refused.  A
+    float t and a one-point array give the same bits.
     """
-    return _norm_kernel(m, t, -1.0, "a")
+    return _evaluate(_check_dimension(m, "a_norm"), t, -1.0, True, "a_norm")
 
 
 def b_norm(m: int, t):
@@ -470,7 +430,7 @@ def b_norm(m: int, t):
     b_norm(m, 0) == 1.0 exactly and the function is strictly increasing
     and >= 1 for t >= 0.
     """
-    return _norm_kernel(m, t, 1.0, "b")
+    return _evaluate(_check_dimension(m, "b_norm"), t, 1.0, True, "b_norm")
 
 
 def bessel_zero(nu: float, n: int) -> float:

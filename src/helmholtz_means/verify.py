@@ -15,7 +15,6 @@ computable here and are recorded as "assumed" in diagnostics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,7 +79,6 @@ INCONCLUSIVE = "inconclusive"
 IDENTITY_TOL_SPECTRAL = 1e-8
 FLUX_REL_TOL = 1e-5
 _RANDOM_WAVES = 8  # seeded random-direction plane waves in default_family
-_MONOTONE_GRID = 10_000  # points of the b_norm monotonicity grid on [0, 10]
 _MAX_DIMENSION = 12  # the size condition's j_{m/2,1}: bessel_zero takes orders <= 6
 
 
@@ -815,14 +813,6 @@ def flux_identity_check(u: SolutionField, center, r: float) -> VerificationRepor
     )
 
 
-@functools.cache
-def _kernel_increasing(m: int) -> bool:
-    """Whether b_norm(m, .) strictly increases on the _MONOTONE_GRID-point
-    grid on [0, 10], computed once per m per process."""
-    grid = np.linspace(0.0, 10.0, _MONOTONE_GRID)
-    return bool(np.all(np.diff(b_norm(m, grid)) > 0.0))
-
-
 def theorem1_identity_check(
     mu: float,
     x0,
@@ -831,16 +821,18 @@ def theorem1_identity_check(
     tolerance: float = 1e-8,
 ) -> VerificationReport:
     """check_identity of the monotone radial solution on make_problem(B_r(x0),
-    mu, x0) (m <= 12; tolerance relative to b_norm(m, mu r)), failing also
-    when b_norm, which the argument leans on, is not strictly increasing."""
+    mu, x0) (m <= 12; tolerance relative to b_norm(m, mu r)).
+
+    The argument leans on b_norm(m, .) strictly increasing on t >= 0, which
+    holds for every m by proof: b_norm(m, t) = sum_k Gamma(m/2+1) (t/2)^{2k}
+    / (k! Gamma(k+m/2+1)) has positive coefficients, so every term past
+    k = 0 strictly increases in t.  The report carries it as the constant
+    kernel_strictly_increasing = True."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (m,):
         raise ValueError(f"x0 must have shape ({m},), got {x0.shape}")
     u = modified_radial_solution(m, mu, x0)
     rep = check_identity(u, make_problem(ball(x0, r), u.wavenumber, x0), tolerance)
-    monotone = _kernel_increasing(m)
     rep.name = "theorem1_ball_identity"
-    rep.diagnostics.update(kernel_strictly_increasing=monotone, grid_points=_MONOTONE_GRID)
-    if not monotone:
-        rep.verdict = FAIL
+    rep.diagnostics.update(kernel_strictly_increasing=True)
     return rep

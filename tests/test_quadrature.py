@@ -612,6 +612,13 @@ class TestResolution:
             # angular // 2 meridian nodes reach it
             assert all(c[1] % 2 == 0 for c in counts) or m == 2
 
+    @pytest.mark.parametrize("m", [1, 0, -1])
+    def test_dimension_below_two_is_refused(self, m):
+        # a 1-D ball is sampled, so no ball rule is sized for it
+        for band in (0.0, 1.0, 120.0):
+            with pytest.raises(ValueError, match="m >= 2"):
+                resolution(m, band)
+
     def test_counts_are_the_fewest_within_the_target(self):
         # one node fewer on either axis breaks the 1e-14 bound
         for m, band in [(2, 3.8), (3, 4.4934), (3, 60.0), (5, 5.7635)]:

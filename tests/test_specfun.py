@@ -407,6 +407,18 @@ class TestBesselZero:
                 assert abs(z - ref) <= 1e-11, (nu, n)
 
 
+def _kernel_fsum(nu, t):
+    """Gamma(nu + 1) J_nu(t) / (t/2)^nu by its ascending series, each term
+    formed by recurrence and the terms added by math.fsum."""
+    q, term, terms = 0.25 * t * t, 1.0, [1.0]
+    for k in range(1, 2000):
+        term *= -q / (k * (k + nu))
+        terms.append(term)
+        if abs(term) < 1e-20:
+            break
+    return math.fsum(terms)
+
+
 def _regions(values):
     """Each value in the series region, under its bare id, and in the
     recurrence region past the cutoff."""
@@ -625,26 +637,80 @@ class TestRefusedSeriesRecurrence:
         for x, r in zip(t[::20], ref[::20]):
             assert abs(a_norm(m, float(x)) - r) <= 1e-11
 
-    def test_the_recurrence_takes_only_refused_points(self):
-        # the points the series accepts keep its bits in a batch that also
-        # holds refused ones, and a batch the series accepts is unchanged
-        nu, t = 20.0, np.linspace(0.0, 40.0, 161)
-        accepted = np.array([not specfun._series_refused(nu, float(x), True) for x in t])
-        assert 0 < accepted.sum() < len(t) and not accepted[np.argmax(~accepted):].any()
-        series = specfun._series_bessel(nu, t[accepted], -1.0)
-        assert np.array_equal(bessel_j(nu, t)[accepted], series)
-        assert np.array_equal(bessel_j(nu, t[accepted]), series)
-        assert np.array_equal(bessel_j(nu, t)[~accepted], specfun._miller(nu, t[~accepted], -1.0))
+    @pytest.mark.parametrize("nu", [20.0, 20.5])
+    def test_points_past_twelve_take_the_recurrence(self, nu):
+        # in one mixed batch the points up to t = 12 keep the series' bits
+        # and the rest the recurrence's: downward up to 2 nu, and for a
+        # half-integer order upward past it
+        t = np.linspace(0.0, 2.0 * nu + 10.0, 201)
+        low, band, up = t <= 12.0, (t > 12.0) & (t <= 2.0 * nu), t > 2.0 * nu
+        got = bessel_j(nu, t)
+        series = specfun._power_over_gamma(nu, t[low]) * specfun._ascending_series(t[low], nu, -1.0)
+        assert np.array_equal(got[low], series)
+        assert np.array_equal(bessel_j(nu, t[low]), series)
+        if nu % 1:
+            assert np.array_equal(got[band], specfun._miller(nu, t[band], -1.0))
+            assert np.array_equal(got[up], specfun._upward(int(nu), t[up]))
+        else:
+            assert np.array_equal(got[~low], specfun._miller(nu, t[~low], -1.0))
+        kernel = a_norm(int(2.0 * nu), t)
+        assert np.array_equal(kernel[low], specfun._ascending_series(t[low], nu, -1.0))
+        assert np.array_equal(kernel[~low],
+                              specfun._power_over_gamma(nu, t[~low], -1.0) * got[~low])
+        # an order neither integer nor half-integer keeps the series and its refusal
+        with pytest.raises(ValueError, match="series cancels at t = 39 for order 20.3"):
+            bessel_j(20.3, 39.0)
 
-    @pytest.mark.parametrize("nu", [20.0, 20.5, 60.0])
+    @pytest.mark.parametrize("nu", [20.0, 20.5, 60.0] + [0.5 * k for k in range(25)])
     def test_float_and_one_point_paths_give_the_same_bits(self, nu):
         m = int(2.0 * nu)
-        for x in np.linspace(12.0, 2.0 * nu, 41)[1:]:
-            assert a_norm(m, float(x)) == a_norm(m, np.array([x]))[0]
-            assert bessel_j(nu, float(x)) == bessel_j(nu, np.array([x]))[0]
+        grid = np.concatenate([np.linspace(0.0, max(12.0, 2.0 * nu) + 40.0, 61)[1:],
+                               [12.0, 12.0 + 1e-9, 2.0 * nu, 2.0 * nu + 1e-9, 299.0]])
+        for x in grid:
+            for f, order in ((bessel_j, nu), (bessel_i, nu), (a_norm, m), (b_norm, m)):
+                got = f(order, float(x))
+                assert type(got) is float
+                assert np.array_equal(f(order, np.array([x])), [got])
             # _miller_orders repeats the array pass on one float, half-integer J included
-            assert specfun._miller_orders(nu, float(x), -1.0)[0] == specfun._miller(
+            assert x == 0.0 or specfun._miller_orders(nu, float(x), -1.0)[0] == specfun._miller(
                 nu, np.array([x]), -1.0)[0]
+
+    @pytest.mark.parametrize("nu", [0.5 * k for k in range(13, 61)])
+    def test_recurrence_band_against_scipy(self, nu):
+        # t in (12, 2 nu], where the series cancelled: J and a_norm to 1e-13
+        sp = pytest.importorskip("scipy.special")
+        t = np.linspace(12.0, 2.0 * nu, 201)[1:]
+        assert np.max(np.abs(bessel_j(nu, t) - sp.jv(nu, t))) <= 1e-13
+        ref = np.exp(math.lgamma(nu + 1.0) - nu * np.log(0.5 * t)) * sp.jv(nu, t)
+        assert np.max(np.abs(a_norm(int(2.0 * nu), t) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [520, 600, 1000, 1200])
+    def test_high_orders_keep_the_series_where_j_underflows(self, m):
+        # above order 240, J_{m/2}(t) stays below e^-650 past t = 12, where
+        # a_norm would scale an underflowing recurrence value by e^650: the
+        # series keeps those points (oracle: its terms summed by fsum, as
+        # they barely cancel there) and the recurrence takes the rest
+        sp = pytest.importorskip("scipy.special")
+        nu = 0.5 * m
+        top = specfun._series_top(nu, -1.0)
+        assert top > 12.0
+        t = np.linspace(12.0, top + 40.0, 161)[1:]
+        near, ref = t <= top, np.empty_like(t)
+        ref[near] = [_kernel_fsum(nu, x) for x in t[near]]
+        past = t[~near]
+        ref[~near] = np.exp(math.lgamma(nu + 1.0) - nu * np.log(0.5 * past)) * sp.jv(nu, past)
+        assert np.all(np.isfinite(a_norm(m, t)))
+        assert np.max(np.abs(a_norm(m, t) - ref)) <= 1e-11
+        for x, r in zip(t[::8], ref[::8]):
+            assert abs(a_norm(m, float(x)) - r) <= 1e-11
+
+    def test_an_order_where_both_routes_fail_is_refused(self):
+        # at order 1500 the series cancels past 1e-11 in a_norm's scale
+        # before J rises above e^-650; J's own absolute scale is served
+        top = specfun._series_top(1500.0, -1.0)
+        with pytest.raises(ValueError, match="a_norm: the ascending series cancels"):
+            a_norm(3000, top)
+        assert abs(bessel_j(1500, top)) <= 1e-250
 
     def test_the_pass_starts_ten_orders_above_nu(self):
         # at t = 13 a pass of length 1.2 t + 40 would start below order 120
