@@ -15,12 +15,12 @@ Note `membrane` exits 1 by design: the bundle contains the
 size-condition check, and its failure is the point of the
 counterexample.
 
-The parser is built once per process and reused by every main() call;
-each call parses into a fresh namespace.  An argv that starts with a
-subcommand goes straight to that subcommand's parser, and any words it
-leaves are refused by the top-level parser, so usage messages, help
-and exit codes are those of the top-level parse; every other argv (none,
---help, an unknown subcommand) takes the top-level parser.
+The parser, built once per process, is the grammar's one declaration.
+A plain argv (a subcommand, exact long flags as --flag value or
+--flag=value, specfun's positional) is read into the namespace parse_args
+gives it by flag tables compiled at first use from each subparser's
+actions; any other argv (help, an abbreviation, a value that starts with
+'-', '--', a usage error) goes to parse_args, which renders every message.
 """
 
 from __future__ import annotations
@@ -177,7 +177,6 @@ def _add_common(p):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="helmholtz-means", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    parser.subcommands = sub.choices  # name -> that subcommand's parser
 
     p = sub.add_parser("specfun", help="tabulate kernels, Bessel values, or zeros")
     p.add_argument("what", choices=("a", "b", "j", "i", "zeros"))
@@ -353,24 +352,52 @@ def _run(args) -> int:
     raise ValueError(f"unknown subcommand {args.subcommand!r}")  # unreachable
 
 
-def _parse(argv) -> argparse.Namespace:
-    """parser.parse_args(argv), with an argv that starts with a subcommand
-    parsed by that subcommand's parser alone: the same namespace, and
-    leftover words refused by the top-level parser, as parse_args would."""
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.subcommand = argv[0]
-    return args
+@functools.cache
+def _flag_tables() -> dict:
+    """Per subcommand, from its parser's store actions: (flags, required dests, defaults),
+    flags mapping each long option, and None for the positional, to (dest, type, choices)."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, p in sub.choices.items():
+        acts = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        if any(type(a) is not argparse._StoreAction or a.nargs is not None for a in acts):
+            continue  # a switch, a list or an optional value: parse_args reads its argvs
+        flags = {o: (a.dest, a.type or str, a.choices)
+                 for a in acts for o in a.option_strings or [None] if o is None or o[:2] == "--"}
+        defaults = {a.dest: a.default for a in acts}  # none is a string a type must convert
+        tables[name] = flags, {a.dest for a in acts if a.required}, defaults
+    return tables
+
+
+def _table_parse(argv: list) -> argparse.Namespace | None:
+    """The namespace parser.parse_args(argv) gives a plain argv, or None."""
+    if not argv or argv[0].startswith("-") or argv[0] not in _flag_tables():
+        return None  # help and top-level flags never compile the tables
+    flags, required, defaults = _flag_tables()[argv[0]]
+    values, words = {}, iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=") if word.startswith("-") else (None, "=", word)
+        value = value if eq else next(words, "-")  # a missing value is refused below
+        entry = flags.get(flag)
+        if (entry is None or (not eq and value.startswith("-"))
+                or (flag is None and entry[0] in values)):  # a second positional
+            return None
+        dest, convert, choices = entry
+        try:
+            value = convert(value)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(subcommand=argv[0], **{**defaults, **values})
 
 
 def main(argv=None) -> int:
-    args = _parse(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_parse(argv) or _build_parser().parse_args(argv)
     try:
         return _run(args)
     except (ValueError, OverflowError, OSError, EstimationError) as exc:

@@ -68,11 +68,17 @@ def _vec(x, m: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a coordinate vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("coordinates must be finite")
     if m is not None and v.size != m:
         raise ValueError(f"dimension mismatch: expected {m}, got {v.size}")
     return v
+
+
+def _norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) of a 1-D float array, by the same
+    arithmetic, sqrt(x.dot(x)), without its overhead."""
+    return math.sqrt(float(x.dot(x)))
 
 
 class Domain:
@@ -88,7 +94,7 @@ class Domain:
 
     analytic_volume = None
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
         return self.bounding_box[0].size
 
@@ -144,7 +150,7 @@ class Ball(Domain):
         return unit_ball_volume(self.center.size) * self.r**self.center.size
 
     def circumradius(self, x0) -> float:
-        return float(np.linalg.norm(self.center - x0)) + self.r
+        return _norm(self.center - x0) + self.r
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +174,7 @@ class Box(Domain):
 
     def circumradius(self, x0) -> float:
         corners = np.maximum(np.abs(self.low - x0), np.abs(self.high - x0))
-        return float(np.linalg.norm(corners))
+        return _norm(corners)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +258,9 @@ class CustomDomain(Domain):
     description = None
 
 
-def _unwrap(d: Domain) -> tuple[Domain, np.ndarray]:
-    """The node under d's Translate layers and their summed shift."""
-    shift = np.zeros(d.dimension)
+def _unwrap(d: Domain) -> tuple[Domain, np.ndarray | float]:
+    """The node under d's Translate layers and their summed shift (0.0 if none)."""
+    shift = 0.0
     while isinstance(d, Translate):
         shift = shift + d.by
         d = d.of
@@ -282,7 +288,7 @@ def certified_relation(a: Domain, b: Domain, strict: bool = False) -> str | None
         center = base.center + shift
         b_base, b_shift = _unwrap(b)
         if (isinstance(b_base, Ball)
-                and np.linalg.norm(b_base.center + b_shift - center) >= base.r + b_base.r):
+                and _norm(b_base.center + b_shift - center) >= base.r + b_base.r):
             return DISJOINT
         upper = b.circumradius_upper(center)
         return INSIDE if upper is not None and within(upper, base.r) else None

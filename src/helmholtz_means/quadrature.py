@@ -91,6 +91,7 @@ from .geometry import (
     EstimationError,
     _draw,
     _hit_volume,
+    _norm,
     _require_counts,
     _unwrap,
     unit_ball_volume,
@@ -278,12 +279,6 @@ def _box_resolution(m: int, band: float) -> int:
     return _gauss_nodes(*_box_bound(0.5 * _check_band(band)), _BOUND_TARGET / m)
 
 
-def _norm(x: np.ndarray) -> float:
-    """float(np.linalg.norm(x)) of a 1-D float array, by the same
-    arithmetic, sqrt(x.dot(x)), without its overhead."""
-    return math.sqrt(float(x.dot(x)))
-
-
 def _evaluation_error(u: SolutionField, center, radius: float, reach: float,
                       scale: float) -> float:
     """A bound on the error of evaluating u at a rule's points, all within
@@ -294,9 +289,9 @@ def _evaluation_error(u: SolutionField, center, radius: float, reach: float,
     series region (the sum of its terms' magnitudes) and a few ulp past
     it.  scale bounds |u| there."""
     k, m = u.wavenumber, u.dimension
-    source = np.asarray(u.params.get("center", np.zeros(m)), dtype=float)
-    argument = k * (reach + _norm(source)) + abs(u.params.get("phase", 0.0))
-    err = _EPS * scale * (4.0 + (m + 4) * argument)
+    source = u.params.get("center")  # None for a plane wave, |source| = 0
+    argument = k * (reach if source is None else reach + _norm(np.asarray(source, dtype=float)))
+    err = _EPS * scale * (4.0 + (m + 4) * (argument + abs(u.params.get("phase", 0.0))))
     if u.kind == "radial":
         t = k * (_norm(center - source) + radius)
         err += _EPS * b_norm(m - 2, min(t, _series_top(0.5 * (m - 2), -1.0)))
@@ -343,17 +338,21 @@ def _polar_gauss(nodes: int, k: int):
     return meridian, w
 
 
+@functools.lru_cache(maxsize=256)
 def _sphere_rule(m: int, angular: int):
     """(points (k, 2), weights summing to 1, degree) of the sphere rule on
-    S^{m-1}: for m = 2 the trapezoid rule's angular directions, exact to
-    degree angular - 1; for m >= 3 the n = angular // 2 meridian points
-    (z, sqrt(1 - z^2)) of _polar_gauss(n, m), for _basis to orient."""
+    S^{m-1}, read-only and formed once per (m, angular): for m = 2 the
+    trapezoid rule's angular directions, exact to degree angular - 1; for
+    m >= 3 the n = angular // 2 meridian points (z, sqrt(1 - z^2)) of
+    _polar_gauss(n, m), for _basis to orient."""
     if m < 2:
         raise ValueError(f"the sphere rule needs m >= 2, got {m}")
     if m == 2:
         phi = 2.0 * np.pi * np.arange(angular) / angular
         circle = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return circle, np.full(angular, 1.0 / angular), angular - 1
+        w = np.full(angular, 1.0 / angular)
+        circle.flags.writeable = w.flags.writeable = False
+        return circle, w, angular - 1
     n = max(int(angular) // 2, 1)
     return _polar_gauss(n, m) + (2 * n - 1,)
 
@@ -734,7 +733,7 @@ def _box_rule(low, high, nodes) -> ProductRule:
     w_cols = functools.reduce(np.multiply.outer, ws[1:], np.ones(1))
     level = [(xs[0], ws[0]), (cols.reshape(-1, m), w_cols.reshape(-1))]
     return ProductRule(BOX_GAUSS, place, level, 0.5 * (lo + hi),
-                       0.5 * float(np.linalg.norm(hi - lo)), truncation)
+                       0.5 * _norm(hi - lo), truncation)
 
 
 def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) -> MeanRule:
@@ -751,7 +750,7 @@ def mean_rule(d: Domain, lam: float, samples: int = 2_000_000, seed: int = 0) ->
     rule = _product_rule(d, lam)
     if rule is None:
         lo, hi = d.bounding_box
-        _check_band(lam * 0.5 * float(np.linalg.norm(hi - lo)))
+        _check_band(lam * 0.5 * _norm(hi - lo))
         rule = SampleRule(d, samples, seed)
     return rule
 

@@ -14,6 +14,7 @@ helmholtz_residual provides the finite-difference self-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,7 +76,7 @@ class SolutionField:
 
 def _check_wavenumber(k: float, name: str) -> float:
     k = float(k)
-    if not np.isfinite(k) or k <= 0.0:
+    if not math.isfinite(k) or k <= 0.0:
         raise ValueError(f"{name} must be positive, got {k}")
     return k
 

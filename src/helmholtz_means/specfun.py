@@ -107,7 +107,7 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _series_coeffs(q_max: float, nu: float, sign: float) -> list[float]:
+def _series_coeffs(q_max: float, nu: float, sign: float) -> tuple[float, ...]:
     """Horner coefficients of the ascending series, innermost first.
 
     The term count is fixed from the largest q = (t/2)^2: the first k
@@ -117,7 +117,13 @@ def _series_coeffs(q_max: float, nu: float, sign: float) -> list[float]:
     while n < _SERIES_MAX_TERMS and ratio > SERIES_RTOL * 1e-4:
         n += 1
         ratio *= q_max / (n * (n + nu))
-    return [sign / (k * (k + nu)) for k in range(n, 0, -1)]
+    return _horner(n, nu, sign)
+
+
+@functools.lru_cache(maxsize=1024)
+def _horner(n: int, nu: float, sign: float) -> tuple[float, ...]:
+    """sign / (k (k + nu)) for k = n..1, formed once per (n, nu, sign)."""
+    return tuple(sign / (k * (k + nu)) for k in range(n, 0, -1))
 
 
 def _ascending_series(t: np.ndarray, nu: float, sign: float) -> np.ndarray:
@@ -287,7 +293,7 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
         start += 1
     every = _rescale_every(start, t)
     low = int(nu) + 1  # the step to order nu
-    high, big = low + count - 1, _RESCALE_AT
+    high = low + count - 1
     summed = 0 if base else (1 if sign > 0 else 2)  # orders in the normalizing sum
     above, cur, norm = 0.0, 1e-30, 0.0
     out = []  # unnormalized values, highest order first
@@ -297,7 +303,7 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
             out.append(cur)
         if summed and k > 1 and (summed == 1 or k % 2):
             norm += cur
-        if (cur > big or -cur > big) and k % every == 0:
+        if k % every == 0 and abs(cur) > _RESCALE_AT:
             above, cur, norm = above * _RESCALE_BY, cur * _RESCALE_BY, norm * _RESCALE_BY
             out = [v * _RESCALE_BY for v in out]
     out.reverse()
@@ -313,7 +319,8 @@ def _miller_orders(nu: float, t: float, sign: float, count: int = 1) -> list[flo
     else:
         norm = 2.0 * norm + cur
         scale = np.exp(t) / norm
-    return [float(v * scale) for v in out]
+    scale = float(scale)  # so each product below is a Python float's
+    return [v * scale for v in out]
 
 
 def _evaluate(nu: float, t, sign: float, kernel: bool, name: str):

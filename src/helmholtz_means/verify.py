@@ -214,8 +214,11 @@ def make_problem(domain: Domain, lam: float, x0, samples: int = 2_000_000,
     difference the signed sum of its terms' product rules and its exact
     |D|, any other domain one seeded draw of samples points.  The bound
     grows with the wavenumber, so the rule resolves every wavenumber up
-    to lam, and check_identity runs fields of any such wavenumber on it."""
+    to lam, and check_identity runs fields of any such wavenumber on it.
+    samples must be >= 1 and seed >= 0."""
     _require_counts(samples=samples)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
@@ -290,14 +293,16 @@ def _identity_reports(fields, p: CharacterizationProblem,
                       tolerance: float | None = None) -> list[VerificationReport]:
     """check_identity for every field, with every mean from one
     p.rule.means pass and each kernel value computed once per
-    (equation, wavenumber)."""
+    (equation, wavenumber); a field of another dimension is refused first."""
+    m = p.domain.dimension
     for u in fields:
+        if u.dimension != m:
+            raise ValueError(f"field is {u.dimension}-d, domain is {m}-d")
         if u.wavenumber > p.lam + 1e-12 * max(1.0, p.lam):
             raise ValueError(
                 f"field wavenumber {u.wavenumber} is above the problem's lambda {p.lam}, "
                 "for which its rule is sized"
             )
-    m = p.domain.dimension
     volume_seed = p.seed if p.domain.analytic_volume is None else None
     kernels = {}  # (kernel, k) -> K(m, k r) and, where |D| has an error, |t K(m+2, t) / (m+2)|
     reports = []

@@ -1,6 +1,10 @@
 """CLI: subcommands, exit codes, determinism, JSON/CSV round-trips."""
 
+import argparse
+import contextlib
 import csv
+import functools
+import importlib.util
 import io
 import json
 import math
@@ -462,6 +466,27 @@ class TestPlumbing:
          "--t-max must be finite, got inf"),
         (("specfun", "j", "--nu", "1", "--t-min", "nan"), "--t-min must be finite, got nan"),
         (("sweep", "--m", "2", "--t-min=-inf"), "--t-min must be finite, got -inf"),
+        # a field of another dimension than the domain's is refused before any rule work
+        (("identity", "--domain", '{"kind":"ball","center":[0,0,0],"r":1.0}', "--solution",
+          '{"kind":"membrane","i":1,"j":1,"a":1.0}', "--x0", "0,0,0"), "field is 2-d, domain is 3-d"),
+        (("identity", "--domain", '{"kind":"ball","center":[0,0,0],"r":1.0}', "--solution",
+          '{"kind":"plane_wave","lambda":1.0,"direction":[1,0],"phase":0.0}', "--x0", "0,0,0"),
+         "field is 2-d, domain is 3-d"),
+        (("identity", "--domain", '{"kind":"ball","center":[0,0],"r":1.0}', "--solution",
+          '{"kind":"radial","lambda":1.0,"center":[0,0,0]}', "--x0", "0,0"),
+         "field is 3-d, domain is 2-d"),
+        (("identity", "--domain", '{"kind":"box","low":[0,0,0],"high":[1,1,1]}', "--solution",
+          '{"kind":"membrane","i":1,"j":1,"a":1.0}', "--x0", "0.5,0.5,0.5"),
+         "field is 2-d, domain is 3-d"),
+        # a negative seed is refused by every check that takes one, spectral or sampled
+        (("identity", "--domain", '{"kind":"ball","center":[0,0],"r":1.0}', "--solution", RADIAL,
+          "--x0", "0,0", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("discrepancy", "--domain", '{"kind":"ball","center":[0,0],"r":1.0}', "--lambda", "1",
+          "--x0", "0,0", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("kuran", "--domain", '{"kind":"ball","center":[0,0],"r":1.0}', "--x0", "0,0",
+          "--seed=-1"), "seed must be >= 0, got -1"),
+        (("characterize", "--domain", BOX_MINUS_DISK, "--lambda", "1.5", "--x0", "0,0",
+          "--seed", "-1"), "seed must be >= 0, got -1"),
     ]
 
     @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
@@ -479,7 +504,7 @@ class TestPlumbing:
     @staticmethod
     def top_level_main(argv):
         """main as the top-level parser alone parses argv: the oracle for
-        the subcommand-first dispatch."""
+        the table parse."""
         args = cli._build_parser().parse_args(argv)
         try:
             return cli._run(args)
@@ -487,7 +512,7 @@ class TestPlumbing:
             print(f"helmholtz-means: error: {exc}", file=sys.stderr)
             return cli.USAGE_ERROR
 
-    @pytest.mark.parametrize("argv", [list(argv) for argv, _ in USAGE_ERRORS] + [
+    PARSE_ORACLE = [
         [], ["--help"], ["identity", "--help"], ["specfun", "-h"], ["bogus", "--m", "2"],
         ["identity", "--domain", '{"kind":"ball","center":[0,0],"r":1.0}', "--solution",
          '{"kind":"plane_wave","lambda":1.0,"direction":[1,0],"phase":0.0}', "--x0", "0,0",
@@ -496,8 +521,21 @@ class TestPlumbing:
         ["sweep", "--m", "2", "--count", "3", "--", "--m"],
         ["--format", "csv", "sweep", "--m", "2"],
         ["membrane", "--a", "1.5", "--format", "csv"],
-    ])
-    def test_subcommand_first_dispatch_matches_the_top_level_parse(self, capsys, argv):
+        ["specfun", "a", "--m", "2", "--t-mi", "0.5", "--t-max", "1", "--count", "3"],
+        ["sweep", "--m", "2", "--t-min", "-1", "--count", "3"],
+        ["sweep", "--m", "2", "--t-min=-1", "--count", "3"],
+        ["sweep", "--m", "3", "--count", "5", "--m", "2", "--count=3"],
+        ["specfun", "--m", "2", "a", "--t", "1", "b"],
+        ["specfun", "c", "--m", "2"],
+        ["mean-value", "--solution", "--x0", "0,0", "--r", "1"],
+        ["sweep", "--m", "2", "--count"],
+        ["sweep", "--m", "2.5"],
+        ["identity", "--tol", "0.5"],
+        ["specfun", "--m", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv, _ in USAGE_ERRORS] + PARSE_ORACLE)
+    def test_main_matches_the_top_level_parse(self, capsys, argv):
         def outcome(entry):
             try:
                 code = entry(list(argv))
@@ -507,6 +545,66 @@ class TestPlumbing:
             return code, captured.out, captured.err
 
         assert outcome(main) == outcome(self.top_level_main)
+
+    def test_table_parse_is_parse_args_wherever_it_accepts(self):
+        """The table parse against parser.parse_args on the usage errors,
+        the oracle list, every workload argv at seeds 7 and 11, the README
+        commands, and variants of each: = and space forms, repeated flags,
+        the positional first and last, abbreviations, negative-number
+        values and '--'.  Wherever the table accepts an argv, argparse
+        accepts it too and gives the same namespace; the plain forms take
+        the table, and the rest argparse."""
+        stdout_diff = load_stdout_diff()
+        plain = stdout_diff.workload_argvs([7, 11]) + stdout_diff.readme_argvs(
+            str(Path(__file__).resolve().parents[1] / "README.md"))
+        plain = list({json.dumps(a): a for a in plain}.values())
+        assert len(plain) > 500
+        picked = [list(argv) for argv, _ in self.USAGE_ERRORS] + self.PARSE_ORACLE
+        checked = accepted = 0
+        for base in plain:
+            for argv, route in [(base, "table")] + argv_variants(base):
+                assert (self.compare(argv) is not None) == (route == "table"), argv
+        for argv in picked + [v for a in picked for v, _ in argv_variants(a)]:
+            checked += 1
+            accepted += self.compare(argv) is not None
+        assert checked > 150 and accepted > 50
+
+    def test_a_subcommand_with_another_kind_of_action_takes_parse_args(self, monkeypatch):
+        """A switch has no value for the table to read, so a subcommand that
+        declares one is left out of the tables and all its argvs go to
+        parse_args, which fills the switch's default."""
+        build = cli._build_parser.__wrapped__  # a fresh parser, not the shared one
+
+        def with_switch():
+            parser = build()
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub.choices["sweep"].add_argument("--verbose", action="store_true")
+            return parser
+
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(with_switch))
+        cli._flag_tables.cache_clear()
+        try:
+            assert cli._table_parse(["sweep", "--m", "2", "--count", "3"]) is None
+            assert cli._table_parse(["specfun", "a", "--m", "2"]) is not None
+            args = cli._build_parser().parse_args(["sweep", "--m", "2", "--count", "3"])
+            assert args.verbose is False
+        finally:
+            cli._flag_tables.cache_clear()
+
+    @staticmethod
+    def compare(argv):
+        """The table's namespace for argv, after checking it against
+        parse_args', or None where the table refuses argv."""
+        table = cli._table_parse(list(argv))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                full = cli._build_parser().parse_args(list(argv))
+            except SystemExit:
+                full = None
+        if table is not None:
+            assert full is not None, argv
+            assert namespace_key(table) == namespace_key(full), argv
+        return table
 
     def test_table_refuses_non_finite_values(self, capsys):
         # no kernel reaches it within t <= 300 now, but a non-finite value
@@ -585,6 +683,59 @@ class TestPlumbing:
         code, out, _ = run_cli(capsys, "membrane", "--a", "1", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert all(len(r) == len(rows[0]) for r in rows)
+
+
+def load_stdout_diff():
+    """tools/stdout_diff.py, whose argv lists the parse oracle reads."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "stdout_diff.py"
+    spec = importlib.util.spec_from_file_location("stdout_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def namespace_key(ns):
+    """A namespace's items with repr'd values, so NaN equals NaN and 2
+    differs from 2.0."""
+    return sorted((k, repr(v)) for k, v in vars(ns).items())
+
+
+def argv_variants(argv):
+    """(variant, route) pairs of argv: route "table" for the plain forms
+    the table takes (every flag in = form, every flag in space form, the
+    first flag given twice, specfun's positional moved last), "argparse"
+    for the rest (an abbreviated flag, a negative-number value, '--')."""
+    if not argv or argv[0].startswith("-"):
+        return []
+    head, words = argv[:1], list(argv[1:])
+    pairs, positional, i = [], [], 0
+    while i < len(words):
+        word = words[i]
+        if word.startswith("--") and "=" in word:
+            pairs.append(tuple(word.split("=", 1)))
+        elif word.startswith("--") and i + 1 < len(words):
+            pairs.append((word, words[i + 1]))
+            i += 1
+        else:
+            positional.append(word)
+        i += 1
+    if any(not f.startswith("--") or v.startswith("-") for f, v in pairs):
+        return []  # not a plain argv: the variants below would not be either
+    out = [
+        (head + positional + [f"{f}={v}" for f, v in pairs], "table"),
+        (head + positional + [w for f, v in pairs for w in (f, v)], "table"),
+    ]
+    if pairs:
+        f, v = pairs[0]
+        out.append((head + positional + [f, v] + [w for p in pairs for w in p], "table"))
+        if len(f) > 3:  # --x0 as --x, --domain as --domai
+            out.append((head + positional + [f[:-1], v] + [w for p in pairs[1:] for w in p],
+                        "argparse"))
+        out.append((head + positional + [w for p in pairs for w in p] + [f, "-1"], "argparse"))
+        out.append((head + positional + [w for p in pairs for w in p] + ["--"], "argparse"))
+    if positional:
+        out.append((head + [w for p in pairs for w in p] + positional, "table"))
+    return out
 
 
 def old_table(header, rows, fmt) -> str:

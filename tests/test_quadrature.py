@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helmholtz_means import quadrature
 from helmholtz_means.geometry import (
     EstimationError,
     ball,
@@ -687,6 +688,20 @@ class TestSphereRule:
             ref_cols, ref_w = closed_form_sphere_rule(m, angular)
             assert np.array_equal(cols, ref_cols) and np.array_equal(w, ref_w)
             assert degree == (angular - 1 if m == 2 else 2 * (angular // 2) - 1)
+
+    def test_circle_rule_is_a_read_only_table(self):
+        # formed once per angular count; a write to it raises, and a
+        # rule built from a cold table has the bits of one from a warm one
+        cols, w, _ = _sphere_rule(2, 30)
+        again, w_again, _ = _sphere_rule(2, 30)
+        assert again is cols and w_again is w
+        for arr in (cols, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        u = plane_wave(2, 3.0, [0.6, 0.8], 0.3)
+        warm = mean_rule(ball([0.1, 0.2], 1.3), 3.0).mean(u)
+        quadrature._sphere_rule.cache_clear()
+        assert mean_rule(ball([0.1, 0.2], 1.3), 3.0).mean(u) == warm
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_directions_integrate_sphere_moments(self, m):

@@ -521,6 +521,28 @@ class TestMillerOrders:
             assert one == specfun._miller(nu, np.array([t]), sign)[0]
 
 
+class TestSeriesCoefficients:
+    """The Horner coefficients are a read-only table per term count,
+    order and sign; the count still comes from the largest q."""
+
+    def test_a_count_shares_one_read_only_table(self):
+        coeffs = specfun._series_coeffs(4.0, 1.0, -1.0)
+        n = len(coeffs)
+        assert coeffs == tuple(-1.0 / (k * (k + 1.0)) for k in range(n, 0, -1))
+        assert specfun._series_coeffs(4.0 * (1.0 - 1e-9), 1.0, -1.0) is coeffs
+        assert len(specfun._series_coeffs(9.0, 1.0, -1.0)) > n
+        with pytest.raises(TypeError):
+            coeffs[0] = 0.0
+
+    def test_values_do_not_depend_on_a_warm_table(self):
+        ts = np.linspace(0.0, 12.0, 97)
+        specfun._horner.cache_clear()
+        cold = [a_norm(3, ts), b_norm(2, ts), [a_norm(5, float(t)) for t in ts]]
+        warm = [a_norm(3, ts), b_norm(2, ts), [a_norm(5, float(t)) for t in ts]]
+        for w, c in zip(warm, cold):
+            assert np.array_equal(w, c)
+
+
 class TestMillerRescaling:
     """Miller's array pass checks for rescaling every 8 steps past the
     series cutoff; values stay finite and accurate where rescales fire:

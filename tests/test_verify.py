@@ -1,5 +1,6 @@
 """Theorem checks: consistency direction, counterexamples, sign arguments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,36 @@ class TestIdentity:
         p = make_problem(ball([0, 0], 1.0), 1.0, [0, 0])
         with pytest.raises(ValueError):
             check_identity(plane_wave(2, 2.0, [1, 0], 0.0), p)
+
+    def test_dimension_mismatch_rejected_before_any_field_pass(self):
+        # every member is checked before the rule evaluates any of them, so
+        # a family with one wrong member evaluates nothing
+        evaluated = []
+
+        def spy(u):
+            return dataclasses.replace(u, evaluate=lambda pts: evaluated.append(pts) or u.evaluate(pts))
+
+        for d, c, u, msg in [
+            (ball([0, 0, 0], 1.0), [0, 0, 0], membrane_eigenfunction(1, 1, 1.0), "field is 2-d, domain is 3-d"),
+            (ball([0, 0, 0], 1.0), [0, 0, 0], plane_wave(2, 1.0, [1, 0], 0.0), "field is 2-d, domain is 3-d"),
+            (ball([0, 0], 1.0), [0, 0], radial_solution(3, 1.0, [0, 0, 0]), "field is 3-d, domain is 2-d"),
+            (box([0, 0, 0], [1, 1, 1]), [0.5] * 3, membrane_eigenfunction(1, 1, 1.0), "field is 2-d, domain is 3-d"),
+        ]:
+            p = make_problem(d, u.wavenumber, c)
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                check_identity(u, p)
+            family = [spy(radial_solution(p.domain.dimension, u.wavenumber, c)), spy(u)]
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                characterize(p, family)
+        assert evaluated == []
+
+    def test_negative_seed_rejected_on_every_path(self):
+        sampled = difference(box([-1, -1], [1, 1]), ball([0.9, 0.1], 0.25))
+        for d in (ball([0, 0], 1.0), box([-1, -1], [1, 1]), sampled):
+            with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+                make_problem(d, 1.0, [0, 0], samples=1000, seed=-1)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
+            kuran_limit_check(ball([0, 0], 1.0), [0, 0], seed=-2)
 
     def test_field_below_the_problems_lambda_runs_on_its_rule(self):
         # a rule sized for lambda = 60 resolves a field at 2: same verdict

@@ -1,20 +1,23 @@
-"""Compare the CLI's stdout under two source trees, argv by argv.
+"""Compare the CLI's stdout and stderr under two source trees, argv by argv.
 
     python3 tools/stdout_diff.py OLD_SRC NEW_SRC [--seeds 7,11] [--readme README.md]
 
 OLD_SRC and NEW_SRC are directories that hold the ``helmholtz_means``
 package (a checkout's ``src/``).  The argvs are every command that
-``perfbench/workloads.py`` generates at each seed, plus the
-``helmholtz-means`` commands of the README's command-line block.  Each
-tree runs them all in one fresh interpreter, calling
-``helmholtz_means.cli.main(argv)`` in-process, so the two runs share no
-state.  perfbench/ is only read.
+``perfbench/workloads.py`` generates at each seed, the
+``helmholtz-means`` commands of the README's command-line block, and
+USAGE_ARGVS, a fixed list of usage errors and help requests that
+exercises the parser's messages.  Each tree runs them all in one fresh
+interpreter, calling ``helmholtz_means.cli.main(argv)`` in-process, so
+the two runs share no state.  perfbench/ is only read.
 
-The report lists every argv whose exit code changed, counts the outputs
-that are byte-identical, and for the rest names each changed JSON path
-(list indices folded to ``[]``; a CSV column counts as a path) with its
-largest relative change over all argvs, the largest new magnitude
-where the old value was 0, or ``changed`` for a non-numeric value.
+The report lists every argv whose exit code or stderr changed, counts
+the outputs that are byte-identical, and for the rest names each
+changed JSON path (list indices folded to ``[]``; a CSV column counts
+as a path) with its largest relative change over all argvs, the largest
+new magnitude where the old value was 0, or ``changed`` for a
+non-numeric value.  The exit status is 1 when an exit code or a stderr
+changed.
 """
 
 from __future__ import annotations
@@ -31,21 +34,35 @@ from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Usage errors and help: an unknown flag, a missing value, a bad choice, a
+# bad int, an abbreviated flag, a negative-number value, '--' and help.
+USAGE_ARGVS = [
+    ["sweep", "--m", "2", "--bogus", "1"],
+    ["sweep", "--m"],
+    ["sweep", "--m", "2", "--format", "xml"],
+    ["sweep", "--m", "two"],
+    ["sweep", "--m", "2", "--cou", "3"],
+    ["sweep", "--m", "2", "--t-min", "-1", "--count", "3"],
+    ["sweep", "--m", "2", "--", "--count", "3"],
+    ["--help"],
+    ["identity", "--help"],
+]
+
 # Run in a child interpreter: argv 1 is the source tree, stdin the JSON
-# list of argvs, stdout the JSON list of [exit code, stdout] per argv.
+# list of argvs, stdout the JSON list of [exit code, stdout, stderr] per argv.
 COLLECT = """\
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from helmholtz_means import cli
 results = []
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -79,7 +96,7 @@ def readme_argvs(path: str) -> list[list[str]]:
     return argvs
 
 
-def collect(src: str, argvs) -> list[tuple[int, str]]:
+def collect(src: str, argvs) -> list[tuple[int, str, str]]:
     proc = subprocess.run([sys.executable, "-c", COLLECT, os.path.abspath(src)],
                           input=json.dumps(argvs), capture_output=True, text=True, check=True)
     return [tuple(r) for r in json.loads(proc.stdout)]
@@ -92,7 +109,7 @@ def parse(text: str):
     except ValueError:
         pass
     rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) > 1:
+    if len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows):
         return {col: [row[i] for row in rows[1:]] for i, col in enumerate(rows[0])}
     return text
 
@@ -136,23 +153,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     argvs = workload_argvs([int(s) for s in args.seeds.split(",")])
-    argvs += readme_argvs(args.readme)
+    argvs += readme_argvs(args.readme) + USAGE_ARGVS
     unique = list({json.dumps(a): a for a in argvs}.values())
     old, new = collect(args.old_src, unique), collect(args.new_src, unique)
 
-    exits, same, changes = [], 0, defaultdict(dict)
-    for argv, (code_a, out_a), (code_b, out_b) in zip(unique, old, new):
+    exits, errs, same, changes = [], [], 0, defaultdict(dict)
+    for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(unique, old, new):
         if code_a != code_b:
             exits.append((code_a, code_b, argv))
+        if err_a != err_b:
+            errs.append((err_a, err_b, argv))
         if out_a == out_b:
             same += 1
         else:
             walk(parse(out_a), parse(out_b), "", changes)
 
     print(f"{len(unique)} distinct argvs; {len(exits)} exit-code changes; "
-          f"{same} byte-identical outputs")
+          f"{len(errs)} stderr changes; {same} byte-identical outputs")
     for code_a, code_b, argv in exits:
         print(f"exit {code_a} -> {code_b}: {shlex.join(argv)}")
+    for err_a, err_b, argv in errs:
+        print(f"stderr {err_a!r} -> {err_b!r}: {shlex.join(argv)}")
     for path, change in sorted(changes.items()):
         parts = [f"relative {change['rel']:.3g}"] if "rel" in change else []
         if "from_zero" in change:
@@ -160,7 +181,7 @@ def main(argv=None) -> int:
         if change.get("changed"):
             parts.append("changed")
         print(f"{path}: {'; '.join(parts)}")
-    return 1 if exits else 0
+    return 1 if exits or errs else 0
 
 
 if __name__ == "__main__":
